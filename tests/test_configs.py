@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from stabsim.configs import (
     validate_config,
     zeroed_config,
 )
-from stabsim.graphs import path_graph
+from stabsim.graphs import grid_graph, path_graph, random_connected_graph
 from stabsim.kgrouping import DIST, DOMAIN, GROUP
 from stabsim.runtime import BOT
 
@@ -106,3 +107,42 @@ def test_memory_proxy_counts(p5):
     # every array is keyed by the domain: 20 arrays + the domain itself
     for v, count in keys.items():
         assert count == 21 * len(cfg[v][DOMAIN])
+
+
+def _config_digest(cfg):
+    text = json.dumps(config_to_json(cfg), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Generated configurations are part of every recorded trace: the same seed
+# must keep drawing the same values in the same order.
+PINNED_RANDOM = {
+    ("path5", 0): "90ea0c6189b965c16ed9f6760091f2ff014cd72ac1a1e6c48e15b8be037ae021",
+    ("path5", 3): "e328d193b3e8438c36b0f0f581ef7a145b8b4c4795220e16a9e4338a186aa2b3",
+    ("grid3x3", 0): "24d5d71fe63872c51883115ed6a04243587ae6829c2084e3c0ebfcb838adf0e2",
+    ("grid3x3", 3): "23cb5c2aeabc15d71cec891918b34d9cb66829dacca3392f4c3202cbf409bd54",
+    ("gnp12", 0): "4496653ca7da2e071bc273eaec7cc39d535efdd0929d6558448258083ee794bc",
+    ("gnp12", 3): "b4e651109bbb5b822b16883ead3a95bfa3a7cc23dd6672120353776e5858885d",
+}
+
+
+@pytest.mark.parametrize("name,n_false", sorted(PINNED_RANDOM))
+def test_random_config_digest_pinned(name, n_false):
+    graph, k = {
+        "path5": (path_graph(5), 2),
+        "grid3x3": (grid_graph(3, 3), 3),
+        "gnp12": (random_connected_graph(12, 0.3, 4), 1),
+    }[name]
+    cfg = random_config(graph, k, seed=11, n_false=n_false)
+    assert _config_digest(cfg) == PINNED_RANDOM[(name, n_false)]
+
+
+def test_zeroed_and_corrupted_config_digests_pinned():
+    g = grid_graph(3, 3)
+    assert _config_digest(zeroed_config(g, 3)) == (
+        "61f046b2273dd90b351672a4718e0475d54ab70bfdf26263b11e071bae0fbfe1")
+    names = ("level", "parent", "color", "mode", "domain", "height", "group",
+             "dist", "border", "prior")  # every layer: tree, wave, payload
+    out = corrupt_config(random_config(g, 3, seed=5), g, 3, names, 20, 7)
+    assert _config_digest(out) == (
+        "6355f1a5fb205bfcace61b17e394fab78e3c0c9a2beed361db1dcbb25a444819")
