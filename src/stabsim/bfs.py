@@ -12,13 +12,19 @@ fabricated root identifiers out of the network.
 from __future__ import annotations
 
 from .graphs import Graph, dist
-from .runtime import BOT, Action, AlgorithmSpec, Configuration, Eval
+from .runtime import (
+    BOT, ID, NEIGHBOR, PARENT, Action, AlgorithmSpec, Configuration, Eval, Var,
+)
 
 ROOT = "root"
 LEVEL = "level"
-PARENT = "parent"
 
-BFS_VARS = (ROOT, LEVEL, PARENT)
+# Levels reach n-1 in a legal tree; random states also hold n and n+1.
+VARS = (
+    Var(ROOT, "scalar", ID),
+    Var(LEVEL, "scalar", lambda n, k: range(n + 2)),
+    Var(PARENT, "scalar", NEIGHBOR, bot=True),
+)
 
 
 def bfs_actions(graph: Graph) -> AlgorithmSpec:
@@ -32,12 +38,8 @@ def bfs_actions(graph: Graph) -> AlgorithmSpec:
             return None
         return {ROOT: desired[0], LEVEL: desired[1], PARENT: desired[2]}
 
-    action = Action(
-        label="B1",
-        evaluate=correct,
-        reads=frozenset(BFS_VARS),
-        writes=frozenset(BFS_VARS),
-    )
+    names = frozenset(var.name for var in VARS)
+    action = Action(label="B1", evaluate=correct, reads=names, writes=names)
     return AlgorithmSpec("bfs", (action,))
 
 

@@ -1,40 +1,30 @@
 """Initial configurations: zeroed, uniformly random, or loaded from file.
 
-Random generation draws every variable uniformly from its declared range,
-with identifier-valued slots drawn from a pool that mixes in false
-identifiers (ids matching no process, including ids below the real minimum,
-which stress root election).  The same variable model drives mid-run
-corruption and the validation of adversarial configuration files.
+The variables that bfs, loop and kgrouping declare (`VARS`, see
+`runtime.Var`) are the whole state space.  Random generation draws every
+variable uniformly from its declared range, with identifier-valued slots
+drawn from a pool that mixes in false identifiers (ids matching no process,
+including ids below the real minimum, which stress root election).  The
+same declarations drive mid-run corruption, the validation of adversarial
+configuration files and the zeroed configuration.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
 
 from . import bfs, kgrouping, loop
 from .graphs import Graph
-from .runtime import BOT, Configuration
+from .runtime import BOT, ID, NEIGHBOR, Configuration, Var
+
+MODEL = bfs.VARS + loop.VARS + kgrouping.VARS
+# The one set variable: its identifiers key every array.
+_DOMAIN = next(var.name for var in MODEL if var.kind == "set")
+_JSON_SHAPE = {"set": list, "array": dict}
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class VarSpec:
-    name: str
-    kind: str  # "scalar" | "set" | "array"
-    sample: Callable  # (rng, ctx, pid) -> value; arrays: (rng, ctx, pid, key)
-    valid: Callable  # same signature, -> bool
-
-
-@dataclass(frozen=True)
-class ModelCtx:
-    graph: Graph
-    k: int
-    pool: tuple[int, ...]  # real ids + false ids
 
 
 def false_ids(graph: Graph, count: int) -> tuple[int, ...]:
@@ -47,131 +37,71 @@ def false_ids(graph: Graph, count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _choice(rng, options):
-    return options[rng.randrange(len(options))]
-
-
-def _ident(rng, ctx, pid):
-    return _choice(rng, ctx.pool)
-
-
-def _ident_valid(value, ctx):
+def _is_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def variable_model(ctx: ModelCtx) -> list[VarSpec]:
-    g, k = ctx.graph, ctx.k
-    n = g.n
-    dist_range = tuple(range(0, 2 * k + 1)) + (BOT,)
-    id_or_bot = ctx.pool + (BOT,)
-
-    def scalar(name, sample, valid):
-        return VarSpec(name, "scalar", sample, valid)
-
-    def array(name, options, id_valued=False):
-        if id_valued:
-            # Any well-formed identifier is storable, false ones included.
-            valid = lambda value, c: value is BOT or _ident_valid(value, c)
-        else:
-            valid = lambda value, c: value in options
-        return VarSpec(
-            name,
-            "array",
-            lambda rng, c, pid, key: _choice(rng, options),
-            valid,
-        )
-
-    specs = [
-        scalar(bfs.ROOT, _ident, lambda v, c: _ident_valid(v, c)),
-        scalar(
-            bfs.LEVEL,
-            lambda rng, c, pid: rng.randrange(0, n + 2),
-            lambda v, c: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
-        ),
-        VarSpec(
-            bfs.PARENT,
-            "scalar",
-            lambda rng, c, pid: _choice(rng, c.graph.neighbors_of(pid) + (BOT,)),
-            lambda v, c: v is BOT or True,  # refined per-process in validate_config
-        ),
-        scalar(loop.COLOR, lambda rng, c, pid: rng.randrange(5),
-               lambda v, c: v in (0, 1, 2, 3, 4)),
-        scalar(loop.MODE, lambda rng, c, pid: _choice(rng, (loop.MODE_BASE, loop.MODE_INIT)),
-               lambda v, c: v in (loop.MODE_BASE, loop.MODE_INIT)),
-        scalar(loop.RESET, lambda rng, c, pid: rng.randrange(2),
-               lambda v, c: v in (0, 1)),
-        VarSpec(
-            kgrouping.DOMAIN,
-            "set",
-            lambda rng, c, pid: frozenset(u for u in c.pool if rng.random() < 0.5),
-            lambda v, c: isinstance(v, frozenset)
-            and all(_ident_valid(u, c) for u in v),
-        ),
-        scalar(kgrouping.HEIGHT, lambda rng, c, pid: rng.randrange(0, k // 2 + 1),
-               lambda v, c: isinstance(v, int) and not isinstance(v, bool)
-               and 0 <= v <= k // 2),
-        scalar(kgrouping.INIT_GROUP, _ident, _ident_valid),
-        scalar(kgrouping.GROUP, _ident, _ident_valid),
-        scalar(kgrouping.IN_GROUP, _ident, _ident_valid),
-    ]
-    for name in (kgrouping.DIST, kgrouping.GROUP_DIST, kgrouping.MERGE_DIST,
-                 kgrouping.STAMP_DIST, kgrouping.IN_GROUP_DIST,
-                 kgrouping.IN_STAMP_DIST):
-        specs.append(array(name, dist_range))
-    for name in (kgrouping.BORDER, kgrouping.FAR, kgrouping.TARGET,
-                 kgrouping.STAMP1, kgrouping.STAMP2, kgrouping.GROUP_OF,
-                 kgrouping.IN_GROUP_OF, kgrouping.IN_STAMP1, kgrouping.IN_STAMP2):
-        specs.append(array(name, id_or_bot, id_valued=True))
-    for name in (kgrouping.MERGING, kgrouping.STAMP_ON, kgrouping.PRIOR,
-                 kgrouping.IN_STAMP_ON, kgrouping.IN_PRIOR):
-        specs.append(array(name, (False, True)))
-    return specs
+def _values(var: Var, graph: Graph, k: int, pool: tuple, pid: int) -> tuple:
+    """The range of `var` at process pid, in draw order."""
+    if var.values == ID:
+        values = pool
+    elif var.values == NEIGHBOR:
+        values = graph.neighbors_of(pid)
+    else:
+        values = tuple(var.values(graph.n, k))
+    return values + (BOT,) if var.bot else values
 
 
-def _model_index(ctx: ModelCtx) -> dict[str, VarSpec]:
-    return {spec.name: spec for spec in variable_model(ctx)}
+def _in_range(var: Var, value, values: tuple) -> bool:
+    if value is BOT:
+        return var.bot
+    if var.values == ID:
+        return _is_id(value)  # any identifier is storable, false ones included
+    return value in values and type(value) is type(values[0])
+
+
+def _draw(rng: random.Random, var: Var, values: tuple, store: dict):
+    if var.kind == "set":
+        return frozenset(x for x in values if rng.random() < 0.5)
+    if var.kind == "array":
+        keys = sorted(store.get(_DOMAIN) or ())
+        return {u: values[rng.randrange(len(values))] for u in keys}
+    return values[rng.randrange(len(values))]
+
+
+def _fresh(var: Var, graph: Graph, k: int, pid: int):
+    if var.kind == "set":
+        return frozenset()
+    if var.kind == "array":
+        return {}
+    if var.values == ID:
+        return pid
+    return BOT if var.bot else var.values(graph.n, k)[0]
+
+
+def _pool(graph: Graph, n_false: int) -> tuple[int, ...]:
+    return tuple(sorted(graph.vertices)) + false_ids(graph, n_false)
 
 
 def zeroed_config(graph: Graph, k: int) -> Configuration:
     """Clean but not legitimate: the initializer has to do all the work."""
     kgrouping.check_k(k)
-    cfg = {}
-    for v in graph.vertices:
-        cfg[v] = {
-            bfs.ROOT: v,
-            bfs.LEVEL: 0,
-            bfs.PARENT: BOT,
-            loop.COLOR: 0,
-            loop.MODE: loop.MODE_BASE,
-            loop.RESET: 0,
-            kgrouping.DOMAIN: frozenset(),
-            kgrouping.HEIGHT: 0,
-            kgrouping.INIT_GROUP: v,
-            kgrouping.GROUP: v,
-            kgrouping.IN_GROUP: v,
-        }
-        for spec in variable_model(ModelCtx(graph, k, (v,))):
-            if spec.kind == "array":
-                cfg[v][spec.name] = {}
-    return cfg
+    return {
+        v: {var.name: _fresh(var, graph, k, v) for var in MODEL}
+        for v in graph.vertices
+    }
 
 
 def random_config(graph: Graph, k: int, seed: int, n_false: int = 3) -> Configuration:
     """Uniformly random configuration, false identifiers included."""
     kgrouping.check_k(k)
     rng = random.Random(seed)
-    pool = tuple(sorted(graph.vertices)) + false_ids(graph, n_false)
-    ctx = ModelCtx(graph, k, pool)
-    specs = variable_model(ctx)
+    pool = _pool(graph, n_false)
     cfg = {}
     for v in sorted(graph.vertices):
         store = {}
-        for spec in specs:
-            if spec.kind == "array":
-                dom = store[kgrouping.DOMAIN]
-                store[spec.name] = {u: spec.sample(rng, ctx, v, u) for u in sorted(dom)}
-            else:
-                store[spec.name] = spec.sample(rng, ctx, v)
+        for var in MODEL:
+            store[var.name] = _draw(rng, var, _values(var, graph, k, pool, v), store)
         cfg[v] = store
     return cfg
 
@@ -187,9 +117,8 @@ def corrupt_config(
 ) -> Configuration:
     """Re-randomize `count` (process, variable) slots among the named variables."""
     rng = random.Random(seed)
-    pool = tuple(sorted(graph.vertices)) + false_ids(graph, n_false)
-    ctx = ModelCtx(graph, k, pool)
-    index = _model_index(ctx)
+    pool = _pool(graph, n_false)
+    index = {var.name: var for var in MODEL}
     unknown = [name for name in variables if name not in index]
     if unknown:
         raise ConfigError(f"unknown variables: {unknown}")
@@ -197,18 +126,13 @@ def corrupt_config(
     rng.shuffle(slots)
     out = {v: dict(store) for v, store in cfg.items()}
     for v, name in slots[: max(0, count)]:
-        spec = index[name]
-        if spec.kind == "array":
-            dom = out[v].get(kgrouping.DOMAIN) or frozenset()
-            out[v][name] = {u: spec.sample(rng, ctx, v, u) for u in sorted(dom)}
-        else:
-            out[v][name] = spec.sample(rng, ctx, v)
+        var = index[name]
+        out[v][name] = _draw(rng, var, _values(var, graph, k, pool, v), out[v])
     return out
 
 
 def total_variable_slots(graph: Graph) -> int:
-    ctx = ModelCtx(graph, 1, tuple(sorted(graph.vertices)))
-    return graph.n * len(variable_model(ctx))
+    return graph.n * len(MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +156,34 @@ def config_to_json(cfg: Configuration) -> dict:
 
 
 def config_from_json(payload: dict, graph: Graph, k: int) -> Configuration:
-    ctx = ModelCtx(graph, k, tuple(sorted(graph.vertices)))
-    index = _model_index(ctx)
-    cfg = {}
+    if not isinstance(payload, dict):
+        raise ConfigError("configuration must be a JSON object")
     try:
         items = {int(v): store for v, store in payload.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad process id in configuration: {exc}") from exc
     if set(items) != set(graph.vertices):
         raise ConfigError("configuration does not cover the vertex set")
+    cfg = {}
     for v, raw in items.items():
+        if not isinstance(raw, dict):
+            raise ConfigError(f"process {v}: expected an object of variables")
         store = {}
-        for name, spec in index.items():
-            if name not in raw:
-                raise ConfigError(f"process {v}: missing variable {name}")
-            value = raw[name]
-            if spec.kind == "set":
-                value = frozenset(value)
-            elif spec.kind == "array":
-                value = {int(u): x for u, x in value.items()}
-            store[name] = value
+        for var in MODEL:
+            if var.name not in raw:
+                raise ConfigError(f"process {v}: missing variable {var.name}")
+            value = raw[var.name]
+            shape = _JSON_SHAPE.get(var.kind)
+            if shape is not None and not isinstance(value, shape):
+                raise ConfigError(f"{v}.{var.name}: {value!r} is not a {var.kind}")
+            try:
+                if var.kind == "set":
+                    value = frozenset(value)
+                elif var.kind == "array":
+                    value = {int(u): x for u, x in value.items()}
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{v}.{var.name}: {exc}") from exc
+            store[var.name] = value
         cfg[v] = store
     problems = validate_config(cfg, graph, k)
     if problems:
@@ -261,25 +193,27 @@ def config_from_json(payload: dict, graph: Graph, k: int) -> Configuration:
 
 def validate_config(cfg: Configuration, graph: Graph, k: int) -> list[str]:
     """Range-check every slot; returns readable findings."""
-    ctx = ModelCtx(graph, k, tuple(sorted(graph.vertices)))
     problems = []
     for v, store in cfg.items():
-        for spec in variable_model(ctx):
-            value = store.get(spec.name, BOT)
-            if spec.kind == "array":
+        for var in MODEL:
+            name, value = var.name, store.get(var.name, BOT)
+            values = _values(var, graph, k, (), v)
+            if var.kind == "array":
                 if not isinstance(value, dict):
-                    problems.append(f"{v}.{spec.name}: expected array")
+                    problems.append(f"{v}.{name}: expected array")
                     continue
                 for u, x in value.items():
-                    if not _ident_valid(u, ctx):
-                        problems.append(f"{v}.{spec.name}[{u}]: bad key")
-                    elif not spec.valid(x, ctx):
-                        problems.append(f"{v}.{spec.name}[{u}]: {x!r} out of range")
-            elif spec.name == bfs.PARENT:
-                if value is not BOT and value not in graph.neighbors_of(v):
-                    problems.append(f"{v}.parent: {value!r} is not a neighbor")
-            elif not spec.valid(value, ctx):
-                problems.append(f"{v}.{spec.name}: {value!r} out of range")
+                    if not _is_id(u):
+                        problems.append(f"{v}.{name}[{u}]: bad key")
+                    elif not _in_range(var, x, values):
+                        problems.append(f"{v}.{name}[{u}]: {x!r} out of range")
+            elif var.kind == "set":
+                if not isinstance(value, frozenset) or not all(
+                    _in_range(var, u, values) for u in value
+                ):
+                    problems.append(f"{v}.{name}: {value!r} out of range")
+            elif not _in_range(var, value, values):
+                problems.append(f"{v}.{name}: {value!r} out of range")
     return problems
 
 
@@ -287,7 +221,7 @@ def stored_keys(cfg: Configuration) -> dict[int, int]:
     """Per-process count of stored array keys plus domain size (memory proxy)."""
     out = {}
     for v, store in cfg.items():
-        total = len(store.get(kgrouping.DOMAIN) or ())
+        total = len(store.get(_DOMAIN) or ())
         for name, value in store.items():
             if isinstance(value, dict):
                 total += len(value)

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bfs import check_tree
 from .configs import (
     ConfigError,
     config_from_json,
@@ -38,6 +37,7 @@ from .loop import (
     check_Cfin,
     compose,
     copy_shift,
+    disabled_everywhere,
     error_nowhere,
 )
 from .oracle import GroupingReport, check_Lk, potential, stamp_soundness_violations
@@ -45,7 +45,6 @@ from .runtime import (
     AlgorithmSpec,
     Configuration,
     DaemonPolicy,
-    Eval,
     ExecutionTrace,
     default_max_steps,
     run,
@@ -99,13 +98,6 @@ class RunResult:
         return self.trace.terminated and self.report.verdict
 
 
-def _module_quiet(cfg: Configuration, alg: AlgorithmSpec, graph: Graph) -> bool:
-    return all(
-        alg.first_enabled(Eval(cfg, v, graph.neighbors_of(v))) is None
-        for v in graph.vertices
-    )
-
-
 def run_grouping(
     graph: Graph,
     k: int,
@@ -138,7 +130,7 @@ def run_grouping(
     for b in boundaries:
         b.error_free = error_nowhere(b.cfg, binding, graph)
         module = binding.base if b.kind == "shift" else binding.init
-        b.module_quiet = _module_quiet(b.cfg, module, graph)
+        b.module_quiet = disabled_everywhere(b.cfg, module, graph)
 
     report = check_Lk(trace.final, graph, k)
     return RunResult(graph, k, binding, alg, trace, report, boundaries)
@@ -208,10 +200,6 @@ def closure_check(result: RunResult) -> bool:
         and again.num_steps == 0
         and check_Cfin(result.trace.final, result.binding, result.graph)
     )
-
-
-def tree_violations(result: RunResult) -> list[str]:
-    return check_tree(result.trace.final, result.graph)
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,16 @@ from .graphs import Graph, dist as graph_dist, induced_diameter
 from .loop import BaseAlgorithmBinding
 from .runtime import (
     BOT,
+    ID,
+    PARENT,
     Action,
     AlgorithmSpec,
     Configuration,
     Eval,
+    Var,
     bot_inc,
     bot_min,
 )
-from .bfs import PARENT
 
 DOMAIN = "domain"
 DIST = "dist"
@@ -73,13 +75,21 @@ COPY_PAIRS = (
     (STAMP_DIST, IN_STAMP_DIST),
 )
 
-MERGE_WRITES = frozenset(
-    (BORDER, FAR, TARGET, MERGE_DIST, STAMP1, STAMP_DIST, STAMP2,
-     GROUP, GROUP_OF, GROUP_DIST, MERGING, STAMP_ON, PRIOR)
-)
-INIT_WRITES = frozenset(
-    (DOMAIN, DIST, HEIGHT, INIT_GROUP,
-     IN_GROUP, IN_GROUP_OF, IN_GROUP_DIST, IN_STAMP_ON, IN_PRIOR)
+# Distances count hops within 2k; BOT marks an entry not (yet) known.
+VARS = (
+    Var(DOMAIN, "set", ID),
+    Var(HEIGHT, "scalar", lambda n, k: range(k // 2 + 1)),
+    Var(INIT_GROUP, "scalar", ID),
+    Var(GROUP, "scalar", ID),
+    Var(IN_GROUP, "scalar", ID),
+    *(Var(name, "array", lambda n, k: range(2 * k + 1), bot=True)
+      for name in (DIST, GROUP_DIST, MERGE_DIST, STAMP_DIST, IN_GROUP_DIST,
+                   IN_STAMP_DIST)),
+    *(Var(name, "array", ID, bot=True)
+      for name in (BORDER, FAR, TARGET, STAMP1, STAMP2, GROUP_OF, IN_GROUP_OF,
+                   IN_STAMP1, IN_STAMP2)),
+    *(Var(name, "array", lambda n, k: (False, True))
+      for name in (MERGING, STAMP_ON, PRIOR, IN_STAMP_ON, IN_PRIOR)),
 )
 
 
@@ -340,12 +350,6 @@ def _dist_mins(ev: Eval) -> dict:
     return mins
 
 
-def _dist_value(ev: Eval, u):
-    if u == ev.pid:
-        return 0
-    return bot_inc(_dist_mins(ev).get(u, BOT))
-
-
 def _dist_row(ev: Eval, k: int) -> dict:
     mins = _dist_mins(ev)
     pid = ev.pid
@@ -367,7 +371,7 @@ def _domain_value(ev: Eval, k: int) -> frozenset:
 
 
 def _height_value(ev: Eval, k: int) -> int:
-    children = ev.children(PARENT)
+    children = ev.children()
     if not children:
         return 0
     modulus = k // 2 + 1
@@ -375,7 +379,7 @@ def _height_value(ev: Eval, k: int) -> int:
 
 
 def _init_group_value(ev: Eval, k: int):
-    p = ev.parent(PARENT)
+    p = ev.parent()
     if p is BOT or ev.store.get(HEIGHT) == k // 2:
         return ev.pid
     return ev.nbr(p).get(INIT_GROUP, BOT)
@@ -836,10 +840,8 @@ def kgrouping_binding(k: int) -> BaseAlgorithmBinding:
         init=init_actions(k),
         error=lambda ev: error_predicate(ev, k),
         outputs=COPY_PAIRS,
-        array_outputs=frozenset(x for x, _ in COPY_PAIRS if x != GROUP),
+        variables=VARS,
         domain_var=DOMAIN,
-        base_writes=MERGE_WRITES,
-        init_writes=INIT_WRITES,
     )
 
 

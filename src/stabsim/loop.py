@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import Graph
-from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval
+from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var
 from .bfs import PARENT, bfs_actions
 
 COLOR = "color"
@@ -26,7 +26,11 @@ RESET = "reset"
 MODE_BASE = "A"
 MODE_INIT = "P"
 
-LOOP_VARS = (COLOR, MODE, RESET)
+VARS = (
+    Var(COLOR, "scalar", lambda n, k: range(5)),
+    Var(MODE, "scalar", lambda n, k: (MODE_BASE, MODE_INIT)),
+    Var(RESET, "scalar", lambda n, k: range(2)),
+)
 
 # Parent/child color pairs that cannot occur in any legal wave.
 ILLEGAL_PAIRS = frozenset(
@@ -42,21 +46,20 @@ class CompositionError(ValueError):
 class BaseAlgorithmBinding:
     """Pluggable pieces the combinator composes.
 
-    `outputs` pairs every copied output variable with its input-side copy;
-    `array_outputs` names the subset holding per-identifier arrays (copied and
-    compared key-wise over the process's current `domain_var`).  The error
-    predicate must read only input-side copies and initializer outputs of the
-    1-neighborhood.
+    `outputs` pairs every copied output variable with its input-side copy.
+    `variables` declares the base and initializer variables; outputs declared
+    as arrays are copied and compared key-wise over the process's current
+    `domain_var`.  The write sets of the base and the initializer are those
+    their actions declare.  The error predicate must read only input-side
+    copies and initializer outputs of the 1-neighborhood.
     """
 
     base: AlgorithmSpec
     init: AlgorithmSpec
     error: Callable[[Eval], bool]
     outputs: tuple[tuple[str, str], ...]  # (output, copy) pairs
-    array_outputs: frozenset[str] = frozenset()
+    variables: tuple[Var, ...] = ()
     domain_var: str = "domain"
-    base_writes: frozenset = frozenset()
-    init_writes: frozenset = frozenset()
 
     def validate(self) -> None:
         outs = [x for x, _ in self.outputs]
@@ -65,22 +68,27 @@ class BaseAlgorithmBinding:
             raise CompositionError("duplicate names in output/copy pairs")
         if set(outs) & set(copies):
             raise CompositionError("an output variable doubles as a copy")
-        if self.base_writes & self.init_writes:
+        base_writes = self.base.writes
+        if base_writes & self.init.writes:
             raise CompositionError("base and initializer write sets overlap")
-        if set(copies) & self.base_writes:
+        if set(copies) & base_writes:
             raise CompositionError("base algorithm writes a copy variable")
-        missing = set(outs) - self.base_writes
-        if self.base_writes and missing:
+        missing = set(outs) - base_writes
+        if base_writes and missing:
             raise CompositionError(f"outputs not written by base: {sorted(missing)}")
-        unknown = self.array_outputs - set(outs)
-        if unknown:
-            raise CompositionError(f"array outputs not in pairs: {sorted(unknown)}")
+        kinds = {var.name: var.kind for var in self.variables}
+        if any(kinds.get(x) != kinds.get(c) for x, c in self.outputs):
+            raise CompositionError("an output and its copy differ in kind")
 
 
-def _copies_match(binding: BaseAlgorithmBinding, store: dict) -> bool:
+def _array_names(binding: BaseAlgorithmBinding) -> frozenset:
+    return frozenset(var.name for var in binding.variables if var.kind == "array")
+
+
+def _copies_match(binding: BaseAlgorithmBinding, arrays: frozenset, store: dict) -> bool:
     dom = store.get(binding.domain_var) or ()
     for x, in_x in binding.outputs:
-        if x in binding.array_outputs:
+        if x in arrays:
             ax = store.get(x) or {}
             ac = store.get(in_x) or {}
             for u in dom:
@@ -92,11 +100,11 @@ def _copies_match(binding: BaseAlgorithmBinding, store: dict) -> bool:
     return True
 
 
-def _copy_updates(binding: BaseAlgorithmBinding, store: dict) -> dict:
+def _copy_updates(binding: BaseAlgorithmBinding, arrays: frozenset, store: dict) -> dict:
     dom = store.get(binding.domain_var) or ()
     updates = {}
     for x, in_x in binding.outputs:
-        if x in binding.array_outputs:
+        if x in arrays:
             ax = store.get(x) or {}
             updates[in_x] = {u: ax.get(u, BOT) for u in dom}
         else:
@@ -110,10 +118,11 @@ def copy_shift(cfg: Configuration, binding: BaseAlgorithmBinding) -> Configurati
     Test/verdict utility mirroring what the color-4 wave achieves process by
     process during a run.
     """
+    arrays = _array_names(binding)
     out = {}
     for v, store in cfg.items():
         s = dict(store)
-        s.update(_copy_updates(binding, store))
+        s.update(_copy_updates(binding, arrays, store))
         out[v] = s
     return out
 
@@ -122,21 +131,22 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     """Emit the full composed action table (tree layer + wave + base/init)."""
     binding.validate()
     base, init, error = binding.base, binding.init, binding.error
+    arrays = _array_names(binding)
 
     def down_ok(ev: Eval) -> bool:
         cl = ev.store[COLOR]
-        p = ev.parent(PARENT)
+        p = ev.parent()
         if p is not BOT and ev.nbr(p)[COLOR] != cl + 1:
             return False
-        return all(ev.nbr(u)[COLOR] == cl for u in ev.children(PARENT))
+        return all(ev.nbr(u)[COLOR] == cl for u in ev.children())
 
     def up_ok(ev: Eval) -> bool:
         cl = ev.store[COLOR]
-        p = ev.parent(PARENT)
+        p = ev.parent()
         if p is not BOT and ev.nbr(p)[COLOR] != cl:
             return False
         succ = (cl + 1) % 5
-        return all(ev.nbr(u)[COLOR] == succ for u in ev.children(PARENT))
+        return all(ev.nbr(u)[COLOR] == succ for u in ev.children())
 
     def color_reset(ev: Eval):
         s = ev.store
@@ -148,7 +158,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         s = ev.store
         if s[COLOR] not in (1, 2):
             return None
-        p = ev.parent(PARENT)
+        p = ev.parent()
         if p is not BOT and ev.nbr(p)[COLOR] == 0:
             return {COLOR: 0}
         return None
@@ -157,7 +167,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         s = ev.store
         if s[COLOR] not in (3, 4):
             return None
-        p = ev.parent(PARENT)
+        p = ev.parent()
         if p is not BOT and ev.nbr(p)[COLOR] == 0:
             return {COLOR: 0, RESET: 1}
         return None
@@ -221,7 +231,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 
     def illegal(ev: Eval):
         cl = ev.store[COLOR]
-        for u in ev.children(PARENT):
+        for u in ev.children():
             if (cl, ev.nbr(u)[COLOR]) in ILLEGAL_PAIRS:
                 return {COLOR: 0, RESET: 1}
         return None
@@ -229,17 +239,17 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     def propagate_reset(ev: Eval):
         if ev.store[RESET] != 0:
             return None
-        if any(ev.nbr(u)[RESET] == 1 for u in ev.children(PARENT)):
+        if any(ev.nbr(u)[RESET] == 1 for u in ev.children()):
             return {RESET: 1}
         return None
 
     def del_reset(ev: Eval):
         if ev.store[RESET] != 1:
             return None
-        p = ev.parent(PARENT)
+        p = ev.parent()
         if p is not BOT and ev.nbr(p)[RESET] != 1:
             return None
-        if any(ev.nbr(u)[RESET] != 0 for u in ev.children(PARENT)):
+        if any(ev.nbr(u)[RESET] != 0 for u in ev.children()):
             return None
         return {RESET: 0}
 
@@ -258,13 +268,12 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         s = ev.store
         if s[COLOR] != 3 or s[MODE] != MODE_BASE:
             return None
-        if any(ev.nbr(u)[COLOR] == 2 for u in ev.children(PARENT)):
+        if any(ev.nbr(u)[COLOR] == 2 for u in ev.children()):
             return None
-        if ev.cached("shift", lambda e: _copies_match(binding, e.store)) and not any(
-            ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids
-        ):
+        in_sync = ev.cached("shift", lambda e: _copies_match(binding, arrays, e.store))
+        if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
             return None
-        updates = _copy_updates(binding, s)
+        updates = _copy_updates(binding, arrays, s)
         updates[COLOR] = 4
         return updates
 
@@ -272,7 +281,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         s = ev.store
         if s[COLOR] != 3 or s[MODE] != MODE_INIT:
             return None
-        if any(ev.nbr(u)[COLOR] == 2 for u in ev.children(PARENT)):
+        if any(ev.nbr(u)[COLOR] == 2 for u in ev.children()):
             return None
         return {COLOR: 4, MODE: MODE_BASE}
 
@@ -295,21 +304,16 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     copy_names = frozenset(c for _, c in binding.outputs)
     out_names = frozenset(x for x, _ in binding.outputs)
 
-    base_reads = frozenset().union(*(a.reads for a in base.actions)) if base.actions else frozenset()
-    init_reads = frozenset().union(*(a.reads for a in init.actions)) if init.actions else frozenset()
-
     actions = (
         Action("L1", run_tree, tree_reads, tree_writes),
         Action("L2", color_reset, loop_reads, frozenset((COLOR,))),
         Action("L3", color_init, loop_reads, frozenset((COLOR,))),
         Action("L4", color_init34, loop_reads, frozenset((COLOR, RESET))),
-        Action("L5", error_to_init, loop_reads | copy_names | binding.init_writes,
+        Action("L5", error_to_init, loop_reads | copy_names | init.writes,
                frozenset((MODE, RESET))),
         Action("L6", follow_to_init, loop_reads, frozenset((MODE, RESET))),
-        Action("L7", run_base, loop_reads | base_reads,
-               binding.base_writes | frozenset((RESET,))),
-        Action("L8", run_init, loop_reads | init_reads,
-               binding.init_writes | frozenset((RESET,))),
+        Action("L7", run_base, loop_reads | base.reads, base.writes | frozenset((RESET,))),
+        Action("L8", run_init, loop_reads | init.reads, init.writes | frozenset((RESET,))),
         Action("L9", illegal, loop_reads, frozenset((COLOR, RESET))),
         Action("L10", propagate_reset, loop_reads, frozenset((RESET,))),
         Action("L11", del_reset, loop_reads, frozenset((RESET,))),
@@ -324,7 +328,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         tuple(("A/" + a.label, a.reads) for a in base.actions)
         + tuple(("P/" + a.label, a.reads) for a in init.actions)
         + (
-            ("error", init_reads | copy_names | binding.init_writes),
+            ("error", init.reads | copy_names | init.writes),
             ("shift", out_names | copy_names | frozenset((binding.domain_var,))),
         )
     )
@@ -335,12 +339,12 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 # configuration-level predicates
 
-def _base_disabled_everywhere(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:
-    for v in graph.vertices:
-        ev = Eval(cfg, v, graph.neighbors_of(v))
-        if binding.base.first_enabled(ev) is not None:
-            return False
-    return True
+def disabled_everywhere(cfg: Configuration, alg: AlgorithmSpec, graph: Graph) -> bool:
+    """No action of `alg` is enabled at any process."""
+    return all(
+        alg.first_enabled(Eval(cfg, v, graph.neighbors_of(v))) is None
+        for v in graph.vertices
+    )
 
 
 def error_nowhere(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:
@@ -355,9 +359,10 @@ def check_Cgoal(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph)
     """No error anywhere, outputs equal to their copies, base disabled."""
     if not error_nowhere(cfg, binding, graph):
         return False
-    if not all(_copies_match(binding, cfg[v]) for v in graph.vertices):
+    arrays = _array_names(binding)
+    if not all(_copies_match(binding, arrays, cfg[v]) for v in graph.vertices):
         return False
-    return _base_disabled_everywhere(cfg, binding, graph)
+    return disabled_everywhere(cfg, binding.base, graph)
 
 
 def check_Cfin(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:

@@ -21,6 +21,13 @@ BOT = None
 Store = dict  # variable name -> value; array variables map pid -> value
 Configuration = dict  # pid -> Store
 
+# The tree layer's parent pointer, read by Eval.parent and Eval.children.
+PARENT = "parent"
+
+# Value ranges that depend on more than the network size and k (see Var).
+ID = "id"  # any identifier, real or false
+NEIGHBOR = "neighbor"  # a neighbor of the owner
+
 
 class DaemonContractError(RuntimeError):
     """The daemon selected a process that is not enabled."""
@@ -44,13 +51,6 @@ def bot_min(values) -> object:
         if best is BOT or x < best:
             best = x
     return best
-
-
-def array_get(store: Store, name: str, key) -> object:
-    arr = store.get(name)
-    if not arr:
-        return BOT
-    return arr.get(key, BOT)
 
 
 class Eval:
@@ -94,17 +94,35 @@ class Eval:
         shared[layer] = value
         return value
 
-    def children(self, parent_var: str = "parent") -> tuple[int, ...]:
+    def children(self) -> tuple[int, ...]:
         # Children in the current tree: neighbors whose parent pointer is us.
         if self._children is None:
             pid = self.pid
             self._children = tuple(
-                u for u in self.nbr_ids if self.cfg[u].get(parent_var) == pid
+                u for u in self.nbr_ids if self.cfg[u].get(PARENT) == pid
             )
         return self._children
 
-    def parent(self, parent_var: str = "parent"):
-        return self.store.get(parent_var, BOT)
+    def parent(self):
+        return self.store.get(PARENT, BOT)
+
+
+@dataclass(frozen=True)
+class Var:
+    """Declaration of one per-process variable: name, kind and value range.
+
+    `kind` is "scalar", "set" (a set of identifiers: the domain that keys
+    the arrays) or "array" (one entry per identifier in the owner's domain).
+    `values` is the range of a scalar, of a set's elements or of an array's
+    entries: ID, NEIGHBOR, or a function of the network size n and the bound
+    k returning a sequence of values of one type.  With `bot`, BOT is in
+    range as well.
+    """
+
+    name: str
+    kind: str
+    values: object
+    bot: bool = False
 
 
 @dataclass(frozen=True)
@@ -144,6 +162,14 @@ class AlgorithmSpec:
     layers: tuple[tuple[str, frozenset], ...] = ()
     domain_var: Optional[str] = None
 
+    @property
+    def reads(self) -> frozenset:
+        return frozenset().union(*(a.reads for a in self.actions))
+
+    @property
+    def writes(self) -> frozenset:
+        return frozenset().union(*(a.writes for a in self.actions))
+
     def first_enabled(self, ev: Eval) -> Optional[tuple[str, dict]]:
         for action in self.actions:
             updates = action.evaluate(ev)
@@ -158,10 +184,6 @@ class AlgorithmSpec:
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
     """Labels of all actions whose guard holds at v, in label order."""
     return alg.enabled_labels(Eval(cfg, v, graph.neighbors_of(v)))
-
-
-def is_enabled(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> bool:
-    return alg.first_enabled(Eval(cfg, v, graph.neighbors_of(v))) is not None
 
 
 def apply_updates(store: Store, updates: dict, domain_var: Optional[str]) -> Store:
@@ -377,6 +399,10 @@ def run(
             fired[v] = label
             new_cfg[v] = apply_updates(cfg[v], updates, alg.domain_var)
             changed[v] = frozenset(updates)
+            if alg.domain_var in updates:
+                # arrays pruned to the new domain changed as well
+                old, new = cfg[v], new_cfg[v]
+                changed[v] |= {x for x, value in new.items() if value is not old.get(x)}
 
         dirty = set(selected)
         for v in selected:

@@ -53,6 +53,19 @@ def test_cmd_run_missing_descriptor(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("name,value", [("dist", [1, 2]), ("domain", 5)])
+def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, value):
+    from stabsim.configs import config_to_json, random_config
+
+    payload = config_to_json(random_config(path_graph(5), 2, seed=1))
+    payload["1"][name] = value
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(payload))
+    dpath = write_inputs(tmp_path, init={"mode": "adversarial-file", "path": str(cpath)})
+    assert main(["run", str(dpath)]) == EXIT_INPUT
+    assert name in capsys.readouterr().err
+
+
 def test_cmd_inject_reconverges(tmp_path, capsys):
     dpath = write_inputs(tmp_path, init={"mode": "random", "seed": 7})
     spec = json.dumps({

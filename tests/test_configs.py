@@ -78,6 +78,26 @@ def test_config_from_json_rejects_bad_input(p5):
     payload["1"][PARENT] = 4  # not a neighbor of 1
     with pytest.raises(ConfigError):
         config_from_json(payload, p5, 2)
+    # wrong container shapes, and bools where ints belong and vice versa
+    for name, value in (
+        (DIST, [1, 2]),
+        (DOMAIN, 5),
+        (DOMAIN, [[1]]),
+        (DIST, {"one": 1}),
+        ("color", True),
+        ("reset", False),
+        (DIST, {"1": True}),
+        ("stamp_on", {"1": 1}),
+        (PARENT, True),
+        ("level", p5.n + 2),  # levels range over 0..n+1
+    ):
+        payload = config_to_json(cfg)
+        payload["1"][name] = value
+        with pytest.raises(ConfigError):
+            config_from_json(payload, p5, 2)
+    for payload in ([], {"1": 5}):
+        with pytest.raises(ConfigError):
+            config_from_json(payload, p5, 2)
 
 
 def test_corruption_touches_requested_count(p5):

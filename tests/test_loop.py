@@ -20,10 +20,12 @@ from stabsim.loop import (
 )
 from stabsim.runtime import (
     BOT,
+    ID,
     Action,
     AlgorithmSpec,
     DaemonPolicy,
     Eval,
+    Var,
     enabled_actions,
     run,
     step,
@@ -60,8 +62,6 @@ def toy_binding():
         init=empty_init(),
         error=lambda ev: False,
         outputs=(("m", "in_m"),),
-        base_writes=frozenset(("m",)),
-        init_writes=frozenset(),
     )
 
 
@@ -87,21 +87,33 @@ def test_illegal_pairs_membership():
 
 
 def test_binding_validation():
+    # Write sets come from the actions: the base writes m (see F1).
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
             base=min_flood_base(), init=empty_init(), error=lambda ev: False,
-            outputs=(("m", "m"),), base_writes=frozenset(("m",)),
+            outputs=(("m", "m"),),
         ).validate()
+    init_writing_m = AlgorithmSpec(
+        "init_m", (Action("P1", lambda ev: None, writes=frozenset(("m",))),)
+    )
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
-            base=min_flood_base(), init=empty_init(), error=lambda ev: False,
+            base=min_flood_base(), init=init_writing_m, error=lambda ev: False,
             outputs=(("m", "in_m"),),
-            base_writes=frozenset(("m",)), init_writes=frozenset(("m",)),
         ).validate()
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
             base=min_flood_base(), init=empty_init(), error=lambda ev: False,
-            outputs=(("q", "in_q"),), base_writes=frozenset(("m",)),
+            outputs=(("q", "in_q"),),
+        ).validate()
+
+
+def test_binding_output_and_copy_kinds_must_agree():
+    scalar, array = Var("m", "scalar", ID), Var("in_m", "array", ID)
+    with pytest.raises(CompositionError):
+        BaseAlgorithmBinding(
+            base=min_flood_base(), init=empty_init(), error=lambda ev: False,
+            outputs=(("m", "in_m"),), variables=(scalar, array),
         ).validate()
 
 

@@ -268,3 +268,43 @@ def test_domain_write_prunes_all_arrays():
     # non-domain writes leave other arrays alone
     same = apply_updates(store, {"x": 6}, "domain")
     assert same["dist"] == {1: 0, 2: 1, 9: 3}
+
+
+def test_cached_layer_sees_arrays_pruned_by_a_domain_write():
+    # Process 1 writes only its domain, which prunes its array `a`; process 2
+    # caches a value under a layer that watches `a` alone.  The pruning must
+    # invalidate that entry, so the cached run ends where the uncached
+    # replay through step() ends.
+    g = make_graph([1, 2], [(1, 2)])
+
+    def shrink(ev):
+        if ev.pid == 1 and ev.store["domain"] != frozenset({1}):
+            return {"domain": frozenset({1})}
+        return None
+
+    def count(ev):
+        seen = ev.cached("watch", lambda e: len(e.nbr(1)["a"]))
+        if ev.pid == 2 and ev.store["seen"] != seen:
+            return {"seen": seen}
+        return None
+
+    alg = AlgorithmSpec(
+        "prune",
+        (Action("D1", shrink, frozenset(("domain",)), frozenset(("domain",))),
+         Action("D2", count, frozenset(("a", "seen")), frozenset(("seen",)))),
+        layers=(("watch", frozenset(("a",))),),
+        domain_var="domain",
+    )
+    cfg0 = {
+        1: {"domain": frozenset({1, 2}), "a": {1: 0, 2: 0}, "seen": 0},
+        2: {"domain": frozenset(), "a": {}, "seen": 2},
+    }
+    trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{1}, {2}]), 10)
+    replay = cfg0
+    for rec in trace.steps:
+        replay = step(replay, set(rec.selected), alg, g)
+    assert trace.terminated
+    # silence judged without the cache: nothing is left enabled
+    assert all(enabled_actions(trace.final, v, alg, g) == [] for v in g.vertices)
+    assert trace.final[2]["seen"] == 1
+    assert trace.final == replay
