@@ -223,9 +223,6 @@ class DescriptorError(ValueError):
     pass
 
 
-ALGORITHMS = ("kgrouping",)
-
-
 @dataclass
 class RunDescriptor:
     graph: Graph
@@ -236,7 +233,6 @@ class RunDescriptor:
     init_seed: int = 0
     n_false: int = 3
     init_path: Optional[str] = None
-    algorithm: str = "kgrouping"
 
     def initial_configuration(self) -> Configuration:
         if self.init_mode == "zeroed":
@@ -259,39 +255,65 @@ def load_descriptor(path: str) -> RunDescriptor:
     return parse_descriptor(payload)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _field(obj: dict, key: str, default, ok, what: str):
+    """obj[key], or `default` when absent; it must pass `ok`."""
+    value = obj.get(key, default)
+    if not ok(value):
+        raise DescriptorError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
 def parse_descriptor(payload: dict) -> RunDescriptor:
+    if not _is_object(payload):
+        raise DescriptorError("a run descriptor must be a JSON object")
+    algorithm = payload.get("algorithm", "kgrouping")
+    if algorithm != "kgrouping":
+        raise DescriptorError(f"unknown algorithm {algorithm!r}")
+    d = _field(payload, "daemon", {}, _is_object, "an object")
+    init = _field(payload, "init", {"mode": "zeroed"}, _is_object, "an object")
     try:
-        graph = load_graph(payload["graph"])
+        graph = load_graph(
+            _field(payload, "graph", None, lambda x: isinstance(x, str), "a file path"))
         k = check_k(payload["k"])
-        d = payload.get("daemon", {})
         daemon = DaemonPolicy(
             kind=d.get("kind", "random"),
-            p=d.get("p", 0.5),
-            seed=d.get("seed", 0),
-            fairness_aging=d.get("fairness_aging", True),
+            p=_field(d, "p", 0.5, _is_number, "a number"),
+            seed=_field(d, "seed", 0, _is_int, "an integer"),
+            fairness_aging=_field(d, "fairness_aging", True,
+                                  lambda x: isinstance(x, bool), "true or false"),
         )
         daemon.validate()
-        init = payload.get("init", {"mode": "zeroed"})
-        mode = init.get("mode", "zeroed")
         desc = RunDescriptor(
             graph=graph,
             k=k,
             daemon=daemon,
-            max_steps=payload.get("max_steps"),
-            init_mode=mode,
-            init_seed=init.get("seed", 0),
-            n_false=init.get("n_false", 3),
-            init_path=init.get("path"),
-            algorithm=payload.get("algorithm", "kgrouping"),
+            max_steps=_field(payload, "max_steps", None,
+                             lambda x: x is None or _is_int(x), "an integer"),
+            init_mode=_field(init, "mode", "zeroed",
+                             lambda x: x in ("zeroed", "random", "adversarial-file"),
+                             "zeroed, random or adversarial-file"),
+            init_seed=_field(init, "seed", 0, _is_int, "an integer"),
+            n_false=_field(init, "n_false", 3, lambda x: _is_int(x) and x >= 0,
+                           "an integer >= 0"),
+            init_path=_field(init, "path", None,
+                             lambda x: x is None or isinstance(x, str), "a file path"),
         )
     except DescriptorError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DescriptorError(f"bad descriptor: {exc}") from exc
-    if desc.algorithm not in ALGORITHMS:
-        raise DescriptorError(f"unknown algorithm {desc.algorithm!r}")
-    if desc.init_mode not in ("zeroed", "random", "adversarial-file"):
-        raise DescriptorError(f"unknown init mode {desc.init_mode!r}")
     if desc.init_mode == "adversarial-file" and not desc.init_path:
         raise DescriptorError("adversarial-file init needs a path")
     return desc

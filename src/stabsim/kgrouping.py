@@ -633,9 +633,7 @@ def init_actions(k: int) -> AlgorithmSpec:
         _array_sub("I9", IN_PRIOR, const_false_row,
                    frozenset((DOMAIN, IN_PRIOR))),
     )
-    return AlgorithmSpec("init", actions,
-                         tuple((a.label, a.reads) for a in actions),
-                         domain_var=DOMAIN)
+    return AlgorithmSpec("init", actions, domain_var=DOMAIN)
 
 
 def merge_actions(k: int) -> AlgorithmSpec:
@@ -717,9 +715,7 @@ def merge_actions(k: int) -> AlgorithmSpec:
         _array_sub("M13", PRIOR, prior_row,
                    cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR}),
     )
-    return AlgorithmSpec("merge", actions,
-                         tuple((a.label, a.reads) for a in actions),
-                         domain_var=DOMAIN)
+    return AlgorithmSpec("merge", actions, domain_var=DOMAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +837,6 @@ def kgrouping_binding(k: int) -> BaseAlgorithmBinding:
         error=lambda ev: error_predicate(ev, k),
         outputs=COPY_PAIRS,
         variables=VARS,
-        domain_var=DOMAIN,
     )
 
 

@@ -13,7 +13,7 @@ initial colorings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .graphs import Graph
 from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var
@@ -49,9 +49,10 @@ class BaseAlgorithmBinding:
     `outputs` pairs every copied output variable with its input-side copy.
     `variables` declares the base and initializer variables; outputs declared
     as arrays are copied and compared key-wise over the process's current
-    `domain_var`.  The write sets of the base and the initializer are those
-    their actions declare.  The error predicate must read only input-side
-    copies and initializer outputs of the 1-neighborhood.
+    domain, the one variable declared as a set.  The write sets of the base
+    and the initializer are those their actions declare.  The error predicate
+    must read only input-side copies and initializer inputs and outputs of
+    the 1-neighborhood.
     """
 
     base: AlgorithmSpec
@@ -59,7 +60,11 @@ class BaseAlgorithmBinding:
     error: Callable[[Eval], bool]
     outputs: tuple[tuple[str, str], ...]  # (output, copy) pairs
     variables: tuple[Var, ...] = ()
-    domain_var: str = "domain"
+
+    @property
+    def domain_var(self) -> Optional[str]:
+        """The declared set variable, whose identifiers key the arrays."""
+        return next((var.name for var in self.variables if var.kind == "set"), None)
 
     def validate(self) -> None:
         outs = [x for x, _ in self.outputs]
@@ -79,6 +84,8 @@ class BaseAlgorithmBinding:
         kinds = {var.name: var.kind for var in self.variables}
         if any(kinds.get(x) != kinds.get(c) for x, c in self.outputs):
             raise CompositionError("an output and its copy differ in kind")
+        if list(kinds.values()).count("set") > 1:
+            raise CompositionError("more than one set variable to key the arrays")
 
 
 def _array_names(binding: BaseAlgorithmBinding) -> frozenset:
@@ -178,7 +185,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
             return None
         if any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
             return None
-        if ev.cached("error", error):
+        if ev.cached(error_check):
             return {MODE: MODE_INIT, RESET: 1}
         return None
 
@@ -200,11 +207,9 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
                 return False
         return True
 
-    def scan_module(ev: Eval, alg: AlgorithmSpec, prefix: str):
-        # Per-action caching: an action's verdict stays valid until one of
-        # its declared reads changes in the 1-neighborhood.
+    def scan_module(ev: Eval, alg: AlgorithmSpec):
         for action in alg.actions:
-            updates = ev.cached(prefix + action.label, action.evaluate)
+            updates = ev.cached(action)
             if updates is not None:
                 return updates
         return None
@@ -212,7 +217,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     def run_base(ev: Eval):
         if not _module_gate(ev, MODE_BASE):
             return None
-        hit = scan_module(ev, base, "A/")
+        hit = scan_module(ev, base)
         if hit is None:
             return None
         updates = dict(hit)
@@ -222,7 +227,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     def run_init(ev: Eval):
         if not _module_gate(ev, MODE_INIT):
             return None
-        hit = scan_module(ev, init, "P/")
+        hit = scan_module(ev, init)
         if hit is None:
             return None
         updates = dict(hit)
@@ -270,7 +275,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
             return None
         if any(ev.nbr(u)[COLOR] == 2 for u in ev.children()):
             return None
-        in_sync = ev.cached("shift", lambda e: _copies_match(binding, arrays, e.store))
+        in_sync = ev.cached(sync_check)
         if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
             return None
         updates = _copy_updates(binding, arrays, s)
@@ -303,6 +308,13 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     loop_reads = frozenset((COLOR, MODE, RESET, PARENT))
     copy_names = frozenset(c for _, c in binding.outputs)
     out_names = frozenset(x for x, _ in binding.outputs)
+    domain = frozenset((binding.domain_var,)) - {None}
+    # The two checks L5 and L14 cache, as actions whose evaluate returns a
+    # verdict instead of updates: the error predicate, and whether the
+    # outputs equal their copies.
+    error_check = Action("E", error, init.reads | copy_names | init.writes)
+    sync_check = Action("sync", lambda ev: _copies_match(binding, arrays, ev.store),
+                        out_names | copy_names | domain)
 
     actions = (
         Action("L1", run_tree, tree_reads, tree_writes),
@@ -319,20 +331,12 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         Action("L11", del_reset, loop_reads, frozenset((RESET,))),
         Action("L12", down, loop_reads, frozenset((COLOR,))),
         Action("L13", to2, loop_reads, frozenset((COLOR,))),
-        Action("L14", to4_base, loop_reads | out_names | copy_names,
+        Action("L14", to4_base, loop_reads | sync_check.reads,
                copy_names | frozenset((COLOR,))),
         Action("L15", to4_init, loop_reads, frozenset((COLOR, MODE))),
         Action("L16", to0, loop_reads, frozenset((COLOR,))),
     )
-    layers = (
-        tuple(("A/" + a.label, a.reads) for a in base.actions)
-        + tuple(("P/" + a.label, a.reads) for a in init.actions)
-        + (
-            ("error", init.reads | copy_names | init.writes),
-            ("shift", out_names | copy_names | frozenset((binding.domain_var,))),
-        )
-    )
-    return AlgorithmSpec(f"loop({base.name},{init.name})", actions, layers,
+    return AlgorithmSpec(f"loop({base.name},{init.name})", actions,
                          domain_var=binding.domain_var)
 
 

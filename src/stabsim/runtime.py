@@ -58,9 +58,10 @@ class Eval:
 
     `memo` is scratch space shared by all guard/statement evaluations of this
     process in this step, so derived quantities are computed at most once.
-    `shared` is an engine-managed cache that survives across steps; entries
-    are dropped whenever a variable of the declared layer changes anywhere in
-    the 1-neighborhood, so cached layer results stay snapshot-accurate.
+    `shared` is an engine-managed cache that survives across steps, keyed by
+    Action; an entry is dropped whenever a variable in that action's `reads`
+    changes anywhere in the closed 1-neighborhood, so cached results stay
+    snapshot-accurate.
     """
 
     __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "shared", "_children")
@@ -83,15 +84,14 @@ class Eval:
     def nbr(self, u: int) -> Store:
         return self.cfg[u]
 
-    def cached(self, layer: str, fn):
-        """Memoize fn(self) under the named invalidation layer."""
+    def cached(self, action: Action):
+        """action.evaluate(self), memoized until one of its reads changes."""
         shared = self.shared
         if shared is None:
-            return fn(self)
-        if layer in shared:
-            return shared[layer]
-        value = fn(self)
-        shared[layer] = value
+            return action.evaluate(self)
+        if action in shared:
+            return shared[action]
+        value = shared[action] = action.evaluate(self)
         return value
 
     def children(self) -> tuple[int, ...]:
@@ -125,7 +125,7 @@ class Var:
     bot: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Action:
     """One labeled guarded action.
 
@@ -133,8 +133,10 @@ class Action:
     otherwise None.  Substitution-style actions (guard "current != computed")
     fall out naturally: compute, compare, return None on equality.
 
-    `reads` / `writes` declare the variables the guard may depend on and the
-    statement may assign; they drive the static stage checks, not execution.
+    `reads` declares every variable of the 1-neighborhood that `evaluate` may
+    depend on; `Eval.cached` keeps a result until one of them changes.
+    `writes` declares the variables the statement may assign.  Actions hash
+    by identity, so a cache lookup never hashes their fields.
     """
 
     label: str
@@ -147,10 +149,6 @@ class Action:
 class AlgorithmSpec:
     """Ordered list of labeled guarded actions (smallest label first).
 
-    `layers` declares cache invalidation sets: (layer name, variables read by
-    computations cached under that name).  Purely an execution optimization;
-    semantics never depend on it.
-
     `domain_var` names the per-process set that keys the array variables, if
     any.  Writing it prunes every array to the new key set in the same atomic
     step, so a slot whose key later re-enters the domain comes back undefined
@@ -159,7 +157,6 @@ class AlgorithmSpec:
 
     name: str
     actions: tuple[Action, ...]
-    layers: tuple[tuple[str, frozenset], ...] = ()
     domain_var: Optional[str] = None
 
     @property
@@ -363,10 +360,10 @@ def run(
     sched = _Scheduler(daemon, graph.n)
 
     cfg = {v: dict(cfg0[v]) for v in cfg0}
-    shared: Optional[dict] = {v: {} for v in graph.vertices} if alg.layers else None
+    shared = {v: {} for v in graph.vertices}  # see Eval.cached
 
     def fresh_eval(c, v):
-        return Eval(c, v, adj[v], shared[v] if shared is not None else None)
+        return Eval(c, v, adj[v], shared[v])
 
     cache: dict[int, Optional[tuple[str, dict]]] = {}
     for v in graph.vertices:
@@ -407,16 +404,11 @@ def run(
         dirty = set(selected)
         for v in selected:
             dirty.update(adj[v])
-        if shared is not None:
-            touched: dict[int, set] = {}
-            for v, names in changed.items():
-                for w in (v, *adj[v]):
-                    touched.setdefault(w, set()).update(names)
-            for w, names in touched.items():
+        for v, names in changed.items():
+            for w in (v, *adj[v]):
                 entries = shared[w]
-                for layer, watched in alg.layers:
-                    if layer in entries and names & watched:
-                        del entries[layer]
+                for action in [a for a in entries if not names.isdisjoint(a.reads)]:
+                    del entries[action]
         new_enabled = set(enabled)
         for v in dirty:
             hit = alg.first_enabled(fresh_eval(new_cfg, v))

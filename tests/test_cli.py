@@ -66,6 +66,35 @@ def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, va
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,named", [
+    pytest.param({"init": 5}, "init", id="init-int"),
+    pytest.param({"daemon": [1]}, "daemon", id="daemon-list"),
+    pytest.param({"graph": 5}, "graph", id="graph-int"),
+    pytest.param({"max_steps": "10"}, "max_steps", id="max_steps-str"),
+    pytest.param({"max_steps": True}, "max_steps", id="max_steps-bool"),
+    pytest.param({"init": {"mode": "random", "n_false": "3"}}, "n_false",
+                 id="n_false-str"),
+    pytest.param({"init": {"mode": "random", "n_false": -1}}, "n_false",
+                 id="n_false-negative"),
+    pytest.param({"init": {"mode": "random", "seed": "x"}}, "seed", id="init_seed-str"),
+    pytest.param({"init": {"mode": "adversarial-file", "path": 5}}, "path",
+                 id="path-int"),
+    pytest.param({"init": {"mode": ["random"]}}, "mode", id="mode-list"),
+    pytest.param({"daemon": {"seed": "a"}}, "seed", id="daemon_seed-str"),
+    pytest.param({"daemon": {"p": "0.5"}}, "'p'", id="p-str"),
+    pytest.param({"daemon": {"fairness_aging": "no"}}, "fairness_aging",
+                 id="fairness_aging-str"),
+    pytest.param({"algorithm": "other"}, "algorithm", id="algorithm-other"),
+])
+def test_cmd_run_malformed_descriptor_is_input_error(tmp_path, capsys, override, named):
+    dpath = write_inputs(tmp_path)
+    desc = json.loads(dpath.read_text())
+    desc.update(override)
+    dpath.write_text(json.dumps(desc))
+    assert main(["run", str(dpath)]) == EXIT_INPUT
+    assert named in capsys.readouterr().err
+
+
 def test_cmd_inject_reconverges(tmp_path, capsys):
     dpath = write_inputs(tmp_path, init={"mode": "random", "seed": 7})
     spec = json.dumps({

@@ -117,6 +117,20 @@ def test_binding_output_and_copy_kinds_must_agree():
         ).validate()
 
 
+def test_binding_domain_is_the_one_set_variable():
+    from stabsim.kgrouping import DOMAIN, kgrouping_binding
+
+    assert kgrouping_binding(2).domain_var == DOMAIN
+    assert toy_binding().domain_var is None
+    two_sets = BaseAlgorithmBinding(
+        base=min_flood_base(), init=empty_init(), error=lambda ev: False,
+        outputs=(("m", "in_m"),),
+        variables=(Var("d1", "set", ID), Var("d2", "set", ID)),
+    )
+    with pytest.raises(CompositionError):
+        two_sets.validate()
+
+
 def test_root_down_move_with_vacuous_parent(p3):
     # A parentless root with all children at its own color starts the wave.
     alg = compose(toy_binding(), p3)

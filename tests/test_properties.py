@@ -1,13 +1,20 @@
 """Cross-cutting property tests: row forms agree with the reference macros,
-fired labels respect priority, and the round recount matches the engine."""
+fired labels respect priority under the cached engine, actions touch only
+their declared variables, and the round recount matches the engine."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabsim.configs import random_config
 from stabsim.experiments import run_grouping
-from stabsim.graphs import path_graph, random_connected_graph
+from stabsim.graphs import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+)
 from stabsim.kgrouping import (
     BORDER,
     DOMAIN,
@@ -58,13 +65,32 @@ def test_row_forms_match_reference_macros(case):
         assert dist_row[u] == clamped
 
 
-def test_fired_label_is_smallest_enabled():
-    g = path_graph(6)
-    k = 2
+# (network, k) per instance; the seed also draws the gnp network.
+INSTANCES = {
+    "path6-k2": (lambda seed: path_graph(6), 2),
+    "cycle6-k1": (lambda seed: cycle_graph(6), 1),
+    "path7-k1": (lambda seed: path_graph(7), 1),
+    "grid3x3-k2": (lambda seed: grid_graph(3, 3), 2),
+    "gnp10-k3": (lambda seed: random_connected_graph(10, 0.3, seed), 3),
+}
+
+DAEMONS = {
+    "random": DaemonPolicy(kind="random", p=0.5, seed=4),
+    "synchronous": DaemonPolicy(kind="synchronous"),
+    "central": DaemonPolicy(kind="central", seed=4),
+}
+
+
+@pytest.mark.parametrize("daemon", sorted(DAEMONS))
+@pytest.mark.parametrize("instance", ["path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"])
+def test_fired_label_is_smallest_enabled(instance, daemon):
+    # Differential: the cached run() against the uncached enabled_actions()
+    # and step() replay of the same schedule.
+    make, k = INSTANCES[instance]
+    g = make(0)
     alg = compose(kgrouping_binding(k), g)
     cfg = random_config(g, k, seed=77)
-    trace = run(g, alg, cfg, DaemonPolicy(kind="random", p=0.5, seed=4),
-                max_steps=100_000)
+    trace = run(g, alg, cfg, DAEMONS[daemon], max_steps=100_000)
     assert trace.terminated
     current = trace.initial
     for rec in trace.steps:
@@ -72,6 +98,76 @@ def test_fired_label_is_smallest_enabled():
             labels = enabled_actions(current, v, alg, g)
             assert labels and labels[0] == label
         current = step(current, set(rec.selected), alg, g)
+    assert current == trace.final
+
+
+class _RecordingStore(dict):
+    """A process's store that records every variable name looked up in it."""
+
+    def __init__(self, store, seen):
+        super().__init__(store)
+        self.seen = seen
+
+    def get(self, name, default=None):
+        self.seen.add(name)
+        return super().get(name, default)
+
+    def __getitem__(self, name):
+        self.seen.add(name)
+        return super().__getitem__(name)
+
+    def __contains__(self, name):
+        self.seen.add(name)
+        return super().__contains__(name)
+
+
+def _audit(action, ev):
+    """Evaluate `action` afresh on a recording copy of ev's snapshot.
+
+    The copy holds the closed neighborhood only, and the new Eval has an
+    empty memo, so values memoized by an earlier action hide no reads.
+    """
+    seen = set()
+    view = {u: _RecordingStore(ev.cfg[u], seen) for u in (ev.pid, *ev.nbr_ids)}
+    updates = action.evaluate(Eval(view, ev.pid, ev.nbr_ids))
+    assert seen <= action.reads, (action.label, sorted(seen - action.reads))
+    if isinstance(updates, dict):
+        assert set(updates) <= action.writes, (
+            action.label, sorted(set(updates) - action.writes))
+
+
+@pytest.mark.parametrize("instance", ["grid3x3-k2", "gnp10-k3", "path7-k1"])
+def test_actions_touch_only_declared_variables(instance, monkeypatch):
+    # Read and write audit of every action of the composed, merge and init
+    # tables, on random configurations and on the boundary configurations
+    # of runs.  The checks that compose caches privately (error predicate,
+    # copies in sync) are reached by auditing every cache miss of the runs.
+    make, k = INSTANCES[instance]
+    real_cached = Eval.cached
+    audited = set()
+
+    def audited_cached(ev, action):
+        if ev.shared is None or action not in ev.shared:
+            _audit(action, ev)
+            audited.add(action.label)
+        return real_cached(ev, action)
+
+    for seed in range(6):
+        g = make(seed)
+        binding = kgrouping_binding(k)
+        tables = (compose(binding, g), binding.base, binding.init)
+        cfg0 = random_config(g, k, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(Eval, "cached", audited_cached)
+            result = run_grouping(g, k, DaemonPolicy(kind="random", p=0.5, seed=seed), cfg0)
+        assert result.ok
+        for cfg in (cfg0, *(b.cfg for b in result.boundaries), result.trace.final):
+            for v in g.vertices:
+                ev = Eval(cfg, v, g.neighbors_of(v))
+                for table in tables:
+                    for action in table.actions:
+                        _audit(action, ev)
+    assert {"E", "sync", "M1", "I1"} <= audited
 
 
 def test_round_recount_matches_engine():

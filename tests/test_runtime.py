@@ -270,12 +270,13 @@ def test_domain_write_prunes_all_arrays():
     assert same["dist"] == {1: 0, 2: 1, 9: 3}
 
 
-def test_cached_layer_sees_arrays_pruned_by_a_domain_write():
+def test_cached_action_sees_arrays_pruned_by_a_domain_write():
     # Process 1 writes only its domain, which prunes its array `a`; process 2
-    # caches a value under a layer that watches `a` alone.  The pruning must
+    # caches the result of an action that reads `a` alone.  The pruning must
     # invalidate that entry, so the cached run ends where the uncached
     # replay through step() ends.
     g = make_graph([1, 2], [(1, 2)])
+    watch = Action("W", lambda e: len(e.nbr(1)["a"]), frozenset(("a",)))
 
     def shrink(ev):
         if ev.pid == 1 and ev.store["domain"] != frozenset({1}):
@@ -283,7 +284,7 @@ def test_cached_layer_sees_arrays_pruned_by_a_domain_write():
         return None
 
     def count(ev):
-        seen = ev.cached("watch", lambda e: len(e.nbr(1)["a"]))
+        seen = ev.cached(watch)
         if ev.pid == 2 and ev.store["seen"] != seen:
             return {"seen": seen}
         return None
@@ -292,7 +293,6 @@ def test_cached_layer_sees_arrays_pruned_by_a_domain_write():
         "prune",
         (Action("D1", shrink, frozenset(("domain",)), frozenset(("domain",))),
          Action("D2", count, frozenset(("a", "seen")), frozenset(("seen",)))),
-        layers=(("watch", frozenset(("a",))),),
         domain_var="domain",
     )
     cfg0 = {
