@@ -1,14 +1,21 @@
 """Cross-cutting property tests: row forms agree with the reference macros,
 fired labels respect priority under the cached engine, actions touch only
-their declared variables, and the round recount matches the engine."""
+their declared variables, the round recount matches the engine, and pinned
+runs keep their summaries."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsim.configs import random_config
-from stabsim.experiments import run_grouping
+from stabsim.configs import random_config, zeroed_config
+from stabsim.experiments import (
+    RunDescriptor,
+    run_grouping,
+    run_with_corruption,
+    summary_bytes,
+)
 from stabsim.graphs import (
     cycle_graph,
     grid_graph,
@@ -193,3 +200,42 @@ def test_composed_locality():
     far[4]["in_group"] = 999
     after = alg.first_enabled(Eval(far, 1, g.neighbors_of(1)))
     assert before == after
+
+
+# Whole runs under every daemon kind and through the corruption path: a
+# refactoring of the engine, the wave or the payload must keep each run's
+# summary (verdicts, groups, trace sha256) byte for byte.
+PINNED_RUNS = {
+    "grid3x3-k2-random": (
+        lambda: run_grouping(grid_graph(3, 3), 2, DaemonPolicy(kind="random", seed=1),
+                             random_config(grid_graph(3, 3), 2, seed=11)),
+        "33decbadc637d793009f54b101bcaa7918e0c63b7d265a4c1c0862eb43555983"),
+    "path7-k1-synchronous": (
+        lambda: run_grouping(path_graph(7), 1, DaemonPolicy(kind="synchronous"),
+                             zeroed_config(path_graph(7), 1)),
+        "9043fb74cfef07d6c6b90236fa17983fde9e9bc5a1ae98d04b96fe453e8674ad"),
+    "gnp10-k3-central": (
+        lambda: run_grouping(random_connected_graph(10, 0.3, 2), 3,
+                             DaemonPolicy(kind="central", seed=4),
+                             random_config(random_connected_graph(10, 0.3, 2), 3, seed=5)),
+        "51dc6f15a2500b4801d518370030529a81faef54cb1c6ad2060b62f88df3d7a0"),
+    "cycle6-k2-no-aging": (
+        lambda: run_grouping(cycle_graph(6), 2,
+                             DaemonPolicy(kind="random", seed=3, fairness_aging=False),
+                             random_config(cycle_graph(6), 2, seed=7)),
+        "4b6566eb22bc1000b7524e89fce3504e6587e54a7a9e32869886193111080de6"),
+    "path6-k2-inject": (
+        lambda: run_with_corruption(
+            RunDescriptor(path_graph(6), 2, DaemonPolicy(kind="random", seed=2), None,
+                          "random", init_seed=9),
+            ("color", "mode", "in_group"), 4, 5, 30),
+        "8fda0a1a720cbc0ec79b565bb69017e6b3c356e2e5bfd1c59128d6f8a0e9ae9f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_summary_digest_pinned(name):
+    make, digest = PINNED_RUNS[name]
+    result = make()
+    assert result.ok
+    assert hashlib.sha256(summary_bytes(result)).hexdigest() == digest
