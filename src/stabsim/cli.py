@@ -16,6 +16,8 @@ from .configs import ConfigError
 from .experiments import (
     DescriptorError,
     SWEEP_COLUMNS,
+    _field,
+    _is_int,
     load_descriptor,
     run_descriptor,
     run_with_corruption,
@@ -65,14 +67,19 @@ def cmd_inject(args) -> int:
     except json.JSONDecodeError:
         with open(args.corrupt, "r", encoding="utf-8") as f:
             spec = json.load(f)
-    try:
-        variables = tuple(spec["variables"])
-        count = int(spec["count"])
-        seed = int(spec.get("seed", 0))
-        at_step = int(spec.get("at_step", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DescriptorError(f"bad corruption spec: {exc}") from exc
-    result = run_with_corruption(desc, variables, count, seed, at_step)
+    if not isinstance(spec, dict):
+        raise DescriptorError("a corruption spec must be a JSON object")
+    variables = _field(
+        spec, "variables", None,
+        lambda x: isinstance(x, list) and all(isinstance(name, str) for name in x),
+        "a list of variable names")
+    def natural(x):
+        return _is_int(x) and x >= 0
+
+    count = _field(spec, "count", None, natural, "an integer >= 0")
+    seed = _field(spec, "seed", 0, natural, "an integer >= 0")
+    at_step = _field(spec, "at_step", 0, natural, "an integer >= 0")
+    result = run_with_corruption(desc, tuple(variables), count, seed, at_step)
     return _emit(result, args.out_dir, "inject")
 
 

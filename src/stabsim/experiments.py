@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .configs import (
@@ -351,10 +351,7 @@ def run_with_corruption(
     resume = corrupt_config(
         prefix.final, desc.graph, desc.k, variables, count, seed, desc.n_false
     )
-    daemon2 = DaemonPolicy(
-        kind=desc.daemon.kind, p=desc.daemon.p, seed=desc.daemon.seed + 1,
-        fairness_aging=desc.daemon.fairness_aging,
-    )
+    daemon2 = replace(desc.daemon, seed=desc.daemon.seed + 1)
     return run_grouping(desc.graph, desc.k, daemon2, resume, budget)
 
 

@@ -13,12 +13,14 @@ some domain key disagrees with the computed value, the statement rewrites all
 domain keys at once, results outside the declared range store as BOT, and
 keys that left the domain are dropped on write.
 
-The macros share/min_macro/distance_macro are the reference semantics; the
-action tables use row-at-a-time equivalents (one pass per array instead of
-one per key) that must and do agree with them.
+The macros share/min_macro/distance_macro are the reference semantics, kept
+as test oracles; the action tables use row-at-a-time equivalents (one pass
+per array instead of one per key) that must and do agree with them.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .graphs import Graph, dist as graph_dist, induced_diameter
 from .loop import BaseAlgorithmBinding
@@ -109,6 +111,21 @@ def _clamp_dist(x, k):
 # local views (memoized per evaluation)
 
 _EMPTY: dict = {}
+_UNSET = object()
+
+
+def _per_eval(fn):
+    """Memoize fn(ev, ...) in ev.memo, keyed by fn: computed at most once per
+    evaluation, BOT and False results included.  Extra arguments such as k
+    are fixed for a run and are not part of the key."""
+    @wraps(fn)
+    def memoized(ev: Eval, *args):
+        value = ev.memo.get(fn, _UNSET)
+        if value is _UNSET:
+            value = ev.memo[fn] = fn(ev, *args)
+        return value
+
+    return memoized
 
 
 def _entry(store, name: str, u):
@@ -128,22 +145,17 @@ def _lv(ev: Eval):
     return ev.store.get(IN_GROUP, BOT)
 
 
+@_per_eval
 def _all_nbrs(ev: Eval):
-    pairs = ev.memo.get("all_nbrs")
-    if pairs is None:
-        cfg = ev.cfg
-        pairs = tuple((u, cfg[u]) for u in ev.nbr_ids)
-        ev.memo["all_nbrs"] = pairs
-    return pairs
+    cfg = ev.cfg
+    return tuple((u, cfg[u]) for u in ev.nbr_ids)
 
 
+@_per_eval
 def _nbrs_by_group(ev: Eval) -> dict:
-    by_group = ev.memo.get("nbrs_by_group")
-    if by_group is None:
-        by_group = {}
-        for u, s in _all_nbrs(ev):
-            by_group.setdefault(s.get(IN_GROUP, BOT), []).append((u, s))
-        ev.memo["nbrs_by_group"] = by_group
+    by_group = {}
+    for u, s in _all_nbrs(ev):
+        by_group.setdefault(s.get(IN_GROUP, BOT), []).append((u, s))
     return by_group
 
 
@@ -159,14 +171,12 @@ def same_group_nbrs(ev: Eval):
     return nbrs_in_group(ev, _lv(ev))
 
 
+@_per_eval
 def _members_by_group(ev: Eval) -> dict:
-    members = ev.memo.get("members_by_group")
-    if members is None:
-        members = {}
-        arr = ev.store.get(IN_GROUP_OF) or _EMPTY
-        for w in ev.store.get(DOMAIN) or ():
-            members.setdefault(arr.get(w, BOT), []).append(w)
-        ev.memo["members_by_group"] = members
+    members = {}
+    arr = ev.store.get(IN_GROUP_OF) or _EMPTY
+    for w in ev.store.get(DOMAIN) or ():
+        members.setdefault(arr.get(w, BOT), []).append(w)
     return members
 
 
@@ -185,6 +195,7 @@ def share(ev: Eval, u, x_name: str, own_value):
 
     At v = u the value is the local one; elsewhere it is the minimum over
     neighbors one hop closer to u.  An empty candidate set yields BOT.
+    Test oracle for `_share_row`; the action tables never call it.
     """
     if u == ev.pid:
         return own_value
@@ -209,7 +220,8 @@ def min_macro(ev: Eval, x_name: str, key, q_holds: bool):
 
     Candidate values flow between same-group neighbors only along a strict
     group-distance gradient toward the candidate, so spurious identifiers
-    cannot sustain themselves.
+    cannot sustain themselves.  Test oracle for `_min_row`; the action
+    tables never call it.
     """
     best = BOT
     own = ev.store
@@ -232,7 +244,10 @@ def min_macro(ev: Eval, x_name: str, key, q_holds: bool):
 
 def distance_macro(ev: Eval, u, x_name: str, sources):
     """0 at u itself, else 1 + the minimum of the neighbors' entries for u
-    (1 + BOT = BOT, so an empty or all-null source set yields BOT)."""
+    (1 + BOT = BOT, so an empty or all-null source set yields BOT).
+
+    Test oracle for `_distance_row`; the action tables never call it.
+    """
     if u == ev.pid:
         return 0
     return bot_inc(bot_min(_entry(ws, x_name, u) for _, ws in sources))
@@ -331,22 +346,20 @@ def _distance_row(ev: Eval, x_name: str, sources, keys, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # initializer value functions
 
+@_per_eval
 def _dist_mins(ev: Eval) -> dict:
     """Per identifier: the minimum neighbor distance claim among neighbors
     that carry the identifier in their domain."""
-    mins = ev.memo.get("dist_mins")
-    if mins is None:
-        mins = {}
-        for _, ws in _all_nbrs(ev):
-            wd = ws.get(DIST) or _EMPTY
-            for u in ws.get(DOMAIN) or ():
-                d = wd.get(u, BOT)
-                if d is BOT:
-                    continue
-                cur = mins.get(u)
-                if cur is None or d < cur:
-                    mins[u] = d
-        ev.memo["dist_mins"] = mins
+    mins = {}
+    for _, ws in _all_nbrs(ev):
+        wd = ws.get(DIST) or _EMPTY
+        for u in ws.get(DOMAIN) or ():
+            d = wd.get(u, BOT)
+            if d is BOT:
+                continue
+            cur = mins.get(u)
+            if cur is None or d < cur:
+                mins[u] = d
     return mins
 
 
@@ -388,41 +401,42 @@ def _init_group_value(ev: Eval, k: int):
 # ---------------------------------------------------------------------------
 # merge value functions
 
-def _cand(ev: Eval):
-    cand = ev.memo.get("cand")
-    if cand is None:
-        s = ev.store
-        lv = _lv(ev)
-        border = s.get(BORDER) or _EMPTY
-        far = s.get(FAR) or _EMPTY
-        stamped = s.get(IN_STAMP_ON) or _EMPTY
-        groups = s.get(IN_GROUP_OF) or _EMPTY
-        # Only identifiers that name a group in our view are eligible: a
-        # group id belongs to its own group.  Keys naming mere members would
-        # otherwise let a group elect itself (under a member's id) as its
-        # target through stale border values, and the merge flag would then
-        # flap across iterations instead of settling.
-        cand = frozenset(
-            u for u in s.get(DOMAIN) or ()
-            if u != lv
-            and groups.get(u, BOT) == u
-            and border.get(u, BOT) is not BOT
-            and far.get(u, BOT) is BOT
-            and not stamped.get(u, False)
-        )
-        ev.memo["cand"] = cand
-    return cand
+@_per_eval
+def _eligible(ev: Eval) -> frozenset:
+    """Other groups bordering ours that are not too far to merge with.
+
+    Only identifiers that name a group in our view are eligible: a group id
+    belongs to its own group.  Keys naming mere members would otherwise let
+    a group elect itself (under a member's id) as its target through stale
+    border values, and the merge flag would then flap across iterations
+    instead of settling.  A group borders itself but is not eligible.
+    """
+    s = ev.store
+    lv = _lv(ev)
+    border = s.get(BORDER) or _EMPTY
+    far = s.get(FAR) or _EMPTY
+    groups = s.get(IN_GROUP_OF) or _EMPTY
+    return frozenset(
+        u for u in s.get(DOMAIN) or ()
+        if u != lv
+        and groups.get(u, BOT) == u
+        and border.get(u, BOT) is not BOT
+        and far.get(u, BOT) is BOT
+    )
 
 
+@_per_eval
+def _cand(ev: Eval) -> frozenset:
+    stamped = ev.store.get(IN_STAMP_ON) or _EMPTY
+    return frozenset(u for u in _eligible(ev) if not stamped.get(u, False))
+
+
+@_per_eval
 def _target(ev: Eval):
-    t = ev.memo.get("target", "unset")
-    if t == "unset":
-        cand = _cand(ev)
-        in_prior = ev.store.get(IN_PRIOR) or _EMPTY
-        preferred = [u for u in cand if in_prior.get(u, False)]
-        t = bot_min(preferred) if preferred else bot_min(cand)
-        ev.memo["target"] = t
-    return t
+    cand = _cand(ev)
+    in_prior = ev.store.get(IN_PRIOR) or _EMPTY
+    preferred = [u for u in cand if in_prior.get(u, False)]
+    return bot_min(preferred) if preferred else bot_min(cand)
 
 
 def _merge_dist_row(ev: Eval, k: int) -> dict:
@@ -461,10 +475,8 @@ def _detector(ev: Eval, u, target_arr) -> bool:
     return lv <= u or _target(ev) != u
 
 
+@_per_eval
 def _stamp1_row(ev: Eval, k: int) -> dict:
-    row = ev.memo.get("stamp1_row")
-    if row is not None:
-        return row
     s = ev.store
     target_arr = s.get(TARGET) or _EMPTY
     md = s.get(MERGE_DIST) or _EMPTY
@@ -488,14 +500,11 @@ def _stamp1_row(ev: Eval, k: int) -> dict:
     for u in dom:
         if u not in detector_keys:
             row[u] = keep_keys[u]
-    ev.memo["stamp1_row"] = row
     return row
 
 
+@_per_eval
 def _stamp_dist_row(ev: Eval, k: int) -> dict:
-    row = ev.memo.get("stamp_dist_row")
-    if row is not None:
-        return row
     pid = ev.pid
     lv = _lv(ev)
     stamp1 = _stamp1_row(ev, k)
@@ -520,23 +529,18 @@ def _stamp_dist_row(ev: Eval, k: int) -> dict:
             if d is not BOT and (best is BOT or d < best):
                 best = d
         row[u] = _clamp_dist(bot_inc(best), k)
-    ev.memo["stamp_dist_row"] = row
     return row
 
 
+@_per_eval
 def _merging(ev: Eval) -> bool:
-    m = ev.memo.get("merging")
-    if m is None:
-        t = _target(ev)
-        if t is BOT:
-            m = False
-        else:
-            m = (
-                _entry(ev.store, TARGET, t) == _lv(ev)
-                and _entry(ev.store, STAMP_DIST, t) is BOT
-            )
-        ev.memo["merging"] = m
-    return m
+    t = _target(ev)
+    if t is BOT:
+        return False
+    return (
+        _entry(ev.store, TARGET, t) == _lv(ev)
+        and _entry(ev.store, STAMP_DIST, t) is BOT
+    )
 
 
 def _group_value(ev: Eval):
@@ -549,23 +553,9 @@ def _group_value(ev: Eval):
 
 
 def _saturated(ev: Eval) -> bool:
-    # Quantifies over the same keys that are candidate-eligible (group ids
-    # other than our own): a group borders itself but is not a merge
-    # candidate, and priority must be shed once all real candidates are
-    # stamped out.
-    s = ev.store
-    lv = _lv(ev)
-    border = s.get(BORDER) or _EMPTY
-    far = s.get(FAR) or _EMPTY
-    stamped = s.get(STAMP_ON) or _EMPTY
-    groups = s.get(IN_GROUP_OF) or _EMPTY
-    for u in s.get(DOMAIN) or ():
-        if u == lv or groups.get(u, BOT) != u:
-            continue
-        if border.get(u, BOT) is not BOT and far.get(u, BOT) is BOT:
-            if not stamped.get(u, False):
-                return False
-    return True
+    # Priority must be shed once every eligible group is stamped out.
+    stamped = ev.store.get(STAMP_ON) or _EMPTY
+    return all(stamped.get(u, False) for u in _eligible(ev))
 
 
 def _prior(ev: Eval) -> bool:

@@ -13,6 +13,7 @@ initial colorings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .graphs import Graph
@@ -61,10 +62,15 @@ class BaseAlgorithmBinding:
     outputs: tuple[tuple[str, str], ...]  # (output, copy) pairs
     variables: tuple[Var, ...] = ()
 
-    @property
+    @cached_property
     def domain_var(self) -> Optional[str]:
         """The declared set variable, whose identifiers key the arrays."""
         return next((var.name for var in self.variables if var.kind == "set"), None)
+
+    @cached_property
+    def arrays(self) -> frozenset:
+        """The declared array variables, copied and compared key-wise."""
+        return frozenset(var.name for var in self.variables if var.kind == "array")
 
     def validate(self) -> None:
         outs = [x for x, _ in self.outputs]
@@ -88,14 +94,10 @@ class BaseAlgorithmBinding:
             raise CompositionError("more than one set variable to key the arrays")
 
 
-def _array_names(binding: BaseAlgorithmBinding) -> frozenset:
-    return frozenset(var.name for var in binding.variables if var.kind == "array")
-
-
-def _copies_match(binding: BaseAlgorithmBinding, arrays: frozenset, store: dict) -> bool:
+def _copies_match(binding: BaseAlgorithmBinding, store: dict) -> bool:
     dom = store.get(binding.domain_var) or ()
     for x, in_x in binding.outputs:
-        if x in arrays:
+        if x in binding.arrays:
             ax = store.get(x) or {}
             ac = store.get(in_x) or {}
             for u in dom:
@@ -107,11 +109,11 @@ def _copies_match(binding: BaseAlgorithmBinding, arrays: frozenset, store: dict)
     return True
 
 
-def _copy_updates(binding: BaseAlgorithmBinding, arrays: frozenset, store: dict) -> dict:
+def _copy_updates(binding: BaseAlgorithmBinding, store: dict) -> dict:
     dom = store.get(binding.domain_var) or ()
     updates = {}
     for x, in_x in binding.outputs:
-        if x in arrays:
+        if x in binding.arrays:
             ax = store.get(x) or {}
             updates[in_x] = {u: ax.get(u, BOT) for u in dom}
         else:
@@ -125,11 +127,10 @@ def copy_shift(cfg: Configuration, binding: BaseAlgorithmBinding) -> Configurati
     Test/verdict utility mirroring what the color-4 wave achieves process by
     process during a run.
     """
-    arrays = _array_names(binding)
     out = {}
     for v, store in cfg.items():
         s = dict(store)
-        s.update(_copy_updates(binding, arrays, store))
+        s.update(_copy_updates(binding, store))
         out[v] = s
     return out
 
@@ -138,22 +139,25 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     """Emit the full composed action table (tree layer + wave + base/init)."""
     binding.validate()
     base, init, error = binding.base, binding.init, binding.error
-    arrays = _array_names(binding)
 
-    def down_ok(ev: Eval) -> bool:
-        cl = ev.store[COLOR]
+    def wave_ok(ev: Eval, parent_color, child_color) -> bool:
+        # The parent (if any) shows parent_color, every child child_color.
         p = ev.parent()
-        if p is not BOT and ev.nbr(p)[COLOR] != cl + 1:
+        if p is not BOT and ev.nbr(p)[COLOR] != parent_color:
             return False
-        return all(ev.nbr(u)[COLOR] == cl for u in ev.children())
+        return all(ev.nbr(u)[COLOR] == child_color for u in ev.children())
 
-    def up_ok(ev: Eval) -> bool:
-        cl = ev.store[COLOR]
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[COLOR] != cl:
+    def in_base_off4(ev: Eval) -> bool:
+        # Where L5 and L6 may hand the process over to the initializer.
+        s = ev.store
+        return s[MODE] == MODE_BASE and s[COLOR] != 4
+
+    def done_below(ev: Eval, mode) -> bool:
+        # Color 3 in `mode` with no child still at color 2.
+        s = ev.store
+        if s[COLOR] != 3 or s[MODE] != mode:
             return False
-        succ = (cl + 1) % 5
-        return all(ev.nbr(u)[COLOR] == succ for u in ev.children())
+        return not any(ev.nbr(u)[COLOR] == 2 for u in ev.children())
 
     def color_reset(ev: Eval):
         s = ev.store
@@ -161,27 +165,20 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
             return {COLOR: 0}
         return None
 
-    def color_init(ev: Eval):
-        s = ev.store
-        if s[COLOR] not in (1, 2):
+    def restart_below(colors, updates):
+        # The parent went back to color 0: so does a process at `colors`.
+        def evaluate(ev: Eval):
+            if ev.store[COLOR] not in colors:
+                return None
+            p = ev.parent()
+            if p is not BOT and ev.nbr(p)[COLOR] == 0:
+                return dict(updates)
             return None
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[COLOR] == 0:
-            return {COLOR: 0}
-        return None
 
-    def color_init34(ev: Eval):
-        s = ev.store
-        if s[COLOR] not in (3, 4):
-            return None
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[COLOR] == 0:
-            return {COLOR: 0, RESET: 1}
-        return None
+        return evaluate
 
     def error_to_init(ev: Eval):
-        s = ev.store
-        if s[MODE] != MODE_BASE or s[COLOR] == 4:
+        if not in_base_off4(ev):
             return None
         if any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
             return None
@@ -190,49 +187,28 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return None
 
     def follow_to_init(ev: Eval):
-        s = ev.store
-        if s[MODE] != MODE_BASE or s[COLOR] == 4:
+        if not in_base_off4(ev):
             return None
         if any(ev.nbr(u)[MODE] == MODE_INIT for u in ev.nbr_ids):
             return {MODE: MODE_INIT, RESET: 1}
         return None
 
-    def _module_gate(ev: Eval, mode) -> bool:
-        s = ev.store
-        if s[MODE] != mode or s[COLOR] == 4:
-            return False
-        for u in ev.nbr_ids:
-            ns = ev.nbr(u)
-            if ns[MODE] != mode or ns[COLOR] == 4:
-                return False
-        return True
+    def run_module(alg: AlgorithmSpec, mode):
+        # Where the closed neighborhood is in `mode` and off color 4, fire
+        # the first enabled action of `alg` and raise the reset flag.
+        def evaluate(ev: Eval):
+            cfg = ev.cfg
+            for u in (ev.pid, *ev.nbr_ids):
+                s = cfg[u]
+                if s[MODE] != mode or s[COLOR] == 4:
+                    return None
+            for action in alg.actions:
+                updates = ev.cached(action)
+                if updates is not None:
+                    return {**updates, RESET: 1}
+            return None
 
-    def scan_module(ev: Eval, alg: AlgorithmSpec):
-        for action in alg.actions:
-            updates = ev.cached(action)
-            if updates is not None:
-                return updates
-        return None
-
-    def run_base(ev: Eval):
-        if not _module_gate(ev, MODE_BASE):
-            return None
-        hit = scan_module(ev, base)
-        if hit is None:
-            return None
-        updates = dict(hit)
-        updates[RESET] = 1
-        return updates
-
-    def run_init(ev: Eval):
-        if not _module_gate(ev, MODE_INIT):
-            return None
-        hit = scan_module(ev, init)
-        if hit is None:
-            return None
-        updates = dict(hit)
-        updates[RESET] = 1
-        return updates
+        return evaluate
 
     def illegal(ev: Eval):
         cl = ev.store[COLOR]
@@ -260,51 +236,39 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 
     def down(ev: Eval):
         s = ev.store
-        if s[COLOR] in (0, 2) and s[RESET] == 0 and down_ok(ev):
-            return {COLOR: s[COLOR] + 1}
+        cl = s[COLOR]
+        if cl in (0, 2) and s[RESET] == 0 and wave_ok(ev, cl + 1, cl):
+            return {COLOR: cl + 1}
         return None
 
     def to2(ev: Eval):
-        if ev.store[COLOR] == 1 and up_ok(ev):
+        if ev.store[COLOR] == 1 and wave_ok(ev, 1, 2):
             return {COLOR: 2}
         return None
 
     def to4_base(ev: Eval):
-        s = ev.store
-        if s[COLOR] != 3 or s[MODE] != MODE_BASE:
-            return None
-        if any(ev.nbr(u)[COLOR] == 2 for u in ev.children()):
+        if not done_below(ev, MODE_BASE):
             return None
         in_sync = ev.cached(sync_check)
         if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
             return None
-        updates = _copy_updates(binding, arrays, s)
+        updates = _copy_updates(binding, ev.store)
         updates[COLOR] = 4
         return updates
 
     def to4_init(ev: Eval):
-        s = ev.store
-        if s[COLOR] != 3 or s[MODE] != MODE_INIT:
-            return None
-        if any(ev.nbr(u)[COLOR] == 2 for u in ev.children()):
+        if not done_below(ev, MODE_INIT):
             return None
         return {COLOR: 4, MODE: MODE_BASE}
 
     def to0(ev: Eval):
-        if ev.store[COLOR] != 4 or not up_ok(ev):
+        if ev.store[COLOR] != 4 or not wave_ok(ev, 4, 0):
             return None
         if any(ev.nbr(u)[COLOR] not in (0, 4) for u in ev.nbr_ids):
             return None
         return {COLOR: 0}
 
-    tree = bfs_actions(graph)
-    tree_reads = tree.actions[0].reads
-    tree_writes = tree.actions[0].writes
-
-    def run_tree(ev: Eval):
-        hit = tree.first_enabled(ev)
-        return None if hit is None else hit[1]
-
+    (tree,) = bfs_actions(graph).actions
     loop_reads = frozenset((COLOR, MODE, RESET, PARENT))
     copy_names = frozenset(c for _, c in binding.outputs)
     out_names = frozenset(x for x, _ in binding.outputs)
@@ -313,19 +277,22 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     # verdict instead of updates: the error predicate, and whether the
     # outputs equal their copies.
     error_check = Action("E", error, init.reads | copy_names | init.writes)
-    sync_check = Action("sync", lambda ev: _copies_match(binding, arrays, ev.store),
+    sync_check = Action("sync", lambda ev: _copies_match(binding, ev.store),
                         out_names | copy_names | domain)
 
     actions = (
-        Action("L1", run_tree, tree_reads, tree_writes),
+        Action("L1", tree.evaluate, tree.reads, tree.writes),
         Action("L2", color_reset, loop_reads, frozenset((COLOR,))),
-        Action("L3", color_init, loop_reads, frozenset((COLOR,))),
-        Action("L4", color_init34, loop_reads, frozenset((COLOR, RESET))),
+        Action("L3", restart_below((1, 2), {COLOR: 0}), loop_reads, frozenset((COLOR,))),
+        Action("L4", restart_below((3, 4), {COLOR: 0, RESET: 1}), loop_reads,
+               frozenset((COLOR, RESET))),
         Action("L5", error_to_init, loop_reads | copy_names | init.writes,
                frozenset((MODE, RESET))),
         Action("L6", follow_to_init, loop_reads, frozenset((MODE, RESET))),
-        Action("L7", run_base, loop_reads | base.reads, base.writes | frozenset((RESET,))),
-        Action("L8", run_init, loop_reads | init.reads, init.writes | frozenset((RESET,))),
+        Action("L7", run_module(base, MODE_BASE), loop_reads | base.reads,
+               base.writes | frozenset((RESET,))),
+        Action("L8", run_module(init, MODE_INIT), loop_reads | init.reads,
+               init.writes | frozenset((RESET,))),
         Action("L9", illegal, loop_reads, frozenset((COLOR, RESET))),
         Action("L10", propagate_reset, loop_reads, frozenset((RESET,))),
         Action("L11", del_reset, loop_reads, frozenset((RESET,))),
@@ -363,8 +330,7 @@ def check_Cgoal(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph)
     """No error anywhere, outputs equal to their copies, base disabled."""
     if not error_nowhere(cfg, binding, graph):
         return False
-    arrays = _array_names(binding)
-    if not all(_copies_match(binding, arrays, cfg[v]) for v in graph.vertices):
+    if not all(_copies_match(binding, cfg[v]) for v in graph.vertices):
         return False
     return disabled_everywhere(cfg, binding.base, graph)
 

@@ -220,9 +220,9 @@ def step(
 class DaemonPolicy:
     """Scheduler: synchronous | central | random(p, seed) | scripted.
 
-    With fairness aging, a process continuously enabled for `aging_window`
-    steps without being selected is force-included in the next selection;
-    this makes weak fairness a hard, testable bound.
+    With fairness aging, a process continuously enabled for n steps (the
+    network size) without being selected is force-included in the next
+    selection; this makes weak fairness a hard, testable bound.
     """
 
     kind: str = "random"
@@ -230,7 +230,6 @@ class DaemonPolicy:
     seed: int = 0
     script: Optional[list] = None
     fairness_aging: bool = True
-    aging_window: Optional[int] = None  # defaults to n at run start
 
     def validate(self) -> None:
         if self.kind not in ("synchronous", "central", "random", "scripted"):
@@ -246,7 +245,7 @@ class _Scheduler:
         policy.validate()
         self.policy = policy
         self.rng = random.Random(policy.seed)
-        self.window = policy.aging_window if policy.aging_window is not None else n
+        self.window = n
         self.ages: dict[int, int] = {}
 
     def select(self, step_index: int, enabled: set[int]) -> set[int]:

@@ -116,6 +116,24 @@ def test_cmd_inject_zero_corruptions_matches_run(tmp_path, capsys):
     assert json.loads(run_summary) == json.loads(base_summary)
 
 
+@pytest.mark.parametrize("spec,named", [
+    pytest.param({"variables": [["color"]]}, "variables", id="variables-nested"),
+    pytest.param({"variables": "color"}, "variables", id="variables-str"),
+    pytest.param({"count": True}, "count", id="count-bool"),
+    pytest.param({"count": "2"}, "count", id="count-str"),
+    pytest.param({"count": -1}, "count", id="count-negative"),
+    pytest.param({"seed": 1.5}, "seed", id="seed-float"),
+    pytest.param({"at_step": 1.9}, "at_step", id="at_step-float"),
+    pytest.param([1], "object", id="not-an-object"),
+])
+def test_cmd_inject_malformed_spec_is_input_error(tmp_path, capsys, spec, named):
+    dpath = write_inputs(tmp_path)
+    if isinstance(spec, dict):
+        spec = {"variables": ["color"], "count": 2, "seed": 0, "at_step": 5, **spec}
+    assert main(["inject", str(dpath), "--corrupt", json.dumps(spec)]) == EXIT_INPUT
+    assert named in capsys.readouterr().err
+
+
 def test_cmd_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([

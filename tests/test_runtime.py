@@ -203,7 +203,7 @@ def test_weak_fairness_aging(p5):
     # window plus one selection round.
     alg = clear_to_zero()
     cfg = cfg_of(p5, {v: 1 for v in p5.vertices})
-    daemon = DaemonPolicy(kind="random", p=0.05, seed=2, aging_window=5)
+    daemon = DaemonPolicy(kind="random", p=0.05, seed=2)
     trace = run(p5, alg, cfg, daemon, max_steps=500)
     assert trace.terminated
     waits = {v: 0 for v in p5.vertices}
