@@ -111,7 +111,6 @@ def _clamp_dist(x, k):
 # local views (memoized per evaluation)
 
 _EMPTY: dict = {}
-_UNSET = object()
 
 
 def _per_eval(fn):
@@ -120,9 +119,10 @@ def _per_eval(fn):
     are fixed for a run and are not part of the key."""
     @wraps(fn)
     def memoized(ev: Eval, *args):
-        value = ev.memo.get(fn, _UNSET)
-        if value is _UNSET:
-            value = ev.memo[fn] = fn(ev, *args)
+        memo = ev.memo
+        if fn in memo:
+            return memo[fn]
+        value = memo[fn] = fn(ev, *args)
         return value
 
     return memoized
