@@ -99,6 +99,10 @@ def cmd_sweep(args) -> int:
     ns = _parse_range(args.n)
     ks = _parse_range(args.k)
     seeds = list(range(args.seeds))
+    for flag, text, values in (("--n", args.n, ns), ("--k", args.k, ks),
+                               ("--seeds", args.seeds, seeds)):
+        if not values:
+            raise ValueError(f"{flag} {text} selects no value: the sweep would run nothing")
     rows = sweep_rows(args.family, ns, ks, seeds, args.max_steps)
     if args.out:
         write_sweep_csv(rows, args.out)

@@ -15,7 +15,16 @@ keys that left the domain are dropped on write.
 
 The macros share/min_macro/distance_macro are the reference semantics, kept
 as test oracles; the action tables use row-at-a-time equivalents (one pass
-per array instead of one per key) that must and do agree with them.
+per array instead of one per key) that must and do agree with them.  The
+share rows gather along the `dist` gradient: per domain key, the neighbors
+one hop closer to it.  It depends on `domain` and `dist` alone, which the
+initializer fixes for good, so it is the cached action GRADIENT and a run
+computes it once per process per settled ball.
+
+Each action declares `reads`, every name it reads in the closed
+neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
+stores; a run drops a cached result only when the owner changes a name of
+the first or a neighbor one of the second.
 """
 
 from __future__ import annotations
@@ -256,31 +265,51 @@ def distance_macro(ev: Eval, u, x_name: str, sources):
 # ---------------------------------------------------------------------------
 # row-at-a-time forms used by the action tables
 
-def _share_row(ev: Eval, x_name: str, own_value) -> dict:
+def _gradient(ev: Eval) -> tuple:
+    """(u, closer) per domain key u, in domain order: closer holds the
+    positions in ev.nbr_ids of the neighbors one hop closer to u on dist,
+    and is None at the owner's own key.  A tuple, not a dict, because a dict
+    result reads as an action's updates."""
     pid = ev.pid
     own_dist = ev.store.get(DIST) or _EMPTY
-    hoisted = [
-        (ws.get(DOMAIN) or frozenset(), ws.get(DIST) or _EMPTY,
-         ws.get(x_name) or _EMPTY)
+    nbrs = [
+        (ws.get(DOMAIN) or frozenset(), ws.get(DIST) or _EMPTY)
         for _, ws in _all_nbrs(ev)
     ]
-    row = {}
+    rows = []
     for u in ev.store.get(DOMAIN) or ():
         if u == pid:
-            row[u] = own_value
+            rows.append((u, None))
             continue
         vd = own_dist.get(u, BOT)
-        if vd is BOT:
-            row[u] = BOT
+        closer = []
+        if vd is not BOT:
+            for i, (wdom, wd_dict) in enumerate(nbrs):
+                if u in wdom and wd_dict.get(u, BOT) == vd - 1:
+                    closer.append(i)
+        rows.append((u, tuple(closer)))
+    return tuple(rows)
+
+
+GRADIENT = Action("gradient", _gradient, frozenset((DOMAIN, DIST)))
+
+
+@_per_eval
+def _closer(ev: Eval) -> tuple:
+    """The cached GRADIENT, looked up once per evaluation."""
+    return ev.cached(GRADIENT)
+
+
+def _share_row(ev: Eval, x_name: str, own_value) -> dict:
+    nbr_x = [ws.get(x_name) or _EMPTY for _, ws in _all_nbrs(ev)]
+    row = {}
+    for u, closer in _closer(ev):
+        if closer is None:
+            row[u] = own_value
             continue
         best = BOT
-        for wdom, wd_dict, wx_dict in hoisted:
-            if u not in wdom:
-                continue
-            wd = wd_dict.get(u, BOT)
-            if wd is BOT or vd != wd + 1:
-                continue
-            val = wx_dict.get(u, BOT)
+        for i in closer:
+            val = nbr_x[i].get(u, BOT)
             if val is not BOT and (best is BOT or val < best):
                 best = val
         row[u] = best
@@ -567,17 +596,18 @@ def _prior(ev: Eval) -> bool:
 # ---------------------------------------------------------------------------
 # action tables
 
-def _scalar_sub(label, name, value_fn, reads, writes=None):
+def _scalar_sub(label, name, value_fn, reads, nbr_reads, writes=None):
     def evaluate(ev: Eval):
         new = value_fn(ev)
         if ev.store.get(name, BOT) == new:
             return None
         return {name: new}
 
-    return Action(label, evaluate, frozenset(reads), frozenset(writes or (name,)))
+    return Action(label, evaluate, frozenset(reads), frozenset(writes or (name,)),
+                  frozenset(nbr_reads))
 
 
-def _array_sub(label, name, row_fn, reads):
+def _array_sub(label, name, row_fn, reads, nbr_reads):
     def evaluate(ev: Eval):
         dom = ev.store.get(DOMAIN) or ()
         if not dom:
@@ -589,7 +619,15 @@ def _array_sub(label, name, row_fn, reads):
                 return {name: new}
         return None
 
-    return Action(label, evaluate, frozenset(reads), frozenset((name,)))
+    return Action(label, evaluate, frozenset(reads), frozenset((name,)),
+                  frozenset(nbr_reads))
+
+
+# What the share rows read from neighbors besides the shared array (the
+# gradient's reads), and what the min rows and group distances read besides
+# theirs (the group view).
+_SHARE_NBR = GRADIENT.reads
+_GROUP_NBR = frozenset((DOMAIN, IN_GROUP, IN_GROUP_DIST))
 
 
 def init_actions(k: int) -> AlgorithmSpec:
@@ -607,21 +645,24 @@ def init_actions(k: int) -> AlgorithmSpec:
         return {u: False for u in ev.store.get(DOMAIN) or ()}
 
     actions = (
-        _scalar_sub("I1", DOMAIN, lambda ev: _domain_value(ev, k), init_reads),
-        _array_sub("I2", DIST, lambda ev: _dist_row(ev, k), init_reads),
-        _scalar_sub("I3", HEIGHT, lambda ev: _height_value(ev, k), init_reads),
-        _scalar_sub("I4", INIT_GROUP, lambda ev: _init_group_value(ev, k), init_reads),
+        _scalar_sub("I1", DOMAIN, lambda ev: _domain_value(ev, k), init_reads,
+                    (DOMAIN, DIST)),
+        _array_sub("I2", DIST, lambda ev: _dist_row(ev, k), init_reads, (DOMAIN, DIST)),
+        _scalar_sub("I3", HEIGHT, lambda ev: _height_value(ev, k), init_reads,
+                    (PARENT, HEIGHT)),
+        _scalar_sub("I4", INIT_GROUP, lambda ev: _init_group_value(ev, k), init_reads,
+                    (INIT_GROUP,)),
         _scalar_sub("I5", IN_GROUP, lambda ev: _init_group_value(ev, k),
-                    init_reads | {IN_GROUP}, (IN_GROUP,)),
+                    init_reads | {IN_GROUP}, (INIT_GROUP,), (IN_GROUP,)),
         _array_sub("I6", IN_GROUP_OF,
                    lambda ev: _share_row(ev, IN_GROUP_OF, _lv(ev)),
-                   init_reads | {IN_GROUP, IN_GROUP_OF}),
+                   init_reads | {IN_GROUP, IN_GROUP_OF}, _SHARE_NBR | {IN_GROUP_OF}),
         _array_sub("I7", IN_GROUP_DIST, group_dist_row,
-                   init_reads | {IN_GROUP, IN_GROUP_DIST}),
+                   init_reads | {IN_GROUP, IN_GROUP_DIST}, _GROUP_NBR),
         _array_sub("I8", IN_STAMP_ON, const_false_row,
-                   frozenset((DOMAIN, IN_STAMP_ON))),
+                   frozenset((DOMAIN, IN_STAMP_ON)), ()),
         _array_sub("I9", IN_PRIOR, const_false_row,
-                   frozenset((DOMAIN, IN_PRIOR))),
+                   frozenset((DOMAIN, IN_PRIOR)), ()),
     )
     return AlgorithmSpec("init", actions, domain_var=DOMAIN)
 
@@ -681,29 +722,36 @@ def merge_actions(k: int) -> AlgorithmSpec:
     cand_reads = shared | {BORDER, FAR}
 
     actions = (
-        _array_sub("M1", BORDER, border_row, shared | {BORDER}),
-        _array_sub("M2", FAR, far_row, shared | {FAR}),
-        _array_sub("M3", TARGET, target_row, cand_reads | {TARGET}),
+        _array_sub("M1", BORDER, border_row, shared | {BORDER}, _GROUP_NBR | {BORDER}),
+        _array_sub("M2", FAR, far_row, shared | {FAR}, _GROUP_NBR | {FAR}),
+        _array_sub("M3", TARGET, target_row, cand_reads | {TARGET},
+                   _SHARE_NBR | {TARGET}),
         _array_sub("M4", MERGE_DIST, lambda ev: _merge_dist_row(ev, k),
-                   cand_reads | {MERGE_DIST}),
+                   cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
         _array_sub("M5", STAMP1, lambda ev: dict(_stamp1_row(ev, k)),
-                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1}),
+                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1},
+                   _GROUP_NBR | {STAMP1}),
         _array_sub("M6", STAMP_DIST, lambda ev: dict(_stamp_dist_row(ev, k)),
-                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST}),
+                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST},
+                   _GROUP_NBR | {STAMP1, STAMP_DIST}),
         _array_sub("M7", STAMP2, stamp2_row,
                    cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST,
-                                 STAMP2}),
+                                 STAMP2},
+                   _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}),
         _scalar_sub("M8", GROUP, _group_value,
-                    cand_reads | {TARGET, STAMP_DIST, GROUP}),
-        _array_sub("M9", GROUP_OF, groups_row, shared | {GROUP, GROUP_OF}),
+                    cand_reads | {TARGET, STAMP_DIST, GROUP}, ()),
+        _array_sub("M9", GROUP_OF, groups_row, shared | {GROUP, GROUP_OF},
+                   _SHARE_NBR | {GROUP_OF}),
         _array_sub("M10", GROUP_DIST, group_dist_row,
-                   frozenset((DOMAIN, DIST, GROUP, GROUP_DIST))),
+                   frozenset((DOMAIN, DIST, GROUP, GROUP_DIST)),
+                   (DOMAIN, GROUP, GROUP_DIST)),
         _array_sub("M11", MERGING, merging_row,
-                   cand_reads | {TARGET, STAMP_DIST, MERGING}),
+                   cand_reads | {TARGET, STAMP_DIST, MERGING}, _SHARE_NBR | {MERGING}),
         _array_sub("M12", STAMP_ON, stamp_on_row,
-                   cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}),
+                   cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, ()),
         _array_sub("M13", PRIOR, prior_row,
-                   cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR}),
+                   cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
+                   _SHARE_NBR | {PRIOR}),
     )
     return AlgorithmSpec("merge", actions, domain_var=DOMAIN)
 

@@ -275,10 +275,10 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     domain = frozenset((binding.domain_var,)) - {None}
     # The two checks L5 and L14 cache, as actions whose evaluate returns a
     # verdict instead of updates: the error predicate, and whether the
-    # outputs equal their copies.
+    # outputs equal their copies (the owner's store alone).
     error_check = Action("E", error, init.reads | copy_names | init.writes)
     sync_check = Action("sync", lambda ev: _copies_match(binding, ev.store),
-                        out_names | copy_names | domain)
+                        out_names | copy_names | domain, nbr_reads=frozenset())
 
     actions = (
         Action("L1", tree.evaluate, tree.reads, tree.writes),

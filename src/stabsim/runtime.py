@@ -59,9 +59,11 @@ class Eval:
     `memo` is scratch space shared by all guard/statement evaluations of this
     process in this step, so derived quantities are computed at most once.
     `shared` is an engine-managed cache that survives across steps, keyed by
-    Action; an entry is dropped whenever a variable in that action's `reads`
-    changes anywhere in the closed 1-neighborhood, so cached results stay
-    snapshot-accurate.
+    Action.  An entry is dropped when the process itself changes a variable
+    in the action's `reads`, or when a neighbor changes one in its
+    `nbr_reads`, so cached results stay snapshot-accurate.  Payload layers
+    cache derived views this way too, such as the grouping payload's `dist`
+    gradient, an Action whose evaluate returns a value instead of updates.
     """
 
     __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "shared", "_children")
@@ -134,7 +136,9 @@ class Action:
     fall out naturally: compute, compare, return None on equality.
 
     `reads` declares every variable of the 1-neighborhood that `evaluate` may
-    depend on; `Eval.cached` keeps a result until one of them changes.
+    depend on, and `nbr_reads` (a subset, `reads` by default) those it may
+    read from a neighbor's store; `Eval.cached` keeps a result until the
+    process changes one of `reads` or a neighbor one of `nbr_reads`.
     `writes` declares the variables the statement may assign.  Actions hash
     by identity, so a cache lookup never hashes their fields.
     """
@@ -143,6 +147,15 @@ class Action:
     evaluate: Callable[[Eval], Optional[dict]]
     reads: frozenset = frozenset()
     writes: frozenset = frozenset()
+    nbr_reads: Optional[frozenset] = None
+
+    def __post_init__(self):
+        if self.nbr_reads is None:
+            object.__setattr__(self, "nbr_reads", self.reads)
+        elif not self.nbr_reads <= self.reads:
+            raise ValueError(
+                f"{self.label}: neighbor reads {sorted(self.nbr_reads - self.reads)}"
+                " are not declared in reads")
 
 
 @dataclass(frozen=True)
@@ -404,9 +417,12 @@ def run(
         for v in selected:
             dirty.update(adj[v])
         for v, names in changed.items():
-            for w in (v, *adj[v]):
+            entries = shared[v]
+            for action in [a for a in entries if not names.isdisjoint(a.reads)]:
+                del entries[action]
+            for w in adj[v]:
                 entries = shared[w]
-                for action in [a for a in entries if not names.isdisjoint(a.reads)]:
+                for action in [a for a in entries if not names.isdisjoint(a.nbr_reads)]:
                     del entries[action]
         new_enabled = set(enabled)
         for v in dirty:

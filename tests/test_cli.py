@@ -182,3 +182,20 @@ def test_cmd_sweep_other_families(tmp_path):
         "--out", str(out),
     ])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param(["--seeds", "0"], id="seeds-0"),
+    pytest.param(["--seeds", "-1"], id="seeds-negative"),
+    pytest.param(["--n", "6:3"], id="n-empty-range"),
+    pytest.param(["--k", "3:1"], id="k-empty-range"),
+])
+def test_cmd_sweep_that_runs_nothing_is_input_error(tmp_path, capsys, override):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--family", "path", "--n", "5", "--k", "2", "--seeds", "1",
+        "--out", str(out), *override,
+    ])
+    assert code == EXIT_INPUT
+    assert override[0] in capsys.readouterr().err
+    assert not out.exists()

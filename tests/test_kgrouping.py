@@ -326,6 +326,43 @@ def test_merge_updates_stay_in_declared_writes(p5):
                 assert set(updates) <= set(action.writes)
 
 
+def test_uncached_eval_computes_the_gradient_once(monkeypatch):
+    # The share rows of M3, M9, M11, M13 and of the error predicate gather
+    # along one gradient; an Eval without the engine cache (as in
+    # disabled_everywhere and error_nowhere) must still compute it only once.
+    from stabsim import kgrouping
+    from stabsim.configs import random_config
+    from stabsim.experiments import run_grouping
+    from stabsim.graphs import grid_graph
+    from stabsim.runtime import Action
+
+    g, k = grid_graph(3, 3), 2
+    result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
+                          random_config(g, k, seed=11))
+    assert result.ok
+    gradients, share_rows = [], []
+    real_gradient, real_share_row = kgrouping._gradient, kgrouping._share_row
+
+    def counted_gradient(ev):
+        gradients.append(ev.pid)
+        return real_gradient(ev)
+
+    def counted_share_row(ev, *args):
+        share_rows.append(ev.pid)
+        return real_share_row(ev, *args)
+
+    monkeypatch.setattr(kgrouping, "GRADIENT",
+                        Action("gradient", counted_gradient, kgrouping.GRADIENT.reads))
+    monkeypatch.setattr(kgrouping, "_share_row", counted_share_row)
+    merge = merge_actions(k)
+    for v in g.vertices:
+        ev = Eval(result.trace.final, v, g.neighbors_of(v))
+        assert merge.first_enabled(ev) is None
+        assert not kgrouping.error_predicate(ev, k)
+    assert gradients == list(g.vertices)
+    assert share_rows == [v for v in g.vertices for _ in range(5)]
+
+
 # ---------------------------------------------------------------------------
 # pairwise group relations (ground truth side)
 

@@ -133,11 +133,17 @@ def _audit(action, ev):
 
     The copy holds the closed neighborhood only, and the new Eval has an
     empty memo, so values memoized by an earlier action hide no reads.
+    Reads are recorded per store: the owner's must lie in `reads`, each
+    neighbor's in `nbr_reads`.
     """
-    seen = set()
-    view = {u: _RecordingStore(ev.cfg[u], seen) for u in (ev.pid, *ev.nbr_ids)}
+    seen = {u: set() for u in (ev.pid, *ev.nbr_ids)}
+    view = {u: _RecordingStore(ev.cfg[u], names) for u, names in seen.items()}
     updates = action.evaluate(Eval(view, ev.pid, ev.nbr_ids))
-    assert seen <= action.reads, (action.label, sorted(seen - action.reads))
+    own = seen.pop(ev.pid)
+    assert own <= action.reads, (action.label, sorted(own - action.reads))
+    for u, names in seen.items():
+        assert names <= action.nbr_reads, (
+            action.label, u, sorted(names - action.nbr_reads))
     if isinstance(updates, dict):
         assert set(updates) <= action.writes, (
             action.label, sorted(set(updates) - action.writes))
@@ -148,7 +154,8 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # Read and write audit of every action of the composed, merge and init
     # tables, on random configurations and on the boundary configurations
     # of runs.  The checks that compose caches privately (error predicate,
-    # copies in sync) are reached by auditing every cache miss of the runs.
+    # copies in sync) and the payload's cached dist gradient are reached by
+    # auditing every cache miss of the runs.
     make, k = INSTANCES[instance]
     real_cached = Eval.cached
     audited = set()
@@ -174,7 +181,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
                 for table in tables:
                     for action in table.actions:
                         _audit(action, ev)
-    assert {"E", "sync", "M1", "I1"} <= audited
+    assert {"E", "sync", "gradient", "M1", "I1"} <= audited
 
 
 def test_round_recount_matches_engine():

@@ -272,39 +272,95 @@ def test_domain_write_prunes_all_arrays():
 
 def test_cached_action_sees_arrays_pruned_by_a_domain_write():
     # Process 1 writes only its domain, which prunes its array `a`; process 2
-    # caches the result of an action that reads `a` alone.  The pruning must
-    # invalidate that entry, so the cached run ends where the uncached
-    # replay through step() ends.
+    # caches the result of an action that reads, of its neighbor, `a` alone:
+    # as its only read, or as its only neighbor read next to its own domain.
+    # The pruning must invalidate that entry, so the cached run ends where
+    # the uncached replay through step() ends.
     g = make_graph([1, 2], [(1, 2)])
-    watch = Action("W", lambda e: len(e.nbr(1)["a"]), frozenset(("a",)))
+    watches = (
+        Action("W", lambda e: len(e.nbr(1)["a"]), frozenset(("a",))),
+        Action("W", lambda e: len(e.store["domain"]) + len(e.nbr(1)["a"]),
+               frozenset(("domain", "a")), nbr_reads=frozenset(("a",))),
+    )
 
     def shrink(ev):
         if ev.pid == 1 and ev.store["domain"] != frozenset({1}):
             return {"domain": frozenset({1})}
         return None
 
-    def count(ev):
-        seen = ev.cached(watch)
-        if ev.pid == 2 and ev.store["seen"] != seen:
-            return {"seen": seen}
-        return None
+    for watch in watches:
+        def count(ev, watch=watch):
+            seen = ev.cached(watch)
+            if ev.pid == 2 and ev.store["seen"] != seen:
+                return {"seen": seen}
+            return None
 
-    alg = AlgorithmSpec(
-        "prune",
-        (Action("D1", shrink, frozenset(("domain",)), frozenset(("domain",))),
-         Action("D2", count, frozenset(("a", "seen")), frozenset(("seen",)))),
-        domain_var="domain",
-    )
-    cfg0 = {
-        1: {"domain": frozenset({1, 2}), "a": {1: 0, 2: 0}, "seen": 0},
-        2: {"domain": frozenset(), "a": {}, "seen": 2},
-    }
-    trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{1}, {2}]), 10)
+        alg = AlgorithmSpec(
+            "prune",
+            (Action("D1", shrink, frozenset(("domain",)), frozenset(("domain",))),
+             Action("D2", count, watch.reads | {"seen"}, frozenset(("seen",)))),
+            domain_var="domain",
+        )
+        cfg0 = {
+            1: {"domain": frozenset({1, 2}), "a": {1: 0, 2: 0}, "seen": 0},
+            2: {"domain": frozenset(), "a": {}, "seen": 2},
+        }
+        trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{1}, {2}]), 10)
+        replay = cfg0
+        for rec in trace.steps:
+            replay = step(replay, set(rec.selected), alg, g)
+        assert trace.terminated
+        # silence judged without the cache: nothing is left enabled
+        assert all(enabled_actions(trace.final, v, alg, g) == [] for v in g.vertices)
+        assert trace.final[2]["seen"] == 1
+        assert trace.final == replay
+
+
+def test_action_rejects_neighbor_reads_outside_reads():
+    assert Action("A", lambda ev: None, frozenset("xy")).nbr_reads == frozenset("xy")
+    with pytest.raises(ValueError, match="z"):
+        Action("A", lambda ev: None, frozenset("xy"), nbr_reads=frozenset("xz"))
+
+
+def test_cache_drops_entries_by_owner_and_neighbor_reads():
+    # Each process caches `own`, which reads its own x and nothing of its
+    # neighbors.  A neighbor's write of x keeps the entry; the owner's own
+    # write of x drops it.
+    g = make_graph([1, 2], [(1, 2)])
+    misses = {1: 0, 2: 0}
+
+    def own_x(ev):
+        misses[ev.pid] += 1
+        return ev.store["x"]
+
+    own = Action("W", own_x, frozenset("x"), nbr_reads=frozenset())
+
+    def note(ev):
+        x = ev.cached(own)
+        return {"seen": x} if ev.store["seen"] != x else None
+
+    def bump(ev):
+        s = ev.store
+        return {"x": s["x"] + 1, "todo": 0} if s["todo"] else None
+
+    alg = AlgorithmSpec("bump", (
+        Action("B1", note, frozenset(("x", "seen")), frozenset(("seen",)), frozenset()),
+        Action("B2", bump, frozenset(("x", "todo")), frozenset(("x", "todo")), frozenset()),
+    ))
+    cfg0 = {v: {"x": 0, "todo": 1, "seen": 0} for v in (1, 2)}
+    after_step = []
+    trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{2}, {2}, {1}, {1}]),
+                10, observers=(lambda event: after_step.append(dict(misses)),))
+    assert trace.terminated
+    assert after_step == [
+        {1: 1, 2: 2},  # 2 wrote x: its own entry went, 1's stayed
+        {1: 1, 2: 2},  # 2 wrote seen, which `own` does not read
+        {1: 2, 2: 2},  # 1 wrote x: its own entry went, 2's stayed
+        {1: 2, 2: 2},
+    ]
     replay = cfg0
     for rec in trace.steps:
         replay = step(replay, set(rec.selected), alg, g)
-    assert trace.terminated
-    # silence judged without the cache: nothing is left enabled
-    assert all(enabled_actions(trace.final, v, alg, g) == [] for v in g.vertices)
-    assert trace.final[2]["seen"] == 1
     assert trace.final == replay
+    assert all(trace.final[v]["seen"] == 1 for v in (1, 2))
+
