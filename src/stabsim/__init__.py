@@ -50,6 +50,7 @@ from .oracle import GroupingReport, check_Lk, exhaustive_min_groups, potential
 from .experiments import (
     RunDescriptor,
     RunResult,
+    judge,
     run_descriptor,
     run_grouping,
 )

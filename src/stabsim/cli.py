@@ -1,6 +1,7 @@
 """Batch driver: single runs, fault-injection campaigns, scaling sweeps.
 
-Exit codes: 0 converged with a valid grouping, 1 grouping verdict false,
+Exit codes: 0 the run passed every per-run verdict of `experiments.judge`,
+1 some verdict failed (each printed to stderr as `criterion: message`),
 2 step budget exhausted, 3 input error.
 """
 
@@ -15,9 +16,9 @@ import sys
 from .configs import ConfigError
 from .experiments import (
     DescriptorError,
-    SWEEP_COLUMNS,
     _field,
     _is_int,
+    judge,
     load_descriptor,
     run_descriptor,
     run_with_corruption,
@@ -47,11 +48,12 @@ def _emit(result, out_dir: str | None, name: str) -> int:
             json.dump(result.report.to_json(), f, indent=2, sort_keys=True)
             f.write("\n")
     print(json.dumps(summary, sort_keys=True))
+    failures = judge(result).failures
+    for criterion, message in failures:
+        print(f"{criterion}: {message}", file=sys.stderr)
     if not result.trace.terminated:
         return EXIT_BUDGET
-    if not result.report.verdict:
-        return EXIT_INVALID
-    return EXIT_OK
+    return EXIT_INVALID if failures else EXIT_OK
 
 
 def cmd_run(args) -> int:
@@ -105,11 +107,10 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} {text} selects no value: the sweep would run nothing")
     rows = sweep_rows(args.family, ns, ks, seeds, args.max_steps)
     if args.out:
-        write_sweep_csv(rows, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="") as f:
+            write_sweep_csv(rows, f)
     else:
-        print(",".join(SWEEP_COLUMNS))
-        for row in rows:
-            print(",".join(str(row[c]) for c in SWEEP_COLUMNS))
+        write_sweep_csv(rows, sys.stdout)
     failed = [r for r in rows if r["verdict"] != "ok"]
     for r in failed:
         log.error("failed: %s", r)

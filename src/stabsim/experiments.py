@@ -4,7 +4,8 @@ A run boundary is recorded whenever the tree root leaves color 3: toward the
 next base execution (shift wave) or out of initializer mode.  Boundary
 snapshots feed the per-iteration verdicts (error-freedom after the shift,
 stamp soundness, potential accounting) and the per-execution round
-measurements.
+measurements.  `judge` is the one place that decides whether a run met the
+paper's claims; the CLI, the sweeps and the acceptance suite all ask it.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, TextIO
 
 from .configs import (
     ConfigError,
     config_from_json,
     corrupt_config,
     random_config,
+    stored_keys,
     zeroed_config,
 )
 from .graphs import (
@@ -27,11 +29,12 @@ from .graphs import (
     cycle_graph,
     diameter,
     grid_graph,
+    k_neighborhood,
     load_graph,
     path_graph,
     random_connected_graph,
 )
-from .kgrouping import check_k, kgrouping_binding, merge_actions
+from .kgrouping import DOMAIN, check_k, kgrouping_binding, merge_actions
 from .loop import (
     BaseAlgorithmBinding,
     check_Cfin,
@@ -92,10 +95,6 @@ class RunResult:
     @property
     def iterations(self) -> int:
         return sum(1 for b in self.boundaries if b.kind == "shift")
-
-    @property
-    def ok(self) -> bool:
-        return self.trace.terminated and self.report.verdict
 
 
 def run_grouping(
@@ -200,6 +199,80 @@ def closure_check(result: RunResult) -> bool:
         and again.num_steps == 0
         and check_Cfin(result.trace.final, result.binding, result.graph)
     )
+
+
+def potential_sequences(checks: tuple[BoundaryCheck, ...]) -> list[list[int]]:
+    """The potential (2g + p + b) at successive qualifying shift boundaries,
+    one sequence per initializer hand-off: re-initialization resets the
+    accounting."""
+    sequences: list[list[int]] = [[]]
+    for c in checks:
+        if c.kind == "handoff":
+            sequences.append([])
+        elif c.qualifying:
+            sequences[-1].append(c.potential[3])
+    return [seq for seq in sequences if seq]
+
+
+@dataclass(frozen=True)
+class Judgement:
+    """The per-run verdict: `failures` holds (criterion, message) pairs and
+    is empty when the run passed; `checks` are the boundary checks it was
+    judged from."""
+
+    failures: tuple[tuple[str, str], ...]
+    checks: tuple[BoundaryCheck, ...]
+
+
+def judge(result: RunResult) -> Judgement:
+    """Every per-run claim of the paper, checked on one run.
+
+    Criteria: "1" silent convergence to a minimal diameter-k grouping; "1+"
+    each final domain is the process's (k+1)-ball (so no false identifier
+    survived) and holds at most 21 keys per domain entry (the domain plus
+    20 arrays keyed by it); "2" at most 2n/k+1 groups; "5" the error
+    predicate false after every qualifying shift or hand-off; "6" sound
+    stamps there; "potential" non-increasing at successive qualifying shifts
+    and strictly lower after two; "8" the final configuration is terminal
+    and re-runs for 0 steps.
+    """
+    graph, k, final = result.graph, result.k, result.trace.final
+    checks = tuple(boundary_checks(result))
+    failures = []
+    if not result.trace.terminated:
+        failures.append(("1", f"run ended with {result.verdict}"))
+    elif not result.report.verdict:
+        failures.append(("1", f"check_Lk: {result.report.violations[:2]}"))
+    keys = stored_keys(final)
+    for v in sorted(graph.vertices):
+        domain = final[v][DOMAIN]
+        ball = k_neighborhood(graph, v, k + 1)
+        if domain != ball:
+            failures.append(("1+", f"process {v}: domain has extra "
+                             f"{sorted(domain - ball)}, misses {sorted(ball - domain)}"))
+        if keys[v] > 21 * len(domain):
+            failures.append(("1+", f"process {v} stores {keys[v]} keys "
+                             f"> 21*{len(domain)}"))
+    if result.report.group_count > 2 * graph.n / k + 1:
+        failures.append(("2", f"{result.report.group_count} groups > 2n/k+1"))
+    for c in checks:
+        if not c.qualifying:
+            continue
+        if not c.shift_error_free:
+            failures.append(("5", f"error predicate true after the {c.kind} "
+                             f"at step {c.step}"))
+        if c.stamp_violations:
+            failures.append(("6", f"unsound stamps at step {c.step}: "
+                             f"{c.stamp_violations[:2]}"))
+    for seq in potential_sequences(checks):
+        if any(b > a for a, b in zip(seq, seq[1:])):
+            failures.append(("potential", f"increased: {seq}"))
+        if any(b >= a for a, b in zip(seq, seq[2:])):
+            failures.append(("potential", f"no strict decrease over two "
+                             f"iterations: {seq}"))
+    if not closure_check(result):
+        failures.append(("8", "final configuration is not silent and terminal"))
+    return Judgement(tuple(failures), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +409,20 @@ def run_with_corruption(
 ) -> RunResult:
     """Run to `at_step`, corrupt, then continue to silence and re-verify.
 
-    With zero corruptions this is exactly the plain run.
+    With zero corruptions this is exactly the plain run; at step 0 the
+    corruption hits the initial configuration itself.
     """
     if count <= 0:
         return run_descriptor(desc)
-    cfg0 = desc.initial_configuration()
-    binding = kgrouping_binding(desc.k)
-    alg = compose(binding, desc.graph)
+    cfg = desc.initial_configuration()
     budget = desc.max_steps or default_max_steps(desc.graph, diameter(desc.graph))
-    prefix = run(
-        desc.graph, alg, cfg0, desc.daemon, max_steps=max(1, at_step),
-        record_steps=False,
-    )
+    if at_step > 0:
+        alg = compose(kgrouping_binding(desc.k), desc.graph)
+        cfg = run(
+            desc.graph, alg, cfg, desc.daemon, max_steps=at_step, record_steps=False,
+        ).final
     resume = corrupt_config(
-        prefix.final, desc.graph, desc.k, variables, count, seed, desc.n_false
+        cfg, desc.graph, desc.k, variables, count, seed, desc.n_false
     )
     daemon2 = replace(desc.daemon, seed=desc.daemon.seed + 1)
     return run_grouping(desc.graph, desc.k, daemon2, resume, budget)
@@ -427,17 +500,15 @@ def sweep_rows(family: str, ns, ks, seeds, max_steps=None) -> list[dict]:
                     "rounds": result.rounds,
                     "iterations": result.iterations,
                     "groups": result.report.group_count,
-                    "verdict": "ok" if result.ok else "FAIL",
+                    "verdict": "FAIL" if judge(result).failures else "ok",
                 })
     return rows
 
 
-def write_sweep_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def write_sweep_csv(rows: list[dict], stream: TextIO) -> None:
+    writer = csv.DictWriter(stream, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def fit_and_validate(samples: list[tuple[float, float, float]], headroom: float = 2.0):

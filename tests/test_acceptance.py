@@ -2,21 +2,24 @@
 
 The heavy batches (the 300 randomized runs, the path/cycle sweep, the
 exhaustive small-graph enumeration) are module-scoped fixtures shared by the
-criteria that consume them.
+criteria that consume them.  Every per-run verdict comes from
+`experiments.judge`; a criterion asserts over the failures carrying its tag
+and counts from the judgement's boundary checks that it is not vacuous.
 """
 
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
-from stabsim.configs import false_ids, random_config, stored_keys, zeroed_config
+from stabsim.configs import random_config, zeroed_config
 from stabsim.experiments import (
-    boundary_checks,
-    closure_check,
     fit_and_validate,
+    judge,
     merge_segment_rounds,
+    potential_sequences,
     run_grouping,
     run_with_corruption,
     summary_bytes,
@@ -25,12 +28,10 @@ from stabsim.experiments import (
 from stabsim.graphs import (
     cycle_graph,
     diameter,
-    graph_to_json,
     make_graph,
     path_graph,
     random_connected_graph,
 )
-from stabsim.kgrouping import DOMAIN, IN_GROUP
 from stabsim.oracle import exhaustive_min_groups
 from stabsim.runtime import DaemonPolicy
 
@@ -47,21 +48,22 @@ def _random_instance(index: int):
     return g, k, rng.randrange(2**31)
 
 
+def _failed(judgements, criterion):
+    """(index, message) of every failure tagged `criterion`."""
+    return [(i, message) for i, j in enumerate(judgements)
+            for tag, message in j.failures if tag == criterion]
+
+
 @pytest.fixture(scope="module")
 def batch300():
-    results = []
+    """The judgements of 300 randomized runs."""
+    judgements = []
     for i in range(N_RANDOM_RUNS):
         g, k, seed = _random_instance(i)
         cfg0 = random_config(g, k, seed=seed, n_false=N_FALSE)
         daemon = DaemonPolicy(kind="random", p=0.5, seed=seed ^ 0x5A5A)
-        res = run_grouping(g, k, daemon, cfg0, record_steps=False)
-        results.append(res)
-    return results
-
-
-@pytest.fixture(scope="module")
-def batch_checks(batch300):
-    return [boundary_checks(res) for res in batch300]
+        judgements.append(judge(run_grouping(g, k, daemon, cfg0, record_steps=False)))
+    return judgements
 
 
 @pytest.fixture(scope="module")
@@ -101,47 +103,36 @@ def atlas_runs():
 
 
 def test_criterion_1_self_stabilization(batch300):
-    failures = []
-    for i, res in enumerate(batch300):
-        if not res.trace.terminated:
-            failures.append(f"run {i}: {res.verdict}")
-        elif not res.report.verdict:
-            failures.append(f"run {i}: {res.report.violations[:2]}")
+    failures = _failed(batch300, "1")
     assert not failures, failures[:10]
     print(f"\n[criterion 1] PASS: {len(batch300)} randomized runs all "
           f"terminated with a valid minimal grouping")
 
 
 def test_criterion_1_memory_and_false_ids(batch300):
-    for i, res in enumerate(batch300):
-        g = res.graph
-        bound = 21 * (g.n + N_FALSE)
-        final = res.trace.final
-        for v, count in stored_keys(final).items():
-            assert count <= bound, f"run {i}: process {v} stores {count} keys"
-        fakes = set(false_ids(g, N_FALSE))
-        for v in g.vertices:
-            assert not (final[v][DOMAIN] & fakes), f"run {i}: fake id survived"
-    print(f"\n[criterion 1+] PASS: per-process stored keys within "
-          f"21*(n+n_false); false identifiers flushed at silence")
+    failures = _failed(batch300, "1+")
+    assert not failures, failures[:10]
+    print(f"\n[criterion 1+] PASS: every final domain is the process's "
+          f"(k+1)-ball, so no false identifier survived; stored keys within "
+          f"21*|domain| at every process of {len(batch300)} runs")
 
 
 def test_criterion_2_group_count_bounds(batch300, sweep_results, atlas_runs):
-    for i, res in enumerate(batch300):
-        assert res.report.group_count <= 2 * res.graph.n / res.k + 1, f"run {i}"
-    for family, n, d, k, seed, res in sweep_results:
-        assert res.report.group_count <= 2 * n / k + 1
-    checked = 0
+    failures = _failed(batch300, "2")
+    assert not failures, failures[:10]
+    failures = _failed([judge(res) for *_, res in sweep_results], "2")
+    assert not failures, failures[:10]
+    ratios = []
     for i, k, g, res in atlas_runs:
-        assert res.trace.terminated and res.report.verdict, (
-            f"atlas graph {i} k={k}: {res.verdict} {res.report.violations[:2]}"
-        )
-        assert res.report.group_count <= 2 * g.n / k + 1
+        failures = judge(res).failures
+        assert not failures, f"atlas graph {i} k={k}: {failures[:2]}"
         best = exhaustive_min_groups(g, k)
         assert res.report.group_count >= best, f"atlas {i} k={k}"
-        checked += 1
+        ratios.append(res.report.group_count / best)
     print(f"\n[criterion 2] PASS: group count <= 2n/k+1 on every run; "
-          f"{checked} exhaustive small-graph comparisons (n <= 7, k in 1..2)")
+          f"{len(ratios)} exhaustive small-graph comparisons (n <= 7, k in 1..2), "
+          f"group_count/optimum highest {max(ratios):.2f}, "
+          f"mean {statistics.mean(ratios):.3f}")
 
 
 def test_criterion_3_round_scaling(sweep_results):
@@ -176,66 +167,43 @@ def test_criterion_4_iteration_bounds(sweep_results):
           f"c''*k rounds, c''={c2:.2f} over {len(segment_samples)} executions")
 
 
-def test_criterion_5_shiftable_convergence(batch_checks):
-    qualifying = 0
-    for i, checks in enumerate(batch_checks):
-        for c in checks:
-            if c.kind == "shift" and c.qualifying:
-                qualifying += 1
-                assert c.shift_error_free, f"run {i} boundary at step {c.step}"
-            if c.kind == "handoff" and c.qualifying:
-                assert c.shift_error_free, f"run {i} init boundary {c.step}"
+def test_criterion_5_shiftable_convergence(batch300):
+    failures = _failed(batch300, "5")
+    assert not failures, failures[:10]
+    qualifying = sum(c.kind == "shift" and c.qualifying
+                     for j in batch300 for c in j.checks)
     assert qualifying >= 100  # the check must not be vacuous
     print(f"\n[criterion 5] PASS: error predicate false everywhere after the "
           f"copy shift at {qualifying} complete iteration boundaries")
 
 
-def test_criterion_6_stamp_soundness(batch_checks):
-    total = 0
-    for i, checks in enumerate(batch_checks):
-        for c in checks:
-            if c.qualifying:
-                total += 1
-                assert c.stamp_violations == [], (
-                    f"run {i} step {c.step}: {c.stamp_violations}"
-                )
+def test_criterion_6_stamp_soundness(batch300):
+    failures = _failed(batch300, "6")
+    assert not failures, failures[:10]
+    total = sum(c.qualifying for j in batch300 for c in j.checks)
     print(f"\n[criterion 6] PASS: every active stamp at {total} iteration "
           f"boundaries certifies a non-mergeable near pair")
 
 
-def test_potential_monotone_and_strictly_decreasing(batch_checks):
-    monotone_pairs = 0
-    strict_pairs = 0
-    for checks in batch_checks:
-        seq = []
-        for c in checks:
-            if c.kind == "handoff":
-                seq = []  # re-initialization resets the accounting
-            elif c.kind == "shift" and c.qualifying and c.potential is not None:
-                seq.append(c.potential[3])
-        for a, b in zip(seq, seq[1:]):
-            assert b <= a, f"potential increased: {seq}"
-            monotone_pairs += 1
-        for a, b in zip(seq, seq[2:]):
-            assert b < a, f"no strict decrease over two iterations: {seq}"
-            strict_pairs += 1
+def test_potential_monotone_and_strictly_decreasing(batch300):
+    failures = _failed(batch300, "potential")
+    assert not failures, failures[:10]
+    sequences = [seq for j in batch300 for seq in potential_sequences(j.checks)]
+    monotone_pairs = sum(len(seq) - 1 for seq in sequences)
+    strict_pairs = sum(max(0, len(seq) - 2) for seq in sequences)
     assert monotone_pairs >= 50
     print(f"\n[invariant] PASS: merge-progress potential non-increasing over "
           f"{monotone_pairs} boundary pairs, strictly decreasing over "
           f"{strict_pairs} two-iteration windows")
 
 
-def test_criterion_7_fault_injection(tmp_path):
-    import json
-
+def test_criterion_7_fault_injection():
     failures = []
     for i in range(N_INJECTIONS):
         rng = random.Random(7_777_7 * i + 5)
         n = rng.randrange(4, 17)
         g = random_connected_graph(n, 0.3, i)
         k = rng.randrange(1, 5)
-        gpath = tmp_path / f"g{i}.json"
-        gpath.write_text(json.dumps(graph_to_json(g)))
         desc = RunDescriptor(
             graph=g, k=k,
             daemon=DaemonPolicy(kind="random", p=0.5, seed=i),
@@ -247,16 +215,16 @@ def test_criterion_7_fault_injection(tmp_path):
         count = max(1, int(0.25 * n * len(variables)))
         res = run_with_corruption(desc, variables, count, seed=i * 13,
                                   at_step=rng.randrange(20, 120))
-        if not res.ok:
-            failures.append((i, res.verdict, res.report.violations[:2]))
+        failures += [(i, failure) for failure in judge(res).failures]
     assert not failures, failures[:5]
     print(f"\n[criterion 7] PASS: {N_INJECTIONS} mid-run corruption campaigns "
-          f"(<= 25% of variables) all re-converged to valid groupings")
+          f"(<= 25% of variables) all re-converged and passed every per-run "
+          f"verdict")
 
 
 def test_criterion_8_closure_and_silence(batch300):
-    for i, res in enumerate(batch300):
-        assert closure_check(res), f"run {i}: final configuration not silent"
+    failures = _failed(batch300, "8")
+    assert not failures, failures[:10]
     print(f"\n[criterion 8] PASS: every final configuration is silent, "
           f"satisfies the terminal predicate, and re-runs for 0 steps")
 
@@ -280,7 +248,7 @@ def test_criterion_10_named_small_instances():
     p5 = path_graph(5)
     res = run_grouping(p5, 2, DaemonPolicy(kind="random", p=0.5, seed=1),
                        zeroed_config(p5, 2))
-    assert res.ok
+    assert not judge(res).failures
     groups = {gid: set(m) for gid, m in res.report.groups.items()}
     assert groups == {1: {1, 2, 3}, 4: {4, 5}}
 
@@ -293,13 +261,13 @@ def test_criterion_10_named_small_instances():
     c6 = cycle_graph(6)
     res = run_grouping(c6, 2, DaemonPolicy(kind="random", p=0.5, seed=1),
                        zeroed_config(c6, 2))
-    assert res.ok
+    assert not judge(res).failures
     groups = {gid: set(m) for gid, m in res.report.groups.items()}
     assert groups == {1: {1, 2}, 3: {3, 4}, 6: {5, 6}}
     for seed in range(2, 8):
         res = run_grouping(c6, 2, DaemonPolicy(kind="random", p=0.5, seed=seed),
                            random_config(c6, 2, seed=seed))
-        assert res.ok
+        assert not judge(res).failures
         assert all(len(m) <= 3 for m in res.report.groups.values())
     print("\n[criterion 10] PASS: named instances match their derived "
           "groupings (P5/k=2 -> {1,2,3},{4,5}; C6/k=2 -> three adjacent "

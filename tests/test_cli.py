@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stabsim.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from stabsim.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
 from stabsim.graphs import graph_to_json, path_graph
 
 
@@ -37,6 +37,23 @@ def test_cmd_run_p5(tmp_path, capsys):
     assert first["step"] == 0 and "selected" in first and "fired" in first
     report = json.loads((tmp_path / "out" / "run.report.json").read_text())
     assert report["verdict"] is True
+
+
+def test_cmd_run_fails_on_any_judged_criterion(tmp_path, capsys, monkeypatch):
+    # The grouping itself is valid; an unsound stamp at a boundary must
+    # still fail the run, naming criterion 6.
+    from stabsim import experiments
+
+    dpath = write_inputs(tmp_path)
+    assert main(["run", str(dpath)]) == EXIT_OK
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    monkeypatch.setattr(experiments, "stamp_soundness_violations",
+                        lambda cfg, graph, k: ["near groups 1,4 carry a stamp"])
+    assert main(["run", str(dpath)]) == EXIT_INVALID
+    judged = capsys.readouterr()
+    assert judged.out == clean.out
+    assert "6: unsound stamps at step" in judged.err
 
 
 def test_cmd_run_rejects_k0(tmp_path, capsys):
@@ -148,6 +165,17 @@ def test_cmd_sweep_csv(tmp_path):
         assert int(row["groups"]) <= 2 * int(row["n"]) / int(row["k"]) + 1
         assert row["family"] == "path"
         assert int(row["D"]) == int(row["n"]) - 1
+
+
+def test_cmd_sweep_stdout_matches_out_file(tmp_path, capsys):
+    args = ["sweep", "--family", "cycle", "--n", "5", "--k", "1,2", "--seeds", "1"]
+    out = tmp_path / "sweep.csv"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert main(args) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.encode() == out.read_bytes()
+    assert len(list(csv.DictReader(printed.splitlines()))) == 2
 
 
 def test_adversarial_file_mode(tmp_path, capsys):

@@ -332,14 +332,14 @@ def test_uncached_eval_computes_the_gradient_once(monkeypatch):
     # disabled_everywhere and error_nowhere) must still compute it only once.
     from stabsim import kgrouping
     from stabsim.configs import random_config
-    from stabsim.experiments import run_grouping
+    from stabsim.experiments import judge, run_grouping
     from stabsim.graphs import grid_graph
     from stabsim.runtime import Action
 
     g, k = grid_graph(3, 3), 2
     result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
                           random_config(g, k, seed=11))
-    assert result.ok
+    assert not judge(result).failures
     gradients, share_rows = [], []
     real_gradient, real_share_row = kgrouping._gradient, kgrouping._share_row
 
@@ -425,7 +425,7 @@ def test_synchronous_daemon_flushes_false_identifiers():
     # resurrecting stale distance entries whenever the id re-entered a
     # domain; domain-write pruning must make such runs converge.
     from stabsim.configs import random_config
-    from stabsim.experiments import run_grouping
+    from stabsim.experiments import judge, run_grouping
     from stabsim.graphs import random_connected_graph
     from stabsim.runtime import DaemonPolicy
 
@@ -439,4 +439,5 @@ def test_synchronous_daemon_flushes_false_identifiers():
             random_config(g, k, seed=i * 7 + 1),
             max_steps=200_000, record_steps=False,
         )
-        assert res.ok, (i, res.verdict, res.report.violations[:2])
+        failures = judge(res).failures
+        assert not failures, (i, failures[:2])

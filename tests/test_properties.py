@@ -1,17 +1,19 @@
 """Cross-cutting property tests: row forms agree with the reference macros,
 fired labels respect priority under the cached engine, actions touch only
-their declared variables, the round recount matches the engine, and pinned
-runs keep their summaries."""
+their declared variables, the round recount matches the engine, pinned
+runs keep their summaries, and the judge catches a tampered final state."""
 
+import dataclasses
 import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsim.configs import random_config, zeroed_config
+from stabsim.configs import corrupt_config, false_ids, random_config, zeroed_config
 from stabsim.experiments import (
     RunDescriptor,
+    judge,
     run_grouping,
     run_with_corruption,
     summary_bytes,
@@ -37,7 +39,7 @@ from stabsim.kgrouping import (
     same_group_nbrs,
     share,
 )
-from stabsim.loop import compose
+from stabsim.loop import COLOR, compose
 from stabsim.kgrouping import kgrouping_binding
 from stabsim.runtime import BOT, DaemonPolicy, Eval, enabled_actions, rounds, run, step
 
@@ -174,7 +176,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Eval, "cached", audited_cached)
             result = run_grouping(g, k, DaemonPolicy(kind="random", p=0.5, seed=seed), cfg0)
-        assert result.ok
+        assert not judge(result).failures
         for cfg in (cfg0, *(b.cfg for b in result.boundaries), result.trace.final):
             for v in g.vertices:
                 ev = Eval(cfg, v, g.neighbors_of(v))
@@ -244,5 +246,38 @@ PINNED_RUNS = {
 def test_run_summary_digest_pinned(name):
     make, digest = PINNED_RUNS[name]
     result = make()
-    assert result.ok
+    assert judge(result).failures == ()
     assert hashlib.sha256(summary_bytes(result)).hexdigest() == digest
+
+
+def test_corruption_at_step_0_hits_the_initial_configuration():
+    g, k = path_graph(6), 2
+    desc = RunDescriptor(g, k, DaemonPolicy(kind="random", seed=2), None,
+                         "random", init_seed=9)
+    variables = ("color", "mode", "in_group")
+    result = run_with_corruption(desc, variables, 4, 5, at_step=0)
+    start = corrupt_config(desc.initial_configuration(), g, k, variables, 4, 5,
+                           desc.n_false)
+    direct = run_grouping(g, k, DaemonPolicy(kind="random", seed=3), start)
+    assert summary_bytes(result) == summary_bytes(direct)
+    assert summary_bytes(result) != summary_bytes(
+        run_with_corruption(desc, variables, 4, 5, at_step=1))
+
+
+def test_judge_flags_a_tampered_final_configuration():
+    g, k = grid_graph(3, 3), 2
+    result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
+                          random_config(g, k, seed=11))
+    assert judge(result).failures == ()
+
+    def tampered(v, name, value):
+        final = {u: dict(store) for u, store in result.trace.final.items()}
+        final[v][name] = value
+        return dataclasses.replace(
+            result, trace=dataclasses.replace(result.trace, final=final))
+
+    fake = false_ids(g, 1)[0]
+    with_fake = tampered(5, DOMAIN, result.trace.final[5][DOMAIN] | {fake})
+    assert "1+" in {tag for tag, _ in judge(with_fake).failures}
+    recolored = tampered(5, COLOR, 0)
+    assert "8" in {tag for tag, _ in judge(recolored).failures}
