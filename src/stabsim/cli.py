@@ -15,6 +15,7 @@ import sys
 
 from .configs import ConfigError
 from .experiments import (
+    FAMILIES,
     DescriptorError,
     _field,
     _is_int,
@@ -137,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inj.set_defaults(func=cmd_inject)
 
     p_sw = sub.add_parser("sweep", help="instance sweep to CSV")
-    p_sw.add_argument("--family", required=True,
-                      choices=["path", "cycle", "grid", "random-gnp"])
+    p_sw.add_argument("--family", required=True, choices=list(FAMILIES))
     p_sw.add_argument("--n", required=True, help="range lo:hi[:step] or list a,b,c")
     p_sw.add_argument("--k", required=True, help="range or list")
     p_sw.add_argument("--seeds", type=int, default=5)

@@ -1,9 +1,9 @@
 """Instrumented experiment drivers: single runs, corruption campaigns, sweeps.
 
-A run boundary is recorded whenever the tree root leaves color 3: toward the
-next base execution (shift wave) or out of initializer mode.  Boundary
-snapshots feed the per-iteration verdicts (error-freedom after the shift,
-stamp soundness, potential accounting) and the per-execution round
+A boundary is where the root starts the next base execution, by the copy
+shift or by the initializer's hand-off; it records that execution's start
+configuration.  Qualifying boundaries feed the per-execution verdicts
+(error-freedom, stamp soundness, potential accounting) and the isolated round
 measurements.  `judge` is the one place that decides whether a run met the
 paper's claims; the CLI, the sweeps and the acceptance suite all ask it.
 """
@@ -36,6 +36,8 @@ from .graphs import (
 )
 from .kgrouping import DOMAIN, check_k, kgrouping_binding, merge_actions
 from .loop import (
+    HANDOFF,
+    SHIFT,
     BaseAlgorithmBinding,
     check_Cfin,
     compose,
@@ -54,20 +56,17 @@ from .runtime import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Boundary:
+    """Where the next base execution starts: `start` is its first
+    configuration.  It qualifies when the module that just ended is disabled
+    everywhere and, for a shift, the error predicate is false everywhere,
+    since a merge execution needs error-free inputs."""
+
     step: int
     kind: str  # "shift" (next base execution) | "handoff" (initializer done)
-    cfg: Configuration = field(repr=False)
-    error_free: bool = False
-    module_quiet: bool = False
-
-    @property
-    def qualifying(self) -> bool:
-        # The per-iteration lemma checks only apply to boundaries of complete
-        # executions started error-free; early boundaries fired out of a
-        # corrupted initial coloring are repaired, not checked.
-        return self.error_free and self.module_quiet
+    start: Configuration = field(repr=False)
+    qualifying: bool
 
 
 @dataclass
@@ -106,30 +105,31 @@ def run_grouping(
     record_steps: bool = True,
 ) -> RunResult:
     """One full composed run plus the oracle verdict on its final state."""
-    check_k(k)
     binding = kgrouping_binding(k)
     alg = compose(binding, graph)
     root = min(graph.vertices)
     if max_steps is None:
         max_steps = default_max_steps(graph, diameter(graph))
 
-    boundaries: list[Boundary] = []
+    seen = []
 
     def observe(event):
-        fired = event.fired.get(root)
-        if fired == "L14":
-            boundaries.append(Boundary(event.index, "shift", event.pre_cfg))
-        elif fired == "L15":
-            boundaries.append(Boundary(event.index, "handoff", event.pre_cfg))
+        if event.fired.get(root) in (SHIFT, HANDOFF):
+            seen.append((event.index, event.fired[root], event.pre_cfg))
 
     trace = run(
         graph, alg, cfg0, daemon, max_steps,
         observers=(observe,), record_steps=record_steps,
     )
-    for b in boundaries:
-        b.error_free = error_nowhere(b.cfg, binding, graph)
-        module = binding.base if b.kind == "shift" else binding.init
-        b.module_quiet = disabled_everywhere(b.cfg, module, graph)
+    boundaries = []
+    for i, label, cfg in seen:
+        if label == SHIFT:
+            qualifying = (disabled_everywhere(cfg, binding.base, graph)
+                          and error_nowhere(cfg, binding, graph))
+            boundaries.append(Boundary(i, "shift", copy_shift(cfg, binding), qualifying))
+        else:
+            qualifying = disabled_everywhere(cfg, binding.init, graph)
+            boundaries.append(Boundary(i, "handoff", cfg, qualifying))
 
     report = check_Lk(trace.final, graph, k)
     return RunResult(graph, k, binding, alg, trace, report, boundaries)
@@ -152,25 +152,24 @@ def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
     for b in result.boundaries:
         check = BoundaryCheck(b.step, b.kind, b.qualifying)
         if b.qualifying:
-            if b.kind == "shift":
-                shifted = copy_shift(b.cfg, result.binding)
-            else:
-                shifted = b.cfg  # initializer hand-off copies nothing
-            check.shift_error_free = error_nowhere(shifted, result.binding, result.graph)
+            check.shift_error_free = error_nowhere(b.start, result.binding, result.graph)
             check.stamp_violations = stamp_soundness_violations(
-                shifted, result.graph, result.k
+                b.start, result.graph, result.k
             )
-            check.potential = potential(shifted, result.graph, result.k)
+            check.potential = potential(b.start, result.graph, result.k)
         out.append(check)
     return out
 
 
-def merge_segment_rounds(result: RunResult, max_steps: int = 200_000) -> list[int]:
+SEGMENT_MAX_STEPS = 200_000  # per isolated merge execution
+
+
+def merge_segment_rounds(result: RunResult) -> list[int]:
     """Rounds of each base execution, replayed in isolation.
 
-    Every qualifying boundary configuration (shifted when appropriate) is the
-    start of a maximal pure merge execution; re-running it standalone under
-    the synchronous daemon measures that execution's round count directly.
+    Every qualifying boundary starts a maximal pure merge execution;
+    re-running it standalone under the synchronous daemon measures that
+    execution's round count directly.
     """
     merge = merge_actions(result.k)
     sync = DaemonPolicy(kind="synchronous")
@@ -178,8 +177,8 @@ def merge_segment_rounds(result: RunResult, max_steps: int = 200_000) -> list[in
     for b in result.boundaries:
         if not b.qualifying:
             continue
-        start = copy_shift(b.cfg, result.binding) if b.kind == "shift" else b.cfg
-        trace = run(result.graph, merge, start, sync, max_steps, record_steps=False)
+        trace = run(result.graph, merge, b.start, sync, SEGMENT_MAX_STEPS,
+                    record_steps=False)
         if not trace.terminated:
             raise RuntimeError("isolated merge execution did not terminate")
         out.append(trace.num_rounds)
@@ -187,17 +186,12 @@ def merge_segment_rounds(result: RunResult, max_steps: int = 200_000) -> list[in
 
 
 def closure_check(result: RunResult) -> bool:
-    """Re-running from the final configuration must do nothing at all."""
-    if not result.trace.terminated:
-        return False
-    again = run(
-        result.graph, result.algorithm, result.trace.final,
-        DaemonPolicy(kind="synchronous"), max_steps=10, record_steps=False,
-    )
+    """Nothing is enabled in the final configuration, of shape C_fin."""
+    final = result.trace.final
     return (
-        again.terminated
-        and again.num_steps == 0
-        and check_Cfin(result.trace.final, result.binding, result.graph)
+        result.trace.terminated
+        and disabled_everywhere(final, result.algorithm, result.graph)
+        and check_Cfin(final, result.binding, result.graph)
     )
 
 
@@ -231,10 +225,10 @@ def judge(result: RunResult) -> Judgement:
     each final domain is the process's (k+1)-ball (so no false identifier
     survived) and holds at most 21 keys per domain entry (the domain plus
     20 arrays keyed by it); "2" at most 2n/k+1 groups; "5" the error
-    predicate false after every qualifying shift or hand-off; "6" sound
+    predicate false where every qualifying execution starts; "6" sound
     stamps there; "potential" non-increasing at successive qualifying shifts
     and strictly lower after two; "8" the final configuration is terminal
-    and re-runs for 0 steps.
+    and no action is enabled in it.
     """
     graph, k, final = result.graph, result.k, result.trace.final
     checks = tuple(boundary_checks(result))

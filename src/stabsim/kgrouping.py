@@ -596,14 +596,14 @@ def _prior(ev: Eval) -> bool:
 # ---------------------------------------------------------------------------
 # action tables
 
-def _scalar_sub(label, name, value_fn, reads, nbr_reads, writes=None):
+def _scalar_sub(label, name, value_fn, reads, nbr_reads):
     def evaluate(ev: Eval):
         new = value_fn(ev)
         if ev.store.get(name, BOT) == new:
             return None
         return {name: new}
 
-    return Action(label, evaluate, frozenset(reads), frozenset(writes or (name,)),
+    return Action(label, evaluate, frozenset(reads), frozenset((name,)),
                   frozenset(nbr_reads))
 
 
@@ -653,7 +653,7 @@ def init_actions(k: int) -> AlgorithmSpec:
         _scalar_sub("I4", INIT_GROUP, lambda ev: _init_group_value(ev, k), init_reads,
                     (INIT_GROUP,)),
         _scalar_sub("I5", IN_GROUP, lambda ev: _init_group_value(ev, k),
-                    init_reads | {IN_GROUP}, (INIT_GROUP,), (IN_GROUP,)),
+                    init_reads | {IN_GROUP}, (INIT_GROUP,)),
         _array_sub("I6", IN_GROUP_OF,
                    lambda ev: _share_row(ev, IN_GROUP_OF, _lv(ev)),
                    init_reads | {IN_GROUP, IN_GROUP_OF}, _SHARE_NBR | {IN_GROUP_OF}),

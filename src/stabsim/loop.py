@@ -27,6 +27,10 @@ RESET = "reset"
 MODE_BASE = "A"
 MODE_INIT = "P"
 
+# The labels that start a base execution: the copy shift and the hand-off.
+SHIFT = "L14"
+HANDOFF = "L15"
+
 VARS = (
     Var(COLOR, "scalar", lambda n, k: range(5)),
     Var(MODE, "scalar", lambda n, k: (MODE_BASE, MODE_INIT)),
@@ -115,7 +119,8 @@ def _copy_updates(binding: BaseAlgorithmBinding, store: dict) -> dict:
     for x, in_x in binding.outputs:
         if x in binding.arrays:
             ax = store.get(x) or {}
-            updates[in_x] = {u: ax.get(u, BOT) for u in dom}
+            # Shared, not copied, when keyed by the domain: no value is mutated.
+            updates[in_x] = ax if ax.keys() == dom else {u: ax.get(u, BOT) for u in dom}
         else:
             updates[in_x] = store.get(x, BOT)
     return updates
@@ -298,9 +303,9 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         Action("L11", del_reset, loop_reads, frozenset((RESET,))),
         Action("L12", down, loop_reads, frozenset((COLOR,))),
         Action("L13", to2, loop_reads, frozenset((COLOR,))),
-        Action("L14", to4_base, loop_reads | sync_check.reads,
+        Action(SHIFT, to4_base, loop_reads | sync_check.reads,
                copy_names | frozenset((COLOR,))),
-        Action("L15", to4_init, loop_reads, frozenset((COLOR, MODE))),
+        Action(HANDOFF, to4_init, loop_reads, frozenset((COLOR, MODE))),
         Action("L16", to0, loop_reads, frozenset((COLOR,))),
     )
     return AlgorithmSpec(f"loop({base.name},{init.name})", actions,

@@ -303,8 +303,11 @@ class _Scheduler:
 
 @dataclass
 class StepRecord:
-    selected: tuple[int, ...]
-    fired: dict[int, str]
+    fired: dict[int, str]  # each selected process and the label it fired
+
+    @property
+    def selected(self) -> tuple[int, ...]:
+        return tuple(sorted(self.fired))
 
 
 @dataclass
@@ -330,15 +333,11 @@ class ExecutionTrace:
     steps: list[StepRecord]  # empty when the run was not recorded
     round_boundaries: list[int]  # step counts at which each complete round ends
     verdict: str  # "terminated" | "budget_exhausted"
-    steps_taken: int = 0
+    num_steps: int = 0
 
     @property
     def terminated(self) -> bool:
         return self.verdict == "terminated"
-
-    @property
-    def num_steps(self) -> int:
-        return self.steps_taken
 
     @property
     def num_rounds(self) -> int:
@@ -446,7 +445,7 @@ def run(
         sched.after_step(enabled, selected, new_enabled)
 
         if record_steps:
-            steps.append(StepRecord(tuple(sorted(selected)), fired))
+            steps.append(StepRecord(fired))
         if observers:
             event = StepEvent(i, cfg, new_cfg, selected, fired, enabled, new_enabled, round_end)
             for obs in observers:
@@ -466,7 +465,7 @@ def run(
         steps=steps,
         round_boundaries=boundaries,
         verdict=verdict,
-        steps_taken=steps_done,
+        num_steps=steps_done,
     )
 
 

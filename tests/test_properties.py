@@ -1,7 +1,9 @@
 """Cross-cutting property tests: row forms agree with the reference macros,
 fired labels respect priority under the cached engine, actions touch only
 their declared variables, the round recount matches the engine, pinned
-runs keep their summaries, and the judge catches a tampered final state."""
+runs keep their summaries, boundaries record where each execution starts,
+and the judge catches a tampered final state or an error left at a
+boundary."""
 
 import dataclasses
 import hashlib
@@ -10,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabsim import experiments
 from stabsim.configs import corrupt_config, false_ids, random_config, zeroed_config
 from stabsim.experiments import (
     RunDescriptor,
@@ -39,7 +42,7 @@ from stabsim.kgrouping import (
     same_group_nbrs,
     share,
 )
-from stabsim.loop import COLOR, compose
+from stabsim.loop import COLOR, compose, copy_shift, disabled_everywhere
 from stabsim.kgrouping import kgrouping_binding
 from stabsim.runtime import BOT, DaemonPolicy, Eval, enabled_actions, rounds, run, step
 
@@ -154,8 +157,8 @@ def _audit(action, ev):
 @pytest.mark.parametrize("instance", ["grid3x3-k2", "gnp10-k3", "path7-k1"])
 def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # Read and write audit of every action of the composed, merge and init
-    # tables, on random configurations and on the boundary configurations
-    # of runs.  The checks that compose caches privately (error predicate,
+    # tables, on random configurations and on the configurations each
+    # execution of a run starts from.  The checks that compose caches privately (error predicate,
     # copies in sync) and the payload's cached dist gradient are reached by
     # auditing every cache miss of the runs.
     make, k = INSTANCES[instance]
@@ -177,7 +180,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
             patch.setattr(Eval, "cached", audited_cached)
             result = run_grouping(g, k, DaemonPolicy(kind="random", p=0.5, seed=seed), cfg0)
         assert not judge(result).failures
-        for cfg in (cfg0, *(b.cfg for b in result.boundaries), result.trace.final):
+        for cfg in (cfg0, *(b.start for b in result.boundaries), result.trace.final):
             for v in g.vertices:
                 ev = Eval(cfg, v, g.neighbors_of(v))
                 for table in tables:
@@ -281,3 +284,35 @@ def test_judge_flags_a_tampered_final_configuration():
     assert "1+" in {tag for tag, _ in judge(with_fake).failures}
     recolored = tampered(5, COLOR, 0)
     assert "8" in {tag for tag, _ in judge(recolored).failures}
+
+
+@pytest.mark.parametrize("daemon", sorted(DAEMONS))
+def test_boundaries_record_where_each_execution_starts(daemon):
+    # A shift boundary starts from the shifted configuration, so shifting
+    # again changes nothing; a qualifying hand-off starts where the
+    # initializer is disabled everywhere.
+    shifts = handoffs = 0
+    for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
+        make, k = INSTANCES[instance]
+        for seed in range(3):
+            g = make(seed)
+            result = run_grouping(g, k, DAEMONS[daemon], random_config(g, k, seed=seed))
+            for b in result.boundaries:
+                if b.kind == "shift":
+                    assert copy_shift(b.start, result.binding) == b.start
+                    shifts += 1
+                elif b.qualifying:
+                    assert disabled_everywhere(b.start, result.binding.init, g)
+                    handoffs += 1
+    assert shifts and handoffs  # neither check is vacuous
+
+
+def test_judge_flags_an_error_left_at_a_handoff(monkeypatch):
+    # Criterion 5 is checked, not assumed, where the initializer hands off:
+    # an error predicate reporting an error everywhere must be flagged there.
+    g, k = grid_graph(3, 3), 2
+    monkeypatch.setattr(experiments, "error_nowhere", lambda cfg, binding, graph: False)
+    result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
+                          random_config(g, k, seed=11))
+    flagged = [message for tag, message in judge(result).failures if tag == "5"]
+    assert flagged and all("handoff" in message for message in flagged)
