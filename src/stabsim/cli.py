@@ -86,21 +86,35 @@ def cmd_inject(args) -> int:
     return _emit(result, args.out_dir, "inject")
 
 
-def _parse_range(text: str) -> list[int]:
-    if ":" in text:
+def _parse_range(flag: str, text: str) -> list[int]:
+    """The values of `flag`: a range lo:hi[:step] with hi included, or a
+    list a,b,c."""
+    try:
+        if ":" not in text:
+            return [int(x) for x in text.split(",")]
         parts = [int(x) for x in text.split(":")]
-        if len(parts) == 2:
-            lo, hi = parts
-            step = 1
-        else:
-            lo, hi, step = parts
-        return list(range(lo, hi + 1, step))
-    return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {text}: not a range lo:hi[:step] or a list a,b,c") from None
+    if len(parts) not in (2, 3):
+        raise ValueError(f"{flag} {text}: a range is lo:hi or lo:hi:step")
+    lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+    if step <= 0:
+        raise ValueError(f"{flag} {text}: the step of a range must be positive")
+    return list(range(lo, hi + 1, step))
+
+
+def _log_level(text: str) -> int:
+    """The logging level a name gives, in any case."""
+    level = logging.getLevelName(text.upper())
+    if not isinstance(level, int):
+        raise ValueError(f"STABSIM_LOG={text}: not a log level (DEBUG, INFO, WARNING,"
+                         " ERROR or CRITICAL)")
+    return level
 
 
 def cmd_sweep(args) -> int:
-    ns = _parse_range(args.n)
-    ks = _parse_range(args.k)
+    ns = _parse_range("--n", args.n)
+    ks = _parse_range("--k", args.k)
     seeds = list(range(args.seeds))
     for flag, text, values in (("--n", args.n, ns), ("--k", args.k, ks),
                                ("--seeds", args.seeds, seeds)):
@@ -149,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("STABSIM_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level(os.environ.get("STABSIM_LOG", "WARNING")))
         return args.func(args)
     except (DescriptorError, GraphError, ConfigError, ScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

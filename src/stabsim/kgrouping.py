@@ -19,7 +19,18 @@ per array instead of one per key) that must and do agree with them.  The
 share rows gather along the `dist` gradient: per domain key, the neighbors
 one hop closer to it.  It depends on `domain` and `dist` alone, which the
 initializer fixes for good, so it is the cached action GRADIENT and a run
-computes it once per process per settled ball.
+computes it once per process per settled ball.  The elected target and the
+stamp1 and stamp_dist rows are cached views the same way (TARGET_VIEW, and
+per k the views of merge_actions), each dropped only when its own reads
+change.
+
+Each row form takes the domain keys to compute.  The share, min and
+distance rows are key-local in the array they gather and write, so their
+actions are keyed (runtime.Action.keyed): a run keeps each row and patches
+it per key, recomputing only the keys a neighbor's write changed, and
+computes the full row only first and after a change the whole row depends
+on.  Without the run's kept rows (any Eval built outside `run`), every
+evaluation computes the full row.
 
 Each action declares `reads`, every name it reads in the closed
 neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
@@ -30,6 +41,7 @@ the first or a neighbor one of the second.
 from __future__ import annotations
 
 from functools import wraps
+from types import MappingProxyType
 
 from .graphs import Graph, dist as graph_dist, induced_diameter
 from .loop import BaseAlgorithmBinding
@@ -44,6 +56,7 @@ from .runtime import (
     Var,
     bot_inc,
     bot_min,
+    keyed_updates,
 )
 
 DOMAIN = "domain"
@@ -265,21 +278,25 @@ def distance_macro(ev: Eval, u, x_name: str, sources):
 # ---------------------------------------------------------------------------
 # row-at-a-time forms used by the action tables
 
-def _gradient(ev: Eval) -> tuple:
-    """(u, closer) per domain key u, in domain order: closer holds the
-    positions in ev.nbr_ids of the neighbors one hop closer to u on dist,
-    and is None at the owner's own key.  A tuple, not a dict, because a dict
-    result reads as an action's updates."""
+def _domain_keys(ev: Eval, keys):
+    """The keys a row form computes: `keys`, or the whole domain for None."""
+    return ev.store.get(DOMAIN) or () if keys is None else keys
+
+
+def _gradient(ev: Eval) -> MappingProxyType:
+    """Per domain key u, in domain order, the positions in ev.nbr_ids of the
+    neighbors one hop closer to u on dist; None at the owner's own key.
+    Read-only, because a dict result reads as an action's updates."""
     pid = ev.pid
     own_dist = ev.store.get(DIST) or _EMPTY
     nbrs = [
         (ws.get(DOMAIN) or frozenset(), ws.get(DIST) or _EMPTY)
         for _, ws in _all_nbrs(ev)
     ]
-    rows = []
+    rows = {}
     for u in ev.store.get(DOMAIN) or ():
         if u == pid:
-            rows.append((u, None))
+            rows[u] = None
             continue
         vd = own_dist.get(u, BOT)
         closer = []
@@ -287,23 +304,20 @@ def _gradient(ev: Eval) -> tuple:
             for i, (wdom, wd_dict) in enumerate(nbrs):
                 if u in wdom and wd_dict.get(u, BOT) == vd - 1:
                     closer.append(i)
-        rows.append((u, tuple(closer)))
-    return tuple(rows)
+        rows[u] = tuple(closer)
+    return MappingProxyType(rows)
 
 
 GRADIENT = Action("gradient", _gradient, frozenset((DOMAIN, DIST)))
 
 
-@_per_eval
-def _closer(ev: Eval) -> tuple:
-    """The cached GRADIENT, looked up once per evaluation."""
-    return ev.cached(GRADIENT)
-
-
-def _share_row(ev: Eval, x_name: str, own_value) -> dict:
+def _share_row(ev: Eval, x_name: str, own_value, keys=None) -> dict:
+    """share() at the domain keys `keys` (all of them for None)."""
+    gradient = ev.cached(GRADIENT)
     nbr_x = [ws.get(x_name) or _EMPTY for _, ws in _all_nbrs(ev)]
     row = {}
-    for u, closer in _closer(ev):
+    pairs = gradient.items() if keys is None else ((u, gradient[u]) for u in keys)
+    for u, closer in pairs:
         if closer is None:
             row[u] = own_value
             continue
@@ -316,9 +330,9 @@ def _share_row(ev: Eval, x_name: str, own_value) -> dict:
     return row
 
 
-def _min_row(ev: Eval, x_name: str, q_keys) -> dict:
-    """min_macro applied to every domain key; q_keys holds the keys whose
-    local predicate is true."""
+def _min_row(ev: Eval, x_name: str, q_keys, keys=None) -> dict:
+    """min_macro applied to the domain keys `keys` (all of them for None);
+    q_keys holds the keys whose local predicate is true."""
     pid = ev.pid
     own_dom = ev.store.get(DOMAIN) or frozenset()
     own_gd = ev.store.get(IN_GROUP_DIST) or _EMPTY
@@ -328,7 +342,7 @@ def _min_row(ev: Eval, x_name: str, q_keys) -> dict:
         for _, ws in same_group_nbrs(ev)
     ]
     row = {}
-    for u in own_dom:
+    for u in _domain_keys(ev, keys):
         best = BOT
         for wdom, wx_dict, wgd_dict in hoisted:
             if u not in wdom:
@@ -392,11 +406,11 @@ def _dist_mins(ev: Eval) -> dict:
     return mins
 
 
-def _dist_row(ev: Eval, k: int) -> dict:
+def _dist_row(ev: Eval, k: int, keys=None) -> dict:
     mins = _dist_mins(ev)
     pid = ev.pid
     row = {}
-    for u in ev.store.get(DOMAIN) or ():
+    for u in _domain_keys(ev, keys):
         if u == pid:
             row[u] = 0
         else:
@@ -460,26 +474,35 @@ def _cand(ev: Eval) -> frozenset:
     return frozenset(u for u in _eligible(ev) if not stamped.get(u, False))
 
 
-@_per_eval
-def _target(ev: Eval):
+def _target_value(ev: Eval):
     cand = _cand(ev)
     in_prior = ev.store.get(IN_PRIOR) or _EMPTY
     preferred = [u for u in cand if in_prior.get(u, False)]
     return bot_min(preferred) if preferred else bot_min(cand)
 
 
-def _merge_dist_row(ev: Eval, k: int) -> dict:
+# The elected target group, a cached view of the owner's store alone.
+TARGET_VIEW = Action(
+    "target", _target_value,
+    frozenset((DOMAIN, IN_GROUP, IN_GROUP_OF, BORDER, FAR, IN_STAMP_ON, IN_PRIOR)),
+    nbr_reads=frozenset())
+
+
+def _target(ev: Eval):
+    return ev.cached(TARGET_VIEW)
+
+
+def _merge_dist_row(ev: Eval, k: int, keys=None) -> dict:
     lv = _lv(ev)
     own_sources = list(same_group_nbrs(ev))
     target = _target(ev)
     if target is not BOT and target != lv:
         own_sources = own_sources + list(nbrs_in_group(ev, target))
     arr = ev.store.get(IN_GROUP_OF) or _EMPTY
-    dom = ev.store.get(DOMAIN) or ()
     row = {}
     own_keys = []
     by_other: dict = {}
-    for u in dom:
+    for u in _domain_keys(ev, keys):
         gid = arr.get(u, BOT)
         if gid == lv and lv is not BOT:
             own_keys.append(u)
@@ -495,66 +518,66 @@ def _merge_dist_row(ev: Eval, k: int) -> dict:
     return row
 
 
-def _detector(ev: Eval, u, target_arr) -> bool:
-    lv = _lv(ev)
-    if lv is BOT:
-        return False
-    if target_arr.get(u, BOT) != lv:
-        return False
-    return lv <= u or _target(ev) != u
-
-
-@_per_eval
-def _stamp1_row(ev: Eval, k: int) -> dict:
+def _stamp1_row(ev: Eval, k: int, keys=None) -> dict:
+    """The stamp1 row at the domain keys `keys` (all of them for None): the
+    group minimum of the witnesses at the keys whose group targets ours,
+    the kept stamp or BOT elsewhere."""
     s = ev.store
     target_arr = s.get(TARGET) or _EMPTY
     md = s.get(MERGE_DIST) or _EMPTY
     stamped = s.get(IN_STAMP_ON) or _EMPTY
     in_s1 = s.get(IN_STAMP1) or _EMPTY
+    keys = _domain_keys(ev, keys)
+    # The detectors: keys whose group targets ours, unless the two groups
+    # target each other and theirs has the larger id.
+    lv = _lv(ev)
     detector_keys = []
-    keep_keys = {}
-    dom = s.get(DOMAIN) or ()
-    for u in dom:
-        if _detector(ev, u, target_arr):
-            detector_keys.append(u)
-        elif stamped.get(u, False):
-            keep_keys[u] = in_s1.get(u, BOT)
-        else:
-            keep_keys[u] = BOT
+    if lv is not BOT:
+        target = _target(ev)
+        detector_keys = [u for u in keys
+                         if target_arr.get(u, BOT) == lv and (lv <= u or target != u)]
     q_keys = {
         u for u in detector_keys
         if any(md.get(w, BOT) == k + 1 for w in members_of(ev, u))
     }
-    row = _min_row(ev, STAMP1, q_keys)
-    for u in dom:
-        if u not in detector_keys:
-            row[u] = keep_keys[u]
+    mins = _min_row(ev, STAMP1, q_keys, detector_keys)
+    row = {}
+    for u in keys:
+        if u in mins:
+            row[u] = mins[u]
+        elif stamped.get(u, False):
+            row[u] = in_s1.get(u, BOT)
+        else:
+            row[u] = BOT
     return row
 
 
-@_per_eval
-def _stamp_dist_row(ev: Eval, k: int) -> dict:
+def _stamp_dist_row(ev: Eval, k: int, stamp1) -> dict:
     pid = ev.pid
     lv = _lv(ev)
-    stamp1 = _stamp1_row(ev, k)
     own_sources = [
         (ws.get(DOMAIN) or frozenset(), ws.get(STAMP_DIST) or _EMPTY)
         for _, ws in same_group_nbrs(ev)
     ]
+    # Per group: the least distance its neighbors in it claim to our group.
+    toward = {}
+    for gid, members in _nbrs_by_group(ev).items():
+        if gid is BOT:
+            continue
+        for _, ws in members:
+            d = _entry(ws, STAMP_DIST, lv)
+            if d is not BOT and (gid not in toward or d < toward[gid]):
+                toward[gid] = d
     row = {}
     for u in ev.store.get(DOMAIN) or ():
         if stamp1.get(u, BOT) == pid:
             row[u] = 0
             continue
-        best = BOT
+        best = toward.get(u, BOT)
         for wdom, sd in own_sources:
             if u not in wdom:
                 continue
             d = sd.get(u, BOT)
-            if d is not BOT and (best is BOT or d < best):
-                best = d
-        for _, ws in nbrs_in_group(ev, u):
-            d = _entry(ws, STAMP_DIST, lv)
             if d is not BOT and (best is BOT or d < best):
                 best = d
         row[u] = _clamp_dist(bot_inc(best), k)
@@ -616,11 +639,36 @@ def _array_sub(label, name, row_fn, reads, nbr_reads):
         new = row_fn(ev)
         for u in dom:
             if cur.get(u, BOT) != new[u]:
-                return {name: new}
+                return {name: dict(new)}  # new may be a read-only view
         return None
 
     return Action(label, evaluate, frozenset(reads), frozenset((name,)),
                   frozenset(nbr_reads))
+
+
+def _keyed_sub(label, name, row_of, reads, nbr_reads, share=False):
+    """_array_sub for a row that is key-local in the neighbors' `name`,
+    kept across steps by the engine (Action.keyed).  row_of(ev, keys) gives
+    the row at the domain keys `keys`, or at all of them for None.
+
+    A share row depends on the owner's other variables only at its own key,
+    recomputed at every evaluation, and is dropped when the gradient's reads
+    change; any other row is dropped when the owner changes any of its reads
+    but `name`.
+    """
+    reads = frozenset(reads)
+    fixed = GRADIENT.reads if share else reads - {name}
+
+    def evaluate(ev: Eval):
+        dom = ev.store.get(DOMAIN)
+        if not dom:
+            return None
+        return keyed_updates(ev, action, dom, row_of, fixed,
+                             (ev.pid,) if share else ())
+
+    action = Action(label, evaluate, reads, frozenset((name,)),
+                    frozenset(nbr_reads), keyed=name)
+    return action
 
 
 # What the share rows read from neighbors besides the shared array (the
@@ -634,31 +682,31 @@ def init_actions(k: int) -> AlgorithmSpec:
     """Initializer: (k+1)-ball discovery, tree-band partition, copy seeding."""
     check_k(k)
 
-    init_reads = frozenset((DOMAIN, DIST, HEIGHT, INIT_GROUP, PARENT))
+    tree_reads = (PARENT, HEIGHT, INIT_GROUP)
 
-    def group_dist_row(ev):
-        return _distance_row(
-            ev, IN_GROUP_DIST, same_group_nbrs(ev), ev.store.get(DOMAIN) or (), k
-        )
+    def group_dist_row(ev, keys):
+        return _distance_row(ev, IN_GROUP_DIST, same_group_nbrs(ev),
+                             _domain_keys(ev, keys), k)
 
     def const_false_row(ev):
         return {u: False for u in ev.store.get(DOMAIN) or ()}
 
     actions = (
-        _scalar_sub("I1", DOMAIN, lambda ev: _domain_value(ev, k), init_reads,
+        _scalar_sub("I1", DOMAIN, lambda ev: _domain_value(ev, k), (DOMAIN, DIST),
                     (DOMAIN, DIST)),
-        _array_sub("I2", DIST, lambda ev: _dist_row(ev, k), init_reads, (DOMAIN, DIST)),
-        _scalar_sub("I3", HEIGHT, lambda ev: _height_value(ev, k), init_reads,
+        _keyed_sub("I2", DIST, lambda ev, keys: _dist_row(ev, k, keys),
+                   (DOMAIN, DIST), (DOMAIN, DIST)),
+        _scalar_sub("I3", HEIGHT, lambda ev: _height_value(ev, k), (PARENT, HEIGHT),
                     (PARENT, HEIGHT)),
-        _scalar_sub("I4", INIT_GROUP, lambda ev: _init_group_value(ev, k), init_reads,
+        _scalar_sub("I4", INIT_GROUP, lambda ev: _init_group_value(ev, k), tree_reads,
                     (INIT_GROUP,)),
         _scalar_sub("I5", IN_GROUP, lambda ev: _init_group_value(ev, k),
-                    init_reads | {IN_GROUP}, (INIT_GROUP,)),
-        _array_sub("I6", IN_GROUP_OF,
-                   lambda ev: _share_row(ev, IN_GROUP_OF, _lv(ev)),
-                   init_reads | {IN_GROUP, IN_GROUP_OF}, _SHARE_NBR | {IN_GROUP_OF}),
-        _array_sub("I7", IN_GROUP_DIST, group_dist_row,
-                   init_reads | {IN_GROUP, IN_GROUP_DIST}, _GROUP_NBR),
+                    (*tree_reads, IN_GROUP), (INIT_GROUP,)),
+        _keyed_sub("I6", IN_GROUP_OF,
+                   lambda ev, keys: _share_row(ev, IN_GROUP_OF, _lv(ev), keys),
+                   _SHARE_NBR | {IN_GROUP, IN_GROUP_OF}, _SHARE_NBR | {IN_GROUP_OF},
+                   share=True),
+        _keyed_sub("I7", IN_GROUP_DIST, group_dist_row, _GROUP_NBR, _GROUP_NBR),
         _array_sub("I8", IN_STAMP_ON, const_false_row,
                    frozenset((DOMAIN, IN_STAMP_ON)), ()),
         _array_sub("I9", IN_PRIOR, const_false_row,
@@ -671,37 +719,54 @@ def merge_actions(k: int) -> AlgorithmSpec:
     """Merge phase: target election, union distances, stamps, regrouping."""
     check_k(k)
 
-    def border_row(ev):
-        by_group = _nbrs_by_group(ev)
-        q_keys = {u for u in ev.store.get(DOMAIN) or () if by_group.get(u)}
-        return _min_row(ev, BORDER, q_keys)
+    # The stamp rows as cached views of the closed neighborhood: M6 and M7
+    # read them, and M5's first computation is the stamp1 view.
+    stamp1_reads = TARGET_VIEW.reads | {TARGET, MERGE_DIST, IN_STAMP1, IN_GROUP_DIST,
+                                        STAMP1}
+    stamp1_view = Action(
+        "stamp1", lambda ev: MappingProxyType(_stamp1_row(ev, k)), stamp1_reads,
+        nbr_reads=_GROUP_NBR | {STAMP1})
+    stamp_dist_view = Action(
+        "stamp_dist",
+        lambda ev: MappingProxyType(_stamp_dist_row(ev, k, ev.cached(stamp1_view))),
+        stamp1_reads | {STAMP_DIST}, nbr_reads=_GROUP_NBR | {STAMP1, STAMP_DIST})
 
-    def far_row(ev):
+    def border_row(ev, keys):
+        by_group = _nbrs_by_group(ev)
+        q_keys = {u for u in _domain_keys(ev, keys) if by_group.get(u)}
+        return _min_row(ev, BORDER, q_keys, keys)
+
+    def far_row(ev, keys):
         d = ev.store.get(DIST) or _EMPTY
         q_keys = {
-            u for u in ev.store.get(DOMAIN) or ()
+            u for u in _domain_keys(ev, keys)
             if any(d.get(w, BOT) == k + 1 for w in members_of(ev, u))
         }
-        return _min_row(ev, FAR, q_keys)
+        return _min_row(ev, FAR, q_keys, keys)
 
-    def target_row(ev):
-        return _share_row(ev, TARGET, _target(ev))
+    def target_row(ev, keys):
+        return _share_row(ev, TARGET, _target(ev), keys)
 
-    def stamp2_row(ev):
-        sd = _stamp_dist_row(ev, k)
-        q_keys = {u for u, d in sd.items() if d == k + 1}
-        return _min_row(ev, STAMP2, q_keys)
+    def stamp1_row(ev, keys):
+        if keys is None:
+            return dict(ev.cached(stamp1_view))
+        return _stamp1_row(ev, k, keys)
 
-    def groups_row(ev):
-        return _share_row(ev, GROUP_OF, ev.store.get(GROUP, BOT))
+    def stamp2_row(ev, keys):
+        sd = ev.cached(stamp_dist_view)
+        q_keys = {u for u in _domain_keys(ev, keys) if sd[u] == k + 1}
+        return _min_row(ev, STAMP2, q_keys, keys)
 
-    def group_dist_row(ev):
+    def groups_row(ev, keys):
+        return _share_row(ev, GROUP_OF, ev.store.get(GROUP, BOT), keys)
+
+    def group_dist_row(ev, keys):
         own = ev.store.get(GROUP, BOT)
         srcs = [(w, ws) for w, ws in _all_nbrs(ev) if ws.get(GROUP, BOT) == own]
-        return _distance_row(ev, GROUP_DIST, srcs, ev.store.get(DOMAIN) or (), k)
+        return _distance_row(ev, GROUP_DIST, srcs, _domain_keys(ev, keys), k)
 
-    def merging_row(ev):
-        return _share_row(ev, MERGING, _merging(ev))
+    def merging_row(ev, keys):
+        return _share_row(ev, MERGING, _merging(ev), keys)
 
     def stamp_on_row(ev):
         sd = ev.store.get(STAMP_DIST) or _EMPTY
@@ -714,44 +779,45 @@ def merge_actions(k: int) -> AlgorithmSpec:
             for u in ev.store.get(DOMAIN) or ()
         }
 
-    def prior_row(ev):
-        return _share_row(ev, PRIOR, _prior(ev))
+    def prior_row(ev, keys):
+        return _share_row(ev, PRIOR, _prior(ev), keys)
 
     shared = frozenset((DOMAIN, DIST, IN_GROUP, IN_GROUP_OF, IN_GROUP_DIST,
                         IN_STAMP_ON, IN_PRIOR))
     cand_reads = shared | {BORDER, FAR}
 
     actions = (
-        _array_sub("M1", BORDER, border_row, shared | {BORDER}, _GROUP_NBR | {BORDER}),
-        _array_sub("M2", FAR, far_row, shared | {FAR}, _GROUP_NBR | {FAR}),
-        _array_sub("M3", TARGET, target_row, cand_reads | {TARGET},
-                   _SHARE_NBR | {TARGET}),
-        _array_sub("M4", MERGE_DIST, lambda ev: _merge_dist_row(ev, k),
+        _keyed_sub("M1", BORDER, border_row, shared | {BORDER}, _GROUP_NBR | {BORDER}),
+        _keyed_sub("M2", FAR, far_row, shared | {FAR}, _GROUP_NBR | {FAR}),
+        _keyed_sub("M3", TARGET, target_row, cand_reads | {TARGET},
+                   _SHARE_NBR | {TARGET}, share=True),
+        _keyed_sub("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
                    cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
-        _array_sub("M5", STAMP1, lambda ev: dict(_stamp1_row(ev, k)),
+        _keyed_sub("M5", STAMP1, stamp1_row,
                    cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1},
                    _GROUP_NBR | {STAMP1}),
-        _array_sub("M6", STAMP_DIST, lambda ev: dict(_stamp_dist_row(ev, k)),
+        _array_sub("M6", STAMP_DIST, lambda ev: ev.cached(stamp_dist_view),
                    cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST},
                    _GROUP_NBR | {STAMP1, STAMP_DIST}),
-        _array_sub("M7", STAMP2, stamp2_row,
+        _keyed_sub("M7", STAMP2, stamp2_row,
                    cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST,
                                  STAMP2},
                    _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}),
         _scalar_sub("M8", GROUP, _group_value,
                     cand_reads | {TARGET, STAMP_DIST, GROUP}, ()),
-        _array_sub("M9", GROUP_OF, groups_row, shared | {GROUP, GROUP_OF},
-                   _SHARE_NBR | {GROUP_OF}),
-        _array_sub("M10", GROUP_DIST, group_dist_row,
+        _keyed_sub("M9", GROUP_OF, groups_row, shared | {GROUP, GROUP_OF},
+                   _SHARE_NBR | {GROUP_OF}, share=True),
+        _keyed_sub("M10", GROUP_DIST, group_dist_row,
                    frozenset((DOMAIN, DIST, GROUP, GROUP_DIST)),
                    (DOMAIN, GROUP, GROUP_DIST)),
-        _array_sub("M11", MERGING, merging_row,
-                   cand_reads | {TARGET, STAMP_DIST, MERGING}, _SHARE_NBR | {MERGING}),
+        _keyed_sub("M11", MERGING, merging_row,
+                   cand_reads | {TARGET, STAMP_DIST, MERGING}, _SHARE_NBR | {MERGING},
+                   share=True),
         _array_sub("M12", STAMP_ON, stamp_on_row,
                    cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, ()),
-        _array_sub("M13", PRIOR, prior_row,
+        _keyed_sub("M13", PRIOR, prior_row,
                    cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
-                   _SHARE_NBR | {PRIOR}),
+                   _SHARE_NBR | {PRIOR}, share=True),
     )
     return AlgorithmSpec("merge", actions, domain_var=DOMAIN)
 

@@ -21,6 +21,8 @@ BOT = None
 Store = dict  # variable name -> value; array variables map pid -> value
 Configuration = dict  # pid -> Store
 
+_EMPTY: dict = {}
+
 # The tree layer's parent pointer, read by Eval.parent and Eval.children.
 PARENT = "parent"
 
@@ -63,10 +65,19 @@ class Eval:
     in the action's `reads`, or when a neighbor changes one in its
     `nbr_reads`, so cached results stay snapshot-accurate.  Payload layers
     cache derived views this way too, such as the grouping payload's `dist`
-    gradient, an Action whose evaluate returns a value instead of updates.
+    gradient, an Action whose evaluate returns a value (never a dict, which
+    reads as updates) instead of updates.  Without `shared`, `cached`
+    memoizes in `memo` for this one snapshot.
+
+    `kept` is the run's table of kept rows of keyed actions (see
+    Action.keyed and keyed_updates): per Action, per process, the last row,
+    the keys where it disagrees with the stored array, and the keys
+    neighbors changed since.  Without it (an Eval built outside `run`) every
+    row is computed in full.
     """
 
-    __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "shared", "_children")
+    __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "shared", "kept",
+                 "_children")
 
     def __init__(
         self,
@@ -74,6 +85,7 @@ class Eval:
         pid: int,
         nbr_ids: tuple[int, ...],
         shared: Optional[dict] = None,
+        kept: Optional[KeptRows] = None,
     ):
         self.cfg = cfg
         self.pid = pid
@@ -81,6 +93,7 @@ class Eval:
         self.nbr_ids = nbr_ids
         self.memo = {}
         self.shared = shared
+        self.kept = kept
         self._children = None
 
     def nbr(self, u: int) -> Store:
@@ -90,7 +103,7 @@ class Eval:
         """action.evaluate(self), memoized until one of its reads changes."""
         shared = self.shared
         if shared is None:
-            return action.evaluate(self)
+            shared = self.memo
         if action in shared:
             return shared[action]
         value = shared[action] = action.evaluate(self)
@@ -141,6 +154,15 @@ class Action:
     process changes one of `reads` or a neighbor one of `nbr_reads`.
     `writes` declares the variables the statement may assign.  Actions hash
     by identity, so a cache lookup never hashes their fields.
+
+    `keyed` names an array the action writes and reads from neighbors when
+    its row is key-local in it: the row's entry at key u depends on the
+    neighbors' arrays only through their entries at u.  `run` then keeps the
+    row across steps (Eval.kept): a neighbor's write of that array alone
+    queues the keys whose value changed, and `evaluate` recomputes just
+    those (keyed_updates); a write of any other name in `nbr_reads` drops
+    the row, and so does the owner's write of a variable the whole row
+    depends on, or of the array with anything but the row itself.
     """
 
     label: str
@@ -148,6 +170,7 @@ class Action:
     reads: frozenset = frozenset()
     writes: frozenset = frozenset()
     nbr_reads: Optional[frozenset] = None
+    keyed: Optional[str] = None
 
     def __post_init__(self):
         if self.nbr_reads is None:
@@ -156,6 +179,148 @@ class Action:
             raise ValueError(
                 f"{self.label}: neighbor reads {sorted(self.nbr_reads - self.reads)}"
                 " are not declared in reads")
+        if self.keyed is not None and not (
+                self.keyed in self.writes and self.keyed in self.nbr_reads):
+            raise ValueError(
+                f"{self.label}: keyed array {self.keyed!r} must be written and"
+                " read from neighbors")
+
+
+class Kept:
+    """The last row of a keyed action at one process, kept by `run`.
+
+    `diff` holds the keys where `row` disagrees with the stored array, and
+    `waiting` the keys of the keyed array that neighbors changed since the
+    row was last patched.  Once the row is handed out as updates (`handed`)
+    it may be stored in a configuration, so it is copied before it is
+    patched again.
+    """
+
+    __slots__ = ("row", "diff", "waiting", "handed")
+
+    def __init__(self, row: dict, diff: set):
+        self.row = row
+        self.diff = diff
+        self.waiting = set()
+        self.handed = False
+
+
+class KeptRows:
+    """The rows `run` keeps for keyed actions: per action, per process, a
+    Kept.  `changed` applies one process's step to them."""
+
+    def __init__(self, domain_var: Optional[str]):
+        self.domain_var = domain_var
+        self.by_action: dict[Action, dict[int, Kept]] = {}
+        self.fixed: dict[Action, frozenset] = {}
+        self._touching: dict[frozenset, tuple] = {}  # names -> rows they touch
+
+    def rows(self, action: Action, fixed: frozenset) -> dict[int, Kept]:
+        """The kept rows of `action`, whose owner's `fixed` variables the
+        whole row depends on."""
+        rows = self.by_action.get(action)
+        if rows is None:
+            rows = self.by_action[action] = {}
+            self.fixed[action] = fixed
+            self._touching.clear()
+        return rows
+
+    def changed(self, v: int, names: frozenset, old: Store, new: Store,
+                nbrs: tuple[int, ...]) -> None:
+        """Process v's store went from old to new, changing `names`.
+
+        A row of v whose keyed array v overwrote with that very row now
+        agrees with it everywhere; a row of v is dropped if v changed a
+        fixed variable or stored anything else in the array.  A neighbor's
+        row queues the changed keys if v changed the keyed array alone among
+        the row's neighbor reads, and is dropped if v changed another one.
+        A domain write drops v's rows and the neighbor rows it touches."""
+        if self.domain_var in names:
+            # new keys for every row of v, and new neighbor arrays
+            for action, rows in self.by_action.items():
+                rows.pop(v, None)
+                if not names.isdisjoint(action.nbr_reads):
+                    for w in nbrs:
+                        rows.pop(w, None)
+            return
+        touched = self._touching.get(names)
+        if touched is None:
+            touched = self._touching[names] = tuple(
+                (a, rows, self.fixed[a]) for a, rows in self.by_action.items()
+                if a.keyed in names or not names.isdisjoint(self.fixed[a])
+                or not names.isdisjoint(a.nbr_reads))
+        diffs = {}  # keyed array -> its changed keys, computed once
+        for action, rows, fixed in touched:
+            name = action.keyed
+            state = rows.get(v)
+            if state is not None and (name in names or not names.isdisjoint(fixed)):
+                if names.isdisjoint(fixed) and new.get(name) is state.row:
+                    state.diff.clear()  # the owner stored the row itself
+                else:
+                    del rows[v]
+            nbr_reads = action.nbr_reads
+            if names.isdisjoint(nbr_reads):
+                continue
+            if name not in names or len(names & nbr_reads) > 1:
+                for w in nbrs:
+                    rows.pop(w, None)
+                continue
+            if name not in diffs:
+                diffs[name] = changed_keys(old.get(name), new.get(name))
+            keys = diffs[name]
+            if keys:
+                for w in nbrs:
+                    state = rows.get(w)
+                    if state is not None:
+                        state.waiting |= keys
+
+
+def keyed_updates(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
+                  always=()) -> Optional[dict]:
+    """Evaluate the keyed `action` (an array substitution) from its kept row.
+
+    `keys` is the owner's domain, the keys of the row; `row_of(ev, some)`
+    computes the row at the keys `some`, or at all of `keys` for None.
+    `fixed` names the owner's variables the whole row depends on, and
+    `always` the keys recomputed at every evaluation (those that depend on
+    other owner variables).  The first evaluation computes the full row;
+    later ones recompute the waiting keys and `always`, and update the
+    disagreement set at those keys only.  Enabled iff the row disagrees with
+    the stored array at some key of `keys`; the updates write the row.
+    """
+    name = action.keyed
+    stored = ev.store.get(name) or _EMPTY
+    rows = None if ev.kept is None else ev.kept.rows(action, fixed)
+    state = None if rows is None else rows.get(ev.pid)
+    if state is None:
+        row = row_of(ev, None)
+        diff = {u for u in keys if stored.get(u, BOT) != row[u]}
+        if rows is not None:
+            state = rows[ev.pid] = Kept(row, diff)
+    else:
+        todo = state.waiting
+        todo.update(always)
+        todo = [u for u in todo if u in keys]
+        state.waiting = set()
+        row, diff = state.row, state.diff
+        if todo:
+            new = row_of(ev, todo)
+            for u in todo:
+                x = new[u]
+                if row[u] != x:
+                    if state.handed:
+                        row = state.row = dict(row)
+                        state.handed = False
+                    row[u] = x
+                if stored.get(u, BOT) != x:
+                    diff.add(u)
+                else:
+                    diff.discard(u)
+    if not diff:
+        return None
+    if state is not None:
+        state.handed = True
+    return {name: row}
 
 
 @dataclass(frozen=True)
@@ -205,6 +370,19 @@ def apply_updates(store: Store, updates: dict, domain_var: Optional[str]) -> Sto
             if isinstance(value, dict) and any(u not in dom for u in value):
                 new[name] = {u: x for u, x in value.items() if u in dom}
     return new
+
+
+def changed_keys(old: Optional[dict], new: Optional[dict]) -> set:
+    """The keys whose entry differs between two values of an array; a
+    missing key reads as BOT."""
+    if old is new:
+        return set()
+    old = old or _EMPTY
+    new = new or _EMPTY
+    keys = {u for u, x in new.items() if old.get(u, BOT) != x}
+    if not old.keys() <= new.keys():
+        keys.update(u for u in old.keys() - new.keys() if old[u] is not BOT)
+    return keys
 
 
 def step(
@@ -372,9 +550,10 @@ def run(
 
     cfg = {v: dict(cfg0[v]) for v in cfg0}
     shared = {v: {} for v in graph.vertices}  # see Eval.cached
+    kept = KeptRows(alg.domain_var)  # see Action.keyed
 
     def fresh_eval(c, v):
-        return Eval(c, v, adj[v], shared[v])
+        return Eval(c, v, adj[v], shared[v], kept)
 
     cache: dict[int, Optional[tuple[str, dict]]] = {}
     for v in graph.vertices:
@@ -423,6 +602,7 @@ def run(
                 entries = shared[w]
                 for action in [a for a in entries if not names.isdisjoint(a.nbr_reads)]:
                     del entries[action]
+            kept.changed(v, names, cfg[v], new_cfg[v], adj[v])
         new_enabled = set(enabled)
         for v in dirty:
             hit = alg.first_enabled(fresh_eval(new_cfg, v))

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import pytest
 
@@ -226,4 +227,49 @@ def test_cmd_sweep_that_runs_nothing_is_input_error(tmp_path, capsys, override):
     ])
     assert code == EXIT_INPUT
     assert override[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param(["--n", "48:6:-6"], id="n-negative-step"),
+    pytest.param(["--n", "6:12:0"], id="n-zero-step"),
+    pytest.param(["--k", "1:3:-1"], id="k-negative-step"),
+    pytest.param(["--n", "4:6:1:2"], id="n-four-parts"),
+    pytest.param(["--k", "two"], id="k-not-a-number"),
+])
+def test_cmd_sweep_malformed_range_is_input_error(tmp_path, capsys, override):
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "sweep", "--family", "path", "--n", "5", "--k", "2", "--seeds", "1",
+        "--out", str(out), *override,
+    ])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{override[0]} {override[1]}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,level", [("info", logging.INFO), ("Debug", logging.DEBUG),
+                                        ("WARNING", logging.WARNING)])
+def test_log_level_names_in_any_case(tmp_path, monkeypatch, name, level):
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    monkeypatch.setenv("STABSIM_LOG", name)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "path", "--n", "4", "--k", "1", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert levels == [level]
+
+
+def test_unknown_log_level_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: None)
+    monkeypatch.setenv("STABSIM_LOG", "verbose")
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "path", "--n", "4", "--k", "1", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: STABSIM_LOG=verbose") and err.count("\n") == 1
     assert not out.exists()

@@ -1,10 +1,19 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from stabsim.bfs import LEVEL, PARENT, ROOT
-from stabsim.configs import zeroed_config
-from stabsim.graphs import cycle_graph, dist, make_graph, path_graph
+from stabsim.configs import random_config, zeroed_config
+from stabsim.graphs import (
+    cycle_graph,
+    dist,
+    grid_graph,
+    make_graph,
+    path_graph,
+    random_connected_graph,
+)
 from stabsim.kgrouping import (
     BORDER,
     DIST,
@@ -28,7 +37,8 @@ from stabsim.kgrouping import (
     near,
     share,
 )
-from stabsim.runtime import BOT, DaemonPolicy, Eval, run
+from stabsim.loop import check_Cfin, compose
+from stabsim.runtime import BOT, DaemonPolicy, Eval, KeptRows, run
 
 
 def tree_state(graph):
@@ -441,3 +451,63 @@ def test_synchronous_daemon_flushes_false_identifiers():
         )
         failures = judge(res).failures
         assert not failures, (i, failures[:2])
+
+
+# ---------------------------------------------------------------------------
+# kept rows against full recomputes
+
+def _checked(action, checks):
+    """`action` with an evaluate that, at every patched evaluation of its
+    kept row, checks the row against a full recompute (the row forms the
+    reference macros pin down) and the disagreement set against the stored
+    array."""
+    real = action.evaluate
+
+    def evaluate(ev):
+        rows = None if ev.kept is None else ev.kept.by_action.get(action)
+        patched = rows is not None and ev.pid in rows
+        updates = real(ev)
+        if patched:
+            state = rows[ev.pid]
+            fresh = KeptRows(DOMAIN)  # no row kept: the first evaluation is full
+            assert real(Eval(ev.cfg, ev.pid, ev.nbr_ids, {}, fresh)) == updates
+            full = fresh.by_action[action][ev.pid]
+            assert state.row == full.row, action.label
+            stored = ev.store.get(action.keyed) or {}
+            assert state.diff == {u for u in ev.store[DOMAIN]
+                                  if stored.get(u, BOT) != state.row[u]}, action.label
+            assert state.diff == full.diff, action.label
+            checks[action.label] += 1
+        return updates
+
+    return dataclasses.replace(action, evaluate=evaluate)
+
+
+KEYED_LABELS = {"I2", "I6", "I7", "M1", "M2", "M3", "M4", "M5", "M7", "M9", "M10",
+                "M11", "M13"}
+
+
+@pytest.mark.parametrize("daemon", [DaemonPolicy(kind="random", p=0.5, seed=4),
+                                    DaemonPolicy(kind="synchronous"),
+                                    DaemonPolicy(kind="central", seed=4)],
+                         ids=["random", "synchronous", "central"])
+def test_kept_rows_match_full_recomputes(daemon):
+    checks = Counter()
+    for graph, k in ((grid_graph(3, 3), 2), (random_connected_graph(10, 0.3, 0), 3),
+                     (path_graph(7), 1)):
+        binding = kgrouping_binding(k)
+
+        def checked(spec):
+            actions = tuple(_checked(a, checks) if a.keyed else a for a in spec.actions)
+            return dataclasses.replace(spec, actions=actions)
+
+        binding = dataclasses.replace(binding, base=checked(binding.base),
+                                      init=checked(binding.init))
+        cfg0 = random_config(graph, k, seed=3, n_false=2)
+        trace = run(graph, compose(binding, graph), cfg0, daemon, max_steps=200_000,
+                    record_steps=False)
+        assert trace.terminated
+        assert check_Cfin(trace.final, binding, graph)
+    assert {a.label for a in (*kgrouping_binding(1).base.actions,
+                              *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
+    assert set(checks) == KEYED_LABELS, sorted(KEYED_LABELS - set(checks))

@@ -159,8 +159,9 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # Read and write audit of every action of the composed, merge and init
     # tables, on random configurations and on the configurations each
     # execution of a run starts from.  The checks that compose caches privately (error predicate,
-    # copies in sync) and the payload's cached dist gradient are reached by
-    # auditing every cache miss of the runs.
+    # copies in sync) and the payload's cached views (the dist gradient, the
+    # target, the stamp1 and stamp_dist rows) are reached by auditing every
+    # cache miss of the runs.
     make, k = INSTANCES[instance]
     real_cached = Eval.cached
     audited = set()
@@ -186,7 +187,8 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
                 for table in tables:
                     for action in table.actions:
                         _audit(action, ev)
-    assert {"E", "sync", "gradient", "M1", "I1"} <= audited
+    assert {"E", "sync", "gradient", "target", "stamp1", "stamp_dist", "M1",
+            "I1"} <= audited
 
 
 def test_round_recount_matches_engine():

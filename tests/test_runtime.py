@@ -12,6 +12,7 @@ from stabsim.runtime import (
     bot_inc,
     bot_min,
     enabled_actions,
+    keyed_updates,
     rounds,
     run,
     step,
@@ -364,3 +365,130 @@ def test_cache_drops_entries_by_owner_and_neighbor_reads():
     assert trace.final == replay
     assert all(trace.final[v]["seen"] == 1 for v in (1, 2))
 
+
+
+# ---------------------------------------------------------------------------
+# kept rows of keyed actions
+
+FULL_DOMAIN = frozenset({1, 2, 3})
+
+
+def keyed_copy(script, calls, seen, handed=None):
+    """Process 2 keeps the row u -> process 1's a[u] (action K, keyed on
+    `a`, reading `b` of its neighbor too); W applies script[pid], one write
+    per step.  `calls` records the keys of every row computation (None for
+    a full row), `seen` the waiting keys of the kept row at the start of
+    each evaluation at 2 (None when no row is kept), `handed` each row
+    handed out as updates next to a copy of its content."""
+
+    def row_of(ev, keys):
+        if ev.kept is not None:  # not the uncached replay
+            calls.append(None if keys is None else sorted(keys))
+        src = ev.nbr(1)["a"]
+        return {u: src.get(u) for u in (ev.store["domain"] if keys is None else keys)}
+
+    def evaluate_k(ev):
+        if ev.pid != 2:
+            return None
+        if ev.kept is not None:
+            state = ev.kept.by_action.get(keyed, {}).get(2)
+            seen.append(None if state is None else set(state.waiting))
+        updates = keyed_updates(ev, keyed, ev.store["domain"], row_of,
+                                frozenset({"domain"}))
+        if updates is not None and handed is not None and ev.kept is not None:
+            handed.append((updates["a"], dict(updates["a"])))
+        return updates
+
+    def evaluate_w(ev):
+        todo = script.get(ev.pid, ())
+        i = ev.store["i"]
+        return dict(todo[i], i=i + 1) if i < len(todo) else None
+
+    keyed = Action("K", evaluate_k, frozenset({"domain", "a", "b"}), frozenset({"a"}),
+                   keyed="a")
+    write = Action("W", evaluate_w, frozenset({"i"}),
+                   frozenset({"domain", "a", "b", "c", "i"}), frozenset())
+    return AlgorithmSpec("keyed", (keyed, write), domain_var="domain")
+
+
+def run_keyed_copy(script, selections, calls, seen, handed=None, observers=()):
+    g = make_graph([1, 2], [(1, 2)])
+    cfg0 = {v: {"domain": FULL_DOMAIN, "a": {1: 5, 2: 5, 3: 5}, "b": 0, "c": 0, "i": 0}
+            for v in (1, 2)}
+    alg = keyed_copy(script, calls, seen, handed)
+    trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=selections),
+                len(selections) + 1, observers=observers)
+    assert trace.terminated
+    replay = cfg0
+    for rec in trace.steps:
+        replay = step(replay, set(rec.selected), alg, g)
+    assert trace.final == replay
+    return trace
+
+
+def test_keyed_action_must_write_and_read_its_array_from_neighbors():
+    with pytest.raises(ValueError, match="keyed"):
+        Action("K", lambda ev: None, frozenset("ab"), frozenset("b"), keyed="a")
+    with pytest.raises(ValueError, match="keyed"):
+        Action("K", lambda ev: None, frozenset("ab"), frozenset("a"),
+               nbr_reads=frozenset("b"), keyed="a")
+
+
+def test_kept_row_patches_the_changed_keys_only():
+    calls, seen = [], []
+    trace = run_keyed_copy({1: [{"a": {1: 5, 2: 7, 3: 5}}]}, [{1}, {2}], calls, seen)
+    assert calls == [None, [2]]
+    assert seen == [None, {2}, set()]
+    assert trace.final[2]["a"] == {1: 5, 2: 7, 3: 5}
+
+
+def test_domain_write_forces_a_full_recompute():
+    # The owner's domain write, then a neighbor's: each prunes arrays, and
+    # the next evaluation computes the whole row again.
+    calls, seen = [], []
+    trace = run_keyed_copy(
+        {2: [{"domain": frozenset({1, 2})}], 1: [{"domain": frozenset({1})}]},
+        [{2}, {1}, {2}], calls, seen)
+    assert calls == [None, None, None]
+    assert seen == [None, None, None, set()]
+    assert trace.final[2]["a"] == {1: 5, 2: None}
+
+
+def test_neighbor_write_of_another_neighbor_read_drops_the_kept_row():
+    # `c` is not read by K: the row stays; `b` is a neighbor read of K
+    # besides the keyed array: the row is dropped and recomputed in full.
+    calls, seen = [], []
+    run_keyed_copy({1: [{"c": 1}, {"b": 1}]}, [{1}, {1}], calls, seen)
+    assert seen == [None, set(), None]
+    assert calls == [None, None]
+
+
+def test_write_of_equal_values_adds_no_waiting_keys():
+    calls, seen = [], []
+    run_keyed_copy({1: [{"a": {1: 5, 2: 5, 3: 5}}, {"a": {1: 5, 2: 5, 3: 6}}]},
+                   [{1}, {1}, {2}], calls, seen)
+    assert seen[:3] == [None, set(), {3}]
+    assert calls == [None, [3]]
+
+
+def test_row_handed_out_as_updates_is_never_mutated():
+    # Every array stored in any configuration of the run, and every row
+    # handed out as updates, keeps its content to the end, although the
+    # kept row is patched after each was handed out.
+    calls, seen, handed, stored = [], [], [], []
+
+    def snapshot(event):
+        for s in event.post_cfg.values():
+            stored.append((s["a"], dict(s["a"])))
+
+    trace = run_keyed_copy(
+        {1: [{"a": {1: 5, 2: 7, 3: 5}}, {"a": {1: 5, 2: 7, 3: 9}}]},
+        [{1}, {2}, {1}, {2}], calls, seen, handed, observers=(snapshot,))
+    assert calls == [None, [2], [3]]
+    assert len(handed) == 2
+    (first, first_copy), (second, second_copy) = handed
+    assert first is not second
+    assert first == first_copy == {1: 5, 2: 7, 3: 5}
+    assert second == second_copy == {1: 5, 2: 7, 3: 9}
+    assert trace.final[2]["a"] is second
+    assert all(obj == copy for obj, copy in stored)
