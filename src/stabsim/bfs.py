@@ -39,7 +39,8 @@ def bfs_actions(graph: Graph) -> AlgorithmSpec:
         return {ROOT: desired[0], LEVEL: desired[1], PARENT: desired[2]}
 
     names = frozenset(var.name for var in VARS)
-    action = Action(label="B1", evaluate=correct, reads=names, writes=names)
+    action = Action(label="B1", evaluate=correct, reads=names, writes=names,
+                    nbr_reads=frozenset((ROOT, LEVEL)))
     return AlgorithmSpec("bfs", (action,))
 
 

@@ -367,7 +367,8 @@ def parse_descriptor(payload: dict) -> RunDescriptor:
             k=k,
             daemon=daemon,
             max_steps=_field(payload, "max_steps", None,
-                             lambda x: x is None or _is_int(x), "an integer"),
+                             lambda x: x is None or (_is_int(x) and x > 0),
+                             "a positive integer"),
             init_mode=_field(init, "mode", "zeroed",
                              lambda x: x in ("zeroed", "random", "adversarial-file"),
                              "zeroed, random or adversarial-file"),
@@ -409,7 +410,9 @@ def run_with_corruption(
     if count <= 0:
         return run_descriptor(desc)
     cfg = desc.initial_configuration()
-    budget = desc.max_steps or default_max_steps(desc.graph, diameter(desc.graph))
+    budget = desc.max_steps
+    if budget is None:
+        budget = default_max_steps(desc.graph, diameter(desc.graph))
     if at_step > 0:
         alg = compose(kgrouping_binding(desc.k), desc.graph)
         cfg = run(

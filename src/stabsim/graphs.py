@@ -211,6 +211,8 @@ def path_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise GraphError("a cycle needs at least 3 vertices")
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
     return make_graph(range(1, n + 1), edges)
 

@@ -274,7 +274,6 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return {COLOR: 0}
 
     (tree,) = bfs_actions(graph).actions
-    loop_reads = frozenset((COLOR, MODE, RESET, PARENT))
     copy_names = frozenset(c for _, c in binding.outputs)
     out_names = frozenset(x for x, _ in binding.outputs)
     domain = frozenset((binding.domain_var,)) - {None}
@@ -285,28 +284,35 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     sync_check = Action("sync", lambda ev: _copies_match(binding, ev.store),
                         out_names | copy_names | domain, nbr_reads=frozenset())
 
+    # Each action declares only what it reads: `reads` in the closed
+    # neighborhood, `nbr_reads` in the neighbors' stores.  A walk reads the
+    # parent's and the children's `x`, finding them by the parent pointers.
+    color, mode, reset = frozenset((COLOR,)), frozenset((MODE,)), frozenset((RESET,))
+    color_walk, reset_walk = color | {PARENT}, reset | {PARENT}
+    in_mode = color | mode  # run_module's test of the closed neighborhood
+
     actions = (
-        Action("L1", tree.evaluate, tree.reads, tree.writes),
-        Action("L2", color_reset, loop_reads, frozenset((COLOR,))),
-        Action("L3", restart_below((1, 2), {COLOR: 0}), loop_reads, frozenset((COLOR,))),
-        Action("L4", restart_below((3, 4), {COLOR: 0, RESET: 1}), loop_reads,
-               frozenset((COLOR, RESET))),
-        Action("L5", error_to_init, loop_reads | copy_names | init.writes,
-               frozenset((MODE, RESET))),
-        Action("L6", follow_to_init, loop_reads, frozenset((MODE, RESET))),
-        Action("L7", run_module(base, MODE_BASE), loop_reads | base.reads,
-               base.writes | frozenset((RESET,))),
-        Action("L8", run_module(init, MODE_INIT), loop_reads | init.reads,
-               init.writes | frozenset((RESET,))),
-        Action("L9", illegal, loop_reads, frozenset((COLOR, RESET))),
-        Action("L10", propagate_reset, loop_reads, frozenset((RESET,))),
-        Action("L11", del_reset, loop_reads, frozenset((RESET,))),
-        Action("L12", down, loop_reads, frozenset((COLOR,))),
-        Action("L13", to2, loop_reads, frozenset((COLOR,))),
-        Action(SHIFT, to4_base, loop_reads | sync_check.reads,
-               copy_names | frozenset((COLOR,))),
-        Action(HANDOFF, to4_init, loop_reads, frozenset((COLOR, MODE))),
-        Action("L16", to0, loop_reads, frozenset((COLOR,))),
+        Action("L1", tree.evaluate, tree.reads, tree.writes, tree.nbr_reads),
+        Action("L2", color_reset, color | reset, color, frozenset()),
+        Action("L3", restart_below((1, 2), {COLOR: 0}), color_walk, color, color),
+        Action("L4", restart_below((3, 4), {COLOR: 0, RESET: 1}), color_walk,
+               color | reset, color),
+        Action("L5", error_to_init, in_mode | error_check.reads, mode | reset,
+               color | error_check.nbr_reads),
+        Action("L6", follow_to_init, in_mode, mode | reset, mode),
+        Action("L7", run_module(base, MODE_BASE), in_mode | base.reads,
+               base.writes | reset, in_mode | base.nbr_reads),
+        Action("L8", run_module(init, MODE_INIT), in_mode | init.reads,
+               init.writes | reset, in_mode | init.nbr_reads),
+        Action("L9", illegal, color_walk, color | reset, color_walk),
+        Action("L10", propagate_reset, reset_walk, reset, reset_walk),
+        Action("L11", del_reset, reset_walk, reset, reset_walk),
+        Action("L12", down, color_walk | reset, color, color_walk),
+        Action("L13", to2, color_walk, color, color_walk),
+        Action(SHIFT, to4_base, color_walk | mode | sync_check.reads,
+               copy_names | color, color_walk),
+        Action(HANDOFF, to4_init, color_walk | mode, color | mode, color_walk),
+        Action("L16", to0, color_walk, color, color_walk),
     )
     return AlgorithmSpec(f"loop({base.name},{init.name})", actions,
                          domain_var=binding.domain_var)

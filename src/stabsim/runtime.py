@@ -22,6 +22,7 @@ Store = dict  # variable name -> value; array variables map pid -> value
 Configuration = dict  # pid -> Store
 
 _EMPTY: dict = {}
+_ABSENT = object()  # no such entry or variable
 
 # The tree layer's parent pointer, read by Eval.parent and Eval.children.
 PARENT = "parent"
@@ -60,14 +61,19 @@ class Eval:
 
     `memo` is scratch space shared by all guard/statement evaluations of this
     process in this step, so derived quantities are computed at most once.
-    `shared` is an engine-managed cache that survives across steps, keyed by
-    Action.  An entry is dropped when the process itself changes a variable
-    in the action's `reads`, or when a neighbor changes one in its
-    `nbr_reads`, so cached results stay snapshot-accurate.  Payload layers
-    cache derived views this way too, such as the grouping payload's `dist`
-    gradient, an Action whose evaluate returns a value (never a dict, which
-    reads as updates) instead of updates.  Without `shared`, `cached`
-    memoizes in `memo` for this one snapshot.
+    `shared` is the run's layer cache, which survives across steps: per
+    Action, per process, the last result.  An entry is dropped when the
+    process itself changes the value of a variable in the action's `reads`,
+    or when a neighbor changes one in its `nbr_reads`, so cached results stay
+    snapshot-accurate; a write of an equal value is no change.  The same
+    declarations decide where `run` resumes a process's guard scan after a
+    step, and a process keeps its first enabled action while no change
+    reaches it.  Payload layers cache derived views this way too, such
+    as the grouping payload's `dist` gradient, an Action whose evaluate
+    returns a value (never a dict, which reads as updates) instead of
+    updates.  An action's first miss in the run adds it to `shared`, which
+    is how `run` learns which cached actions a change can reach.  Without
+    `shared`, `cached` memoizes in `memo` for this one snapshot.
 
     `kept` is the run's table of kept rows of keyed actions (see
     Action.keyed and keyed_updates): per Action, per process, the last row,
@@ -103,10 +109,19 @@ class Eval:
         """action.evaluate(self), memoized until one of its reads changes."""
         shared = self.shared
         if shared is None:
-            shared = self.memo
-        if action in shared:
-            return shared[action]
-        value = shared[action] = action.evaluate(self)
+            memo = self.memo
+            if action in memo:
+                return memo[action]
+            value = memo[action] = action.evaluate(self)
+            return value
+        rows = shared.get(action)
+        if rows is None:
+            rows = shared[action] = {}
+        else:
+            value = rows.get(self.pid, _ABSENT)
+            if value is not _ABSENT:
+                return value
+        value = rows[self.pid] = action.evaluate(self)
         return value
 
     def children(self) -> tuple[int, ...]:
@@ -150,10 +165,15 @@ class Action:
 
     `reads` declares every variable of the 1-neighborhood that `evaluate` may
     depend on, and `nbr_reads` (a subset, `reads` by default) those it may
-    read from a neighbor's store; `Eval.cached` keeps a result until the
-    process changes one of `reads` or a neighbor one of `nbr_reads`.
-    `writes` declares the variables the statement may assign.  Actions hash
-    by identity, so a cache lookup never hashes their fields.
+    read from a neighbor's store.  A change is a change of value: a write
+    of an equal value changes nothing.  `Eval.cached` keeps a result until
+    the process changes one of `reads` or a neighbor one of `nbr_reads`.
+    The same two sets decide where `run` resumes a guard scan: after a
+    step, a process re-evaluates its table only from the first action whose
+    `reads` (for its own changes) or `nbr_reads` (for a neighbor's) meet a
+    changed name, and keeps its first enabled action while no change
+    reaches it.  `writes` declares the variables the statement may assign.
+    Actions hash by identity, so a cache lookup never hashes their fields.
 
     `keyed` names an array the action writes and reads from neighbors when
     its row is key-local in it: the row's entry at key u depends on the
@@ -342,23 +362,33 @@ class AlgorithmSpec:
         return frozenset().union(*(a.reads for a in self.actions))
 
     @property
+    def nbr_reads(self) -> frozenset:
+        return frozenset().union(*(a.nbr_reads for a in self.actions))
+
+    @property
     def writes(self) -> frozenset:
         return frozenset().union(*(a.writes for a in self.actions))
 
-    def first_enabled(self, ev: Eval) -> Optional[tuple[str, dict]]:
-        for action in self.actions:
-            updates = action.evaluate(ev)
+    def first_enabled(self, ev: Eval, start: int = 0) -> Optional[tuple[int, dict]]:
+        """(position, updates) of the first enabled action at or after
+        position `start` of the table, or None."""
+        actions = self.actions
+        for i in range(start, len(actions)):
+            updates = actions[i].evaluate(ev)
             if updates is not None:
-                return action.label, updates
+                return i, updates
         return None
-
-    def enabled_labels(self, ev: Eval) -> list[str]:
-        return [a.label for a in self.actions if a.evaluate(ev) is not None]
 
 
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
     """Labels of all actions whose guard holds at v, in label order."""
-    return alg.enabled_labels(Eval(cfg, v, graph.neighbors_of(v)))
+    ev = Eval(cfg, v, graph.neighbors_of(v))
+    labels = []
+    hit = alg.first_enabled(ev)
+    while hit is not None:
+        labels.append(alg.actions[hit[0]].label)
+        hit = alg.first_enabled(ev, hit[0] + 1)
+    return labels
 
 
 def apply_updates(store: Store, updates: dict, domain_var: Optional[str]) -> Store:
@@ -370,6 +400,17 @@ def apply_updates(store: Store, updates: dict, domain_var: Optional[str]) -> Sto
             if isinstance(value, dict) and any(u not in dom for u in value):
                 new[name] = {u: x for u, x in value.items() if u in dom}
     return new
+
+
+def changed_names(old: Store, new: Store, names: Iterable[str]) -> frozenset:
+    """The variables among `names` whose value differs from `old` to `new`;
+    a variable missing from `old` differs from any value."""
+    changed = []
+    for x in names:
+        value, was = new[x], old.get(x, _ABSENT)
+        if value is not was and value != was:
+            changed.append(x)
+    return frozenset(changed)
 
 
 def changed_keys(old: Optional[dict], new: Optional[dict]) -> set:
@@ -539,6 +580,15 @@ def run(
 
     The trace is reproducible from (cfg0, alg, daemon kind + seed) alone; all
     tie-breaking is over sorted process ids.
+
+    Each process's first enabled action, found by one guard scan, is kept
+    across steps while no change reaches it.  A step's changes are the
+    variables whose value a fired process changed (a domain write also
+    changes the arrays it prunes).  They drop the cached results that read
+    them (Eval.cached), and a process they reach re-evaluates its table
+    only from the first action whose `reads` (its own changes) or
+    `nbr_reads` (a neighbor's) meet them: the actions before that position
+    read none of them, so they keep their verdicts.
     """
     if max_steps <= 0:
         raise ScheduleError("max_steps must be positive")
@@ -547,15 +597,39 @@ def run(
 
     adj = {v: graph.neighbors_of(v) for v in graph.vertices}
     sched = _Scheduler(daemon, graph.n)
+    labels = [a.label for a in alg.actions]
+    end = len(labels)
+    domain_var = alg.domain_var
 
     cfg = {v: dict(cfg0[v]) for v in cfg0}
-    shared = {v: {} for v in graph.vertices}  # see Eval.cached
-    kept = KeptRows(alg.domain_var)  # see Action.keyed
+    shared: dict = {}  # see Eval.cached
+    kept = KeptRows(domain_var)  # see Action.keyed
+    reaches: dict[frozenset, tuple] = {}  # changed names -> what they reach
+
+    def reach(names):
+        # (cache size, owner's resume position, neighbors' resume position,
+        # owner's cache rows to drop, neighbors' cache rows to drop); an
+        # entry made before an action was first cached is made again.
+        entry = reaches.get(names)
+        if entry is None or entry[0] != len(shared):
+            entry = reaches[names] = (
+                len(shared),
+                next((i for i, a in enumerate(alg.actions)
+                      if not names.isdisjoint(a.reads)), end),
+                next((i for i, a in enumerate(alg.actions)
+                      if not names.isdisjoint(a.nbr_reads)), end),
+                tuple(rows for a, rows in shared.items()
+                      if not names.isdisjoint(a.reads)),
+                tuple(rows for a, rows in shared.items()
+                      if not names.isdisjoint(a.nbr_reads)),
+            )
+        return entry
 
     def fresh_eval(c, v):
-        return Eval(c, v, adj[v], shared[v], kept)
+        return Eval(c, v, adj[v], shared, kept)
 
-    cache: dict[int, Optional[tuple[str, dict]]] = {}
+    # per process: (position, updates) of its first enabled action, or None
+    cache: dict[int, Optional[tuple[int, dict]]] = {}
     for v in graph.vertices:
         cache[v] = alg.first_enabled(fresh_eval(cfg, v))
     enabled = {v for v, hit in cache.items() if hit is not None}
@@ -582,31 +656,37 @@ def run(
         new_cfg = dict(cfg)
         changed: dict[int, frozenset] = {}
         for v in sorted(selected):
-            label, updates = cache[v]
-            fired[v] = label
-            new_cfg[v] = apply_updates(cfg[v], updates, alg.domain_var)
-            changed[v] = frozenset(updates)
-            if alg.domain_var in updates:
-                # arrays pruned to the new domain changed as well
-                old, new = cfg[v], new_cfg[v]
-                changed[v] |= {x for x, value in new.items() if value is not old.get(x)}
+            pos, updates = cache[v]
+            fired[v] = labels[pos]
+            old = cfg[v]
+            new = new_cfg[v] = apply_updates(old, updates, domain_var)
+            # a domain write prunes arrays besides the updated names
+            names = changed_names(old, new, new if domain_var in updates else updates)
+            if names:
+                changed[v] = names
 
-        dirty = set(selected)
-        for v in selected:
-            dirty.update(adj[v])
+        start: dict[int, int] = {}  # where each reached process resumes its scan
         for v, names in changed.items():
-            entries = shared[v]
-            for action in [a for a in entries if not names.isdisjoint(a.reads)]:
-                del entries[action]
-            for w in adj[v]:
-                entries = shared[w]
-                for action in [a for a in entries if not names.isdisjoint(a.nbr_reads)]:
-                    del entries[action]
-            kept.changed(v, names, cfg[v], new_cfg[v], adj[v])
+            _, own, nbr, own_rows, nbr_rows = reach(names)
+            nbrs = adj[v]
+            for rows in own_rows:
+                rows.pop(v, None)
+            for rows in nbr_rows:
+                for w in nbrs:
+                    rows.pop(w, None)
+            if own < start.get(v, end):
+                start[v] = own
+            if nbr < end:
+                for w in nbrs:
+                    if nbr < start.get(w, end):
+                        start[w] = nbr
+            kept.changed(v, names, cfg[v], new_cfg[v], nbrs)
         new_enabled = set(enabled)
-        for v in dirty:
-            hit = alg.first_enabled(fresh_eval(new_cfg, v))
-            cache[v] = hit
+        for v, resume in start.items():
+            hit = cache[v]
+            if hit is not None and hit[0] < resume:
+                continue  # no change reaches its first enabled action
+            hit = cache[v] = alg.first_enabled(fresh_eval(new_cfg, v), resume)
             if hit is None:
                 new_enabled.discard(v)
             else:

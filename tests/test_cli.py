@@ -113,6 +113,16 @@ def test_cmd_run_malformed_descriptor_is_input_error(tmp_path, capsys, override,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "inject"])
+@pytest.mark.parametrize("max_steps", [0, -3])
+def test_nonpositive_max_steps_is_input_error(tmp_path, capsys, command, max_steps):
+    dpath = write_inputs(tmp_path, max_steps=max_steps)
+    spec = json.dumps({"variables": ["color"], "count": 2, "seed": 0, "at_step": 5})
+    args = ["--corrupt", spec] if command == "inject" else []
+    assert main([command, str(dpath), *args]) == EXIT_INPUT
+    assert "max_steps" in capsys.readouterr().err
+
+
 def test_cmd_inject_reconverges(tmp_path, capsys):
     dpath = write_inputs(tmp_path, init={"mode": "random", "seed": 7})
     spec = json.dumps({
@@ -228,6 +238,13 @@ def test_cmd_sweep_that_runs_nothing_is_input_error(tmp_path, capsys, override):
     assert code == EXIT_INPUT
     assert override[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cmd_sweep_cycle_of_two_is_input_error(tmp_path, capsys):
+    code = main(["sweep", "--family", "cycle", "--n", "2", "--k", "1", "--seeds", "1",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_INPUT
+    assert "a cycle needs at least 3 vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [

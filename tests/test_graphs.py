@@ -167,6 +167,13 @@ def test_families():
     assert g.edges == random_connected_graph(9, 0.1, 3).edges  # deterministic
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_cycle_needs_three_vertices(n):
+    with pytest.raises(GraphError, match="a cycle needs at least 3 vertices"):
+        cycle_graph(n)
+    assert cycle_graph(3).n == 3
+
+
 def test_path_math():
     assert math.isinf(INF)
     assert dist(path_graph(6), 1, 6) == 5

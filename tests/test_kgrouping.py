@@ -264,7 +264,7 @@ def test_array_write_drops_stale_keys_and_clamps(p3):
     alg = init_actions(1)
     ev = Eval(cfg, 1, p3.neighbors_of(1))
     hit = alg.first_enabled(ev)
-    assert hit is not None and hit[0] == "I2"
+    assert hit is not None and alg.actions[hit[0]].label == "I2"
     new_dist = hit[1][DIST]
     assert set(new_dist) == set(store[DOMAIN])
     assert 99 not in new_dist

@@ -113,6 +113,43 @@ def test_fired_label_is_smallest_enabled(instance, daemon):
     assert current == trace.final
 
 
+SCAN_DAEMONS = {
+    **DAEMONS,
+    "no-aging": DaemonPolicy(kind="random", p=0.5, seed=4, fairness_aging=False),
+}
+
+
+@pytest.mark.parametrize("daemon", sorted(SCAN_DAEMONS))
+@pytest.mark.parametrize("instance", ["grid3x3-k2", "gnp10-k3", "path7-k1"])
+def test_resumed_guard_scans_match_full_scans(instance, daemon):
+    # Differential: run() re-evaluates a process only from the first action
+    # a step's changes can reach and keeps its first enabled action while
+    # none does.  After every step, its enabled set must equal that of
+    # uncached full scans, and each fired label must be the first enabled.
+    make, k = INSTANCES[instance]
+    g = make(0)
+    alg = compose(kgrouping_binding(k), g)
+
+    def full_scan(cfg):
+        return {v: enabled_actions(cfg, v, alg, g) for v in g.vertices}
+
+    for seed in range(4):
+        steps = []
+
+        def observe(event):
+            pre = steps[-1] if steps else full_scan(event.pre_cfg)
+            for v, label in event.fired.items():
+                assert pre[v][:1] == [label], (event.index, v)
+            post = full_scan(event.post_cfg)
+            assert event.enabled_post == {v for v, labels in post.items() if labels}, (
+                event.index)
+            steps.append(post)
+
+        trace = run(g, alg, random_config(g, k, seed=seed), SCAN_DAEMONS[daemon],
+                    max_steps=100_000, observers=(observe,))
+        assert trace.terminated and len(steps) == trace.num_steps > 0
+
+
 class _RecordingStore(dict):
     """A process's store that records every variable name looked up in it."""
 
@@ -167,7 +204,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
     audited = set()
 
     def audited_cached(ev, action):
-        if ev.shared is None or action not in ev.shared:
+        if ev.shared is None or ev.pid not in ev.shared.get(action, ()):
             _audit(action, ev)
             audited.add(action.label)
         return real_cached(ev, action)

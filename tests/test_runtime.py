@@ -367,6 +367,38 @@ def test_cache_drops_entries_by_owner_and_neighbor_reads():
 
 
 
+def test_guard_scan_resumes_at_the_first_action_a_change_reaches():
+    # G1 reads only y, G2 x, todo and y, both from the owner's store alone.
+    # A fire of G2 changes x and todo and rewrites y with its own value, no
+    # change: nothing reaches G1, which is never evaluated again, nor the
+    # neighbor, which keeps its first enabled action.
+    g = make_graph([1, 2], [(1, 2)])
+    evals = {1: 0, 2: 0}
+
+    def guard_y(ev):
+        evals[ev.pid] += 1
+        return {"y": 0} if ev.store["y"] else None
+
+    def bump(ev):
+        s = ev.store
+        return {"x": s["x"] + 1, "todo": s["todo"] - 1, "y": s["y"]} if s["todo"] else None
+
+    names = frozenset(("x", "todo", "y"))
+    alg = AlgorithmSpec("resume", (
+        Action("G1", guard_y, frozenset("y"), frozenset("y"), frozenset()),
+        Action("G2", bump, names, names, frozenset()),
+    ))
+    cfg0 = {v: {"x": 0, "todo": 2, "y": 0} for v in (1, 2)}
+    trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{2}, {1}, {2}, {1}]),
+                10)
+    assert trace.terminated and trace.num_steps == 4
+    assert evals == {1: 1, 2: 1}
+    replay = cfg0
+    for rec in trace.steps:
+        replay = step(replay, set(rec.selected), alg, g)
+    assert trace.final == replay
+
+
 # ---------------------------------------------------------------------------
 # kept rows of keyed actions
 
@@ -455,19 +487,24 @@ def test_domain_write_forces_a_full_recompute():
 
 
 def test_neighbor_write_of_another_neighbor_read_drops_the_kept_row():
-    # `c` is not read by K: the row stays; `b` is a neighbor read of K
-    # besides the keyed array: the row is dropped and recomputed in full.
+    # `c` is not read by K: it does not reach process 2 and the row stays,
+    # so the `a` write after it is patched at its one changed key; `b` is a
+    # neighbor read of K besides the keyed array: the row is dropped and
+    # recomputed in full.
     calls, seen = [], []
-    run_keyed_copy({1: [{"c": 1}, {"b": 1}]}, [{1}, {1}], calls, seen)
-    assert seen == [None, set(), None]
-    assert calls == [None, None]
+    run_keyed_copy({1: [{"c": 1}, {"a": {1: 5, 2: 7, 3: 5}}, {"b": 1}]},
+                   [{1}, {1}, {1}, {2}], calls, seen)
+    assert seen == [None, {2}, None, set()]
+    assert calls == [None, [2], None]
 
 
 def test_write_of_equal_values_adds_no_waiting_keys():
+    # An equal array is no change: the row stays and waits for nothing, so
+    # the next write of `a` is patched at its one changed key.
     calls, seen = [], []
     run_keyed_copy({1: [{"a": {1: 5, 2: 5, 3: 5}}, {"a": {1: 5, 2: 5, 3: 6}}]},
                    [{1}, {1}, {2}], calls, seen)
-    assert seen[:3] == [None, set(), {3}]
+    assert seen == [None, {3}, set()]
     assert calls == [None, [3]]
 
 
