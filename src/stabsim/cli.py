@@ -120,6 +120,8 @@ def cmd_sweep(args) -> int:
                                ("--seeds", args.seeds, seeds)):
         if not values:
             raise ValueError(f"{flag} {text} selects no value: the sweep would run nothing")
+    if args.max_steps is not None and args.max_steps <= 0:
+        raise ValueError(f"--max-steps {args.max_steps}: the step budget must be positive")
     rows = sweep_rows(args.family, ns, ks, seeds, args.max_steps)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as f:

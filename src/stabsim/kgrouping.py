@@ -19,18 +19,27 @@ per array instead of one per key) that must and do agree with them.  The
 share rows gather along the `dist` gradient: per domain key, the neighbors
 one hop closer to it.  It depends on `domain` and `dist` alone, which the
 initializer fixes for good, so it is the cached action GRADIENT and a run
-computes it once per process per settled ball.  The elected target and the
-stamp1 and stamp_dist rows are cached views the same way (TARGET_VIEW, and
-per k the views of merge_actions), each dropped only when its own reads
-change.
+computes it once per process per settled ball.  The elected target is a
+cached view the same way (TARGET_VIEW), dropped only when its own reads
+change.  M6 reads the stamp1 row and M7 the stamp_dist row as M5's and
+M6's kept rows, so each stamp row is computed once for all its readers.
 
-Each row form takes the domain keys to compute.  The share, min and
-distance rows are key-local in the array they gather and write, so their
+Each row form takes the domain keys to compute.  The share, min, distance
+and stamp rows are key-local in the array they gather and write, so their
 actions are keyed (runtime.Action.keyed): a run keeps each row and patches
-it per key, recomputing only the keys a neighbor's write changed, and
-computes the full row only first and after a change the whole row depends
-on.  Without the run's kept rows (any Eval built outside `run`), every
-evaluation computes the full row.
+it per key, and computes the full row only first and after a change the
+whole row depends on (the domain, the group view, the gradient).  The keys
+to patch are found three ways.  A neighbor's write of the row's array
+reaches the keys it changed.  So does the owner's write of an array the
+row reads at its key: for M5 the owner's `target`, `in_stamp_on` and
+`in_stamp1`.  Everything else a row reads at a key is a mark, derived at
+each evaluation and compared with the last one: a share row's own value at
+the owner's key; M5's elected target and the groups with a member at merge
+distance k+1; M6's keys where the stamp1 row names the owner, and per
+neighboring group the least stamp distance it claims toward ours (a
+neighbor's stamp_dist at our group id reaches the key of its group); M7's
+keys where the stamp_dist row reads k+1.  Without the run's kept rows (any
+Eval built outside `run`), every evaluation computes the full row.
 
 Each action declares `reads`, every name it reads in the closed
 neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
@@ -56,6 +65,7 @@ from .runtime import (
     Var,
     bot_inc,
     bot_min,
+    kept_row,
     keyed_updates,
 )
 
@@ -518,13 +528,23 @@ def _merge_dist_row(ev: Eval, k: int, keys=None) -> dict:
     return row
 
 
+@_per_eval
+def _witnessed_groups(ev: Eval, k: int) -> set:
+    """The groups with a member at merge distance k+1 from ours: a union
+    with them was witnessed to exceed the bound."""
+    dom = ev.store.get(DOMAIN) or ()
+    groups = ev.store.get(IN_GROUP_OF) or _EMPTY
+    far = k + 1
+    return {groups.get(w, BOT) for w, d in (ev.store.get(MERGE_DIST) or _EMPTY).items()
+            if d == far and w in dom}
+
+
 def _stamp1_row(ev: Eval, k: int, keys=None) -> dict:
     """The stamp1 row at the domain keys `keys` (all of them for None): the
     group minimum of the witnesses at the keys whose group targets ours,
     the kept stamp or BOT elsewhere."""
     s = ev.store
     target_arr = s.get(TARGET) or _EMPTY
-    md = s.get(MERGE_DIST) or _EMPTY
     stamped = s.get(IN_STAMP_ON) or _EMPTY
     in_s1 = s.get(IN_STAMP1) or _EMPTY
     keys = _domain_keys(ev, keys)
@@ -536,11 +556,7 @@ def _stamp1_row(ev: Eval, k: int, keys=None) -> dict:
         target = _target(ev)
         detector_keys = [u for u in keys
                          if target_arr.get(u, BOT) == lv and (lv <= u or target != u)]
-    q_keys = {
-        u for u in detector_keys
-        if any(md.get(w, BOT) == k + 1 for w in members_of(ev, u))
-    }
-    mins = _min_row(ev, STAMP1, q_keys, detector_keys)
+    mins = _min_row(ev, STAMP1, _witnessed_groups(ev, k), detector_keys)
     row = {}
     for u in keys:
         if u in mins:
@@ -552,24 +568,33 @@ def _stamp1_row(ev: Eval, k: int, keys=None) -> dict:
     return row
 
 
-def _stamp_dist_row(ev: Eval, k: int, stamp1) -> dict:
-    pid = ev.pid
+@_per_eval
+def _toward(ev: Eval) -> dict:
+    """Per neighboring group: the least stamp distance to our group that
+    our neighbors in it claim (their stamp_dist at our group id)."""
     lv = _lv(ev)
+    toward = {}
+    for _, ws in _all_nbrs(ev):
+        gid = ws.get(IN_GROUP, BOT)
+        d = _entry(ws, STAMP_DIST, lv)
+        if gid is not BOT and d is not BOT and (gid not in toward or d < toward[gid]):
+            toward[gid] = d
+    return toward
+
+
+def _stamp_dist_row(ev: Eval, k: int, stamp1, keys=None) -> dict:
+    """The stamp_dist row at the domain keys `keys` (all of them for None),
+    given the stamp1 row: 0 where it names us, else one more than the
+    least distance our group's neighbors claim for the key or the key's
+    group claims toward ours."""
+    pid = ev.pid
     own_sources = [
         (ws.get(DOMAIN) or frozenset(), ws.get(STAMP_DIST) or _EMPTY)
         for _, ws in same_group_nbrs(ev)
     ]
-    # Per group: the least distance its neighbors in it claim to our group.
-    toward = {}
-    for gid, members in _nbrs_by_group(ev).items():
-        if gid is BOT:
-            continue
-        for _, ws in members:
-            d = _entry(ws, STAMP_DIST, lv)
-            if d is not BOT and (gid not in toward or d < toward[gid]):
-                toward[gid] = d
+    toward = _toward(ev)
     row = {}
-    for u in ev.store.get(DOMAIN) or ():
+    for u in _domain_keys(ev, keys):
         if stamp1.get(u, BOT) == pid:
             row[u] = 0
             continue
@@ -610,6 +635,7 @@ def _saturated(ev: Eval) -> bool:
     return all(stamped.get(u, False) for u in _eligible(ev))
 
 
+@_per_eval
 def _prior(ev: Eval) -> bool:
     if _merging(ev):
         return True
@@ -639,36 +665,54 @@ def _array_sub(label, name, row_fn, reads, nbr_reads):
         new = row_fn(ev)
         for u in dom:
             if cur.get(u, BOT) != new[u]:
-                return {name: dict(new)}  # new may be a read-only view
+                return {name: new}
         return None
 
     return Action(label, evaluate, frozenset(reads), frozenset((name,)),
                   frozenset(nbr_reads))
 
 
-def _keyed_sub(label, name, row_of, reads, nbr_reads, share=False):
+def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, key_reads=(),
+           marks=None):
     """_array_sub for a row that is key-local in the neighbors' `name`,
-    kept across steps by the engine (Action.keyed).  row_of(ev, keys) gives
-    the row at the domain keys `keys`, or at all of them for None.
+    kept across steps by the engine (Action.keyed, runtime.kept_row):
+    the action and row(ev), its current row.  row_of(ev, keys) gives the
+    row at the domain keys `keys`, or at all of them for None.
 
-    A share row depends on the owner's other variables only at its own key,
-    recomputed at every evaluation, and is dropped when the gradient's reads
-    change; any other row is dropped when the owner changes any of its reads
-    but `name`.
+    The row is dropped when a `fixed` variable changes (by default every
+    read but `name` and `key_reads`), patched at the changed keys of the
+    `key_reads` arrays, and reads anything else through `marks`.
     """
-    reads = frozenset(reads)
-    fixed = GRADIENT.reads if share else reads - {name}
+    reads, key_reads = frozenset(reads), frozenset(key_reads)
+    fixed = reads - key_reads - {name} if fixed is None else frozenset(fixed)
+
+    def row(ev: Eval) -> dict:
+        dom = ev.store.get(DOMAIN) or frozenset()
+        return kept_row(ev, action, dom, row_of, fixed, key_reads, marks).row
 
     def evaluate(ev: Eval):
         dom = ev.store.get(DOMAIN)
         if not dom:
             return None
-        return keyed_updates(ev, action, dom, row_of, fixed,
-                             (ev.pid,) if share else ())
+        return keyed_updates(ev, action, dom, row_of, fixed, key_reads, marks)
 
     action = Action(label, evaluate, reads, frozenset((name,)),
                     frozenset(nbr_reads), keyed=name)
-    return action
+    return action, row
+
+
+def _keyed_sub(label, name, row_of, reads, nbr_reads, **declared):
+    """The action of _keyed."""
+    return _keyed(label, name, row_of, reads, nbr_reads, **declared)[0]
+
+
+def _share_sub(label, name, own, reads, nbr_reads):
+    """The keyed share(name) row with the owner's value own(ev).  It reads
+    the owner's other variables only at its own key, through the mark
+    {pid: own(ev)}, and is dropped when the gradient's reads change."""
+    return _keyed_sub(label, name, lambda ev, keys: _share_row(ev, name, own(ev), keys),
+                      reads, nbr_reads, fixed=GRADIENT.reads,
+                      marks=lambda ev: {ev.pid: own(ev)})
 
 
 # What the share rows read from neighbors besides the shared array (the
@@ -702,10 +746,8 @@ def init_actions(k: int) -> AlgorithmSpec:
                     (INIT_GROUP,)),
         _scalar_sub("I5", IN_GROUP, lambda ev: _init_group_value(ev, k),
                     (*tree_reads, IN_GROUP), (INIT_GROUP,)),
-        _keyed_sub("I6", IN_GROUP_OF,
-                   lambda ev, keys: _share_row(ev, IN_GROUP_OF, _lv(ev), keys),
-                   _SHARE_NBR | {IN_GROUP, IN_GROUP_OF}, _SHARE_NBR | {IN_GROUP_OF},
-                   share=True),
+        _share_sub("I6", IN_GROUP_OF, _lv, _SHARE_NBR | {IN_GROUP, IN_GROUP_OF},
+                   _SHARE_NBR | {IN_GROUP_OF}),
         _keyed_sub("I7", IN_GROUP_DIST, group_dist_row, _GROUP_NBR, _GROUP_NBR),
         _array_sub("I8", IN_STAMP_ON, const_false_row,
                    frozenset((DOMAIN, IN_STAMP_ON)), ()),
@@ -718,18 +760,6 @@ def init_actions(k: int) -> AlgorithmSpec:
 def merge_actions(k: int) -> AlgorithmSpec:
     """Merge phase: target election, union distances, stamps, regrouping."""
     check_k(k)
-
-    # The stamp rows as cached views of the closed neighborhood: M6 and M7
-    # read them, and M5's first computation is the stamp1 view.
-    stamp1_reads = TARGET_VIEW.reads | {TARGET, MERGE_DIST, IN_STAMP1, IN_GROUP_DIST,
-                                        STAMP1}
-    stamp1_view = Action(
-        "stamp1", lambda ev: MappingProxyType(_stamp1_row(ev, k)), stamp1_reads,
-        nbr_reads=_GROUP_NBR | {STAMP1})
-    stamp_dist_view = Action(
-        "stamp_dist",
-        lambda ev: MappingProxyType(_stamp_dist_row(ev, k, ev.cached(stamp1_view))),
-        stamp1_reads | {STAMP_DIST}, nbr_reads=_GROUP_NBR | {STAMP1, STAMP_DIST})
 
     def border_row(ev, keys):
         by_group = _nbrs_by_group(ev)
@@ -744,29 +774,37 @@ def merge_actions(k: int) -> AlgorithmSpec:
         }
         return _min_row(ev, FAR, q_keys, keys)
 
-    def target_row(ev, keys):
-        return _share_row(ev, TARGET, _target(ev), keys)
+    # The stamp rows read one another as kept rows: M6 reads M5's row and
+    # M7 reads M6's.  Their marks are what a row reads at a key besides the
+    # arrays it reads there key by key.
+    def stamp1_marks(ev):
+        # Bit 1 at the groups with a member at merge distance k+1, bit 2
+        # at the elected target.
+        marks = dict.fromkeys(_witnessed_groups(ev, k), 1)
+        target = _target(ev)
+        if target is not BOT:
+            marks[target] = marks.get(target, 0) | 2
+        return marks
 
-    def stamp1_row(ev, keys):
-        if keys is None:
-            return dict(ev.cached(stamp1_view))
-        return _stamp1_row(ev, k, keys)
+    def stamp_dist_marks(ev):
+        # -1 where the stamp1 row names us (the row is 0 there), else what
+        # the key's group claims toward ours; no distance is negative.
+        pid = ev.pid
+        return {**_toward(ev), **{u: -1 for u, s1 in stamp1(ev).items() if s1 == pid}}
+
+    def stamp2_marks(ev):
+        # The keys where the stamp_dist row witnesses distance k+1.
+        return dict.fromkeys(u for u, d in stamp_dist(ev).items() if d == k + 1)
 
     def stamp2_row(ev, keys):
-        sd = ev.cached(stamp_dist_view)
+        sd = stamp_dist(ev)
         q_keys = {u for u in _domain_keys(ev, keys) if sd[u] == k + 1}
         return _min_row(ev, STAMP2, q_keys, keys)
-
-    def groups_row(ev, keys):
-        return _share_row(ev, GROUP_OF, ev.store.get(GROUP, BOT), keys)
 
     def group_dist_row(ev, keys):
         own = ev.store.get(GROUP, BOT)
         srcs = [(w, ws) for w, ws in _all_nbrs(ev) if ws.get(GROUP, BOT) == own]
         return _distance_row(ev, GROUP_DIST, srcs, _domain_keys(ev, keys), k)
-
-    def merging_row(ev, keys):
-        return _share_row(ev, MERGING, _merging(ev), keys)
 
     def stamp_on_row(ev):
         sd = ev.store.get(STAMP_DIST) or _EMPTY
@@ -779,45 +817,44 @@ def merge_actions(k: int) -> AlgorithmSpec:
             for u in ev.store.get(DOMAIN) or ()
         }
 
-    def prior_row(ev, keys):
-        return _share_row(ev, PRIOR, _prior(ev), keys)
-
     shared = frozenset((DOMAIN, DIST, IN_GROUP, IN_GROUP_OF, IN_GROUP_DIST,
                         IN_STAMP_ON, IN_PRIOR))
     cand_reads = shared | {BORDER, FAR}
 
+    stamp1_reads = cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1}
+    m5, stamp1 = _keyed(
+        "M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys), stamp1_reads,
+        _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR,
+        key_reads=(TARGET, IN_STAMP_ON, IN_STAMP1), marks=stamp1_marks)
+    m6, stamp_dist = _keyed(
+        "M6", STAMP_DIST, lambda ev, keys: _stamp_dist_row(ev, k, stamp1(ev), keys),
+        stamp1_reads | {STAMP_DIST}, _GROUP_NBR | {STAMP1, STAMP_DIST},
+        fixed=frozenset((DOMAIN, IN_GROUP)), marks=stamp_dist_marks)
+
     actions = (
         _keyed_sub("M1", BORDER, border_row, shared | {BORDER}, _GROUP_NBR | {BORDER}),
         _keyed_sub("M2", FAR, far_row, shared | {FAR}, _GROUP_NBR | {FAR}),
-        _keyed_sub("M3", TARGET, target_row, cand_reads | {TARGET},
-                   _SHARE_NBR | {TARGET}, share=True),
+        _share_sub("M3", TARGET, _target, cand_reads | {TARGET}, _SHARE_NBR | {TARGET}),
         _keyed_sub("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
                    cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
-        _keyed_sub("M5", STAMP1, stamp1_row,
-                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1},
-                   _GROUP_NBR | {STAMP1}),
-        _array_sub("M6", STAMP_DIST, lambda ev: ev.cached(stamp_dist_view),
-                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST},
-                   _GROUP_NBR | {STAMP1, STAMP_DIST}),
-        _keyed_sub("M7", STAMP2, stamp2_row,
-                   cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1, STAMP_DIST,
-                                 STAMP2},
-                   _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}),
+        m5,
+        m6,
+        _keyed_sub("M7", STAMP2, stamp2_row, stamp1_reads | {STAMP_DIST, STAMP2},
+                   _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}, fixed=_GROUP_NBR,
+                   marks=stamp2_marks),
         _scalar_sub("M8", GROUP, _group_value,
                     cand_reads | {TARGET, STAMP_DIST, GROUP}, ()),
-        _keyed_sub("M9", GROUP_OF, groups_row, shared | {GROUP, GROUP_OF},
-                   _SHARE_NBR | {GROUP_OF}, share=True),
+        _share_sub("M9", GROUP_OF, lambda ev: ev.store.get(GROUP, BOT),
+                   shared | {GROUP, GROUP_OF}, _SHARE_NBR | {GROUP_OF}),
         _keyed_sub("M10", GROUP_DIST, group_dist_row,
                    frozenset((DOMAIN, DIST, GROUP, GROUP_DIST)),
                    (DOMAIN, GROUP, GROUP_DIST)),
-        _keyed_sub("M11", MERGING, merging_row,
-                   cand_reads | {TARGET, STAMP_DIST, MERGING}, _SHARE_NBR | {MERGING},
-                   share=True),
+        _share_sub("M11", MERGING, _merging, cand_reads | {TARGET, STAMP_DIST, MERGING},
+                   _SHARE_NBR | {MERGING}),
         _array_sub("M12", STAMP_ON, stamp_on_row,
                    cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, ()),
-        _keyed_sub("M13", PRIOR, prior_row,
-                   cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
-                   _SHARE_NBR | {PRIOR}, share=True),
+        _share_sub("M13", PRIOR, _prior, cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
+                   _SHARE_NBR | {PRIOR}),
     )
     return AlgorithmSpec("merge", actions, domain_var=DOMAIN)
 

@@ -76,10 +76,10 @@ class Eval:
     `shared`, `cached` memoizes in `memo` for this one snapshot.
 
     `kept` is the run's table of kept rows of keyed actions (see
-    Action.keyed and keyed_updates): per Action, per process, the last row,
-    the keys where it disagrees with the stored array, and the keys
-    neighbors changed since.  Without it (an Eval built outside `run`) every
-    row is computed in full.
+    Action.keyed and kept_row): per Action, per process, the last row, the
+    keys where it disagrees with the stored array, the keys whose inputs
+    changed since, and the row's last marks.  Without it (an Eval built
+    outside `run`) every row is computed in full, once per Eval.
     """
 
     __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "shared", "kept",
@@ -178,11 +178,16 @@ class Action:
     `keyed` names an array the action writes and reads from neighbors when
     its row is key-local in it: the row's entry at key u depends on the
     neighbors' arrays only through their entries at u.  `run` then keeps the
-    row across steps (Eval.kept): a neighbor's write of that array alone
-    queues the keys whose value changed, and `evaluate` recomputes just
-    those (keyed_updates); a write of any other name in `nbr_reads` drops
-    the row, and so does the owner's write of a variable the whole row
-    depends on, or of the array with anything but the row itself.
+    row across steps (Eval.kept) and `evaluate` patches it (keyed_updates).
+    Each read reaches the row in one of three ways, which the action
+    declares to keyed_updates: a change of a variable the whole row
+    depends on drops it; a change of the neighbors' keyed array, or of
+    another array read key by key, queues the keys whose value changed;
+    and any other read reaches the row through per-key marks the action
+    derives at each evaluation (a predicate per key, or a value read at
+    one key), whose difference from the last marks names the keys to
+    recompute.  The owner's write of the array with anything but the row
+    itself drops the row too.
     """
 
     label: str
@@ -209,19 +214,20 @@ class Action:
 class Kept:
     """The last row of a keyed action at one process, kept by `run`.
 
-    `diff` holds the keys where `row` disagrees with the stored array, and
-    `waiting` the keys of the keyed array that neighbors changed since the
-    row was last patched.  Once the row is handed out as updates (`handed`)
-    it may be stored in a configuration, so it is copied before it is
-    patched again.
+    `diff` holds the keys where `row` disagrees with the stored array,
+    `waiting` the keys whose inputs changed since the row was last patched,
+    and `marks` the row's derived per-key inputs as they were then (see
+    kept_row).  Once the row is handed out as updates (`handed`) it may be
+    stored in a configuration, so it is copied before it is patched again.
     """
 
-    __slots__ = ("row", "diff", "waiting", "handed")
+    __slots__ = ("row", "diff", "waiting", "marks", "handed")
 
-    def __init__(self, row: dict, diff: set):
+    def __init__(self, row: dict, diff: set, marks):
         self.row = row
         self.diff = diff
         self.waiting = set()
+        self.marks = marks
         self.handed = False
 
 
@@ -232,29 +238,50 @@ class KeptRows:
     def __init__(self, domain_var: Optional[str]):
         self.domain_var = domain_var
         self.by_action: dict[Action, dict[int, Kept]] = {}
-        self.fixed: dict[Action, frozenset] = {}
-        self._touching: dict[frozenset, tuple] = {}  # names -> rows they touch
+        self.declared: dict[Action, tuple[frozenset, frozenset]] = {}
+        self._touching: dict[frozenset, tuple] = {}  # names -> what they reach
 
-    def rows(self, action: Action, fixed: frozenset) -> dict[int, Kept]:
-        """The kept rows of `action`, whose owner's `fixed` variables the
-        whole row depends on."""
+    def rows(self, action: Action, fixed: frozenset,
+             key_reads: frozenset) -> dict[int, Kept]:
+        """The kept rows of `action`, whose `fixed` variables the whole row
+        depends on and whose `key_reads` reach it key by key."""
         rows = self.by_action.get(action)
         if rows is None:
             rows = self.by_action[action] = {}
-            self.fixed[action] = fixed
+            self.declared[action] = (fixed, key_reads)
             self._touching.clear()
         return rows
+
+    def _reach(self, names: frozenset) -> tuple:
+        # Per keyed action that `names` reach: its rows; whether they drop
+        # the owner's row; whether they include the keyed array; the owner's
+        # arrays among them whose changed keys wait; whether they drop the
+        # neighbors' rows; the neighbors' arrays whose changed keys wait.
+        reached = []
+        for action, rows in self.by_action.items():
+            fixed, key_reads = self.declared[action]
+            nbr = names & action.nbr_reads
+            entry = (action, rows, not names.isdisjoint(fixed), action.keyed in names,
+                     tuple(names & key_reads), not nbr.isdisjoint(fixed),
+                     tuple(nbr & (key_reads | {action.keyed})))
+            if any(entry[2:]):
+                reached.append(entry)
+        return tuple(reached)
 
     def changed(self, v: int, names: frozenset, old: Store, new: Store,
                 nbrs: tuple[int, ...]) -> None:
         """Process v's store went from old to new, changing `names`.
 
-        A row of v whose keyed array v overwrote with that very row now
-        agrees with it everywhere; a row of v is dropped if v changed a
-        fixed variable or stored anything else in the array.  A neighbor's
-        row queues the changed keys if v changed the keyed array alone among
-        the row's neighbor reads, and is dropped if v changed another one.
-        A domain write drops v's rows and the neighbor rows it touches."""
+        A change of a fixed variable drops v's row and, if the row reads
+        it from neighbors, the neighbors' rows.  A change of a key-read
+        array (for neighbors, the keyed array too) adds its changed keys to
+        the waiting keys of those rows.  A row of v whose keyed array v
+        overwrote with that very row now agrees with it everywhere, and
+        the keys that write changed are the row's disagreement set (keys
+        outside v's domain, which no row reads from v, are not counted);
+        v's storing anything else there drops the row.  Any other read
+        reaches a row only through its marks.  A domain write drops v's
+        rows and the neighbor rows it touches."""
         if self.domain_var in names:
             # new keys for every row of v, and new neighbor arrays
             for action, rows in self.by_action.items():
@@ -263,70 +290,90 @@ class KeptRows:
                     for w in nbrs:
                         rows.pop(w, None)
             return
-        touched = self._touching.get(names)
-        if touched is None:
-            touched = self._touching[names] = tuple(
-                (a, rows, self.fixed[a]) for a, rows in self.by_action.items()
-                if a.keyed in names or not names.isdisjoint(self.fixed[a])
-                or not names.isdisjoint(a.nbr_reads))
-        diffs = {}  # keyed array -> its changed keys, computed once
-        for action, rows, fixed in touched:
-            name = action.keyed
+        reached = self._touching.get(names)
+        if reached is None:
+            reached = self._touching[names] = self._reach(names)
+        diffs = {}  # array -> its changed keys, computed once
+        for action, rows, drop, stored, *_ in reached:
+            state = rows.get(v) if stored and not drop else None
+            if state is not None and new.get(action.keyed) is state.row:
+                diffs[action.keyed], state.diff = state.diff, set()
+
+        def keys_of(name):
+            keys = diffs.get(name)
+            if keys is None:
+                keys = diffs[name] = changed_keys(old.get(name), new.get(name))
+            return keys
+
+        for action, rows, drop, stored, own_keyed, nbr_drop, nbr_keyed in reached:
             state = rows.get(v)
-            if state is not None and (name in names or not names.isdisjoint(fixed)):
-                if names.isdisjoint(fixed) and new.get(name) is state.row:
-                    state.diff.clear()  # the owner stored the row itself
-                else:
+            if state is not None:
+                if drop or stored and new.get(action.keyed) is not state.row:
                     del rows[v]
-            nbr_reads = action.nbr_reads
-            if names.isdisjoint(nbr_reads):
-                continue
-            if name not in names or len(names & nbr_reads) > 1:
+                else:
+                    for name in own_keyed:
+                        state.waiting |= keys_of(name)
+            if nbr_drop:
                 for w in nbrs:
                     rows.pop(w, None)
                 continue
-            if name not in diffs:
-                diffs[name] = changed_keys(old.get(name), new.get(name))
-            keys = diffs[name]
-            if keys:
-                for w in nbrs:
-                    state = rows.get(w)
-                    if state is not None:
-                        state.waiting |= keys
+            for name in nbr_keyed:
+                keys = keys_of(name)
+                if keys:
+                    for w in nbrs:
+                        state = rows.get(w)
+                        if state is not None:
+                            state.waiting |= keys
 
 
-def keyed_updates(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
-                  always=()) -> Optional[dict]:
-    """Evaluate the keyed `action` (an array substitution) from its kept row.
+def kept_row(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
+             key_reads: frozenset = frozenset(), marks=None) -> Kept:
+    """The row of the keyed `action` (an array substitution) at ev's
+    snapshot, as a Kept with its disagreement set.
 
     `keys` is the owner's domain, the keys of the row; `row_of(ev, some)`
-    computes the row at the keys `some`, or at all of `keys` for None.
-    `fixed` names the owner's variables the whole row depends on, and
-    `always` the keys recomputed at every evaluation (those that depend on
-    other owner variables).  The first evaluation computes the full row;
-    later ones recompute the waiting keys and `always`, and update the
-    disagreement set at those keys only.  Enabled iff the row disagrees with
-    the stored array at some key of `keys`; the updates write the row.
+    computes the row at exactly the keys `some`, or at all of `keys` for
+    None.  A change of a `fixed` variable (the owner's, or a neighbor's it
+    reads) drops the kept row; a change of a `key_reads` array (or a
+    neighbor's keyed array) reaches it at the changed keys
+    (KeptRows.changed).  Every other input reaches the row through
+    `marks(ev)`: a dict from keys to the derived values the row reads at
+    those keys, such as a predicate that holds there.  The first
+    evaluation computes the full row; later ones recompute the waiting
+    keys and the keys whose marks differ from the last ones (added,
+    removed or changed), and update the disagreement set at those keys
+    only.  While the action's result stays in the run's cache
+    (Eval.cached), no change has reached the row since it was last
+    patched, and it is returned as it is.  Without the run's kept rows the
+    full row is computed; either way it is computed at most once per Eval.
     """
-    name = action.keyed
-    stored = ev.store.get(name) or _EMPTY
-    rows = None if ev.kept is None else ev.kept.rows(action, fixed)
+    memo_key = (Kept, action)
+    state = ev.memo.get(memo_key)
+    if state is not None:
+        return state
+    rows = None if ev.kept is None else ev.kept.rows(action, fixed, key_reads)
     state = None if rows is None else rows.get(ev.pid)
     if state is None:
+        stored = ev.store.get(action.keyed) or _EMPTY
         row = row_of(ev, None)
-        diff = {u for u in keys if stored.get(u, BOT) != row[u]}
+        state = Kept(row, {u for u in keys if stored.get(u, BOT) != row[u]},
+                     None if rows is None or marks is None else marks(ev))
         if rows is not None:
-            state = rows[ev.pid] = Kept(row, diff)
-    else:
+            rows[ev.pid] = state
+    elif ev.shared is None or ev.pid not in ev.shared.get(action, _EMPTY):
         todo = state.waiting
-        todo.update(always)
-        todo = [u for u in todo if u in keys]
-        state.waiting = set()
-        row, diff = state.row, state.diff
+        if marks is not None:
+            new_marks = marks(ev)
+            if new_marks != state.marks:
+                todo.update(u for u, _ in new_marks.items() ^ state.marks.items())
+                state.marks = new_marks
         if todo:
-            new = row_of(ev, todo)
-            for u in todo:
-                x = new[u]
+            todo &= keys
+            state.waiting = set()
+        if todo:
+            stored = ev.store.get(action.keyed) or _EMPTY
+            row, diff = state.row, state.diff
+            for u, x in row_of(ev, todo).items():
                 if row[u] != x:
                     if state.handed:
                         row = state.row = dict(row)
@@ -336,11 +383,20 @@ def keyed_updates(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
                     diff.add(u)
                 else:
                     diff.discard(u)
-    if not diff:
+    ev.memo[memo_key] = state
+    return state
+
+
+def keyed_updates(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
+                  key_reads: frozenset = frozenset(), marks=None) -> Optional[dict]:
+    """Evaluate the keyed `action` from its kept row (see kept_row, which
+    takes the same arguments): enabled iff the row disagrees with the
+    stored array at some key of `keys`; the updates write the row."""
+    state = kept_row(ev, action, keys, row_of, fixed, key_reads, marks)
+    if not state.diff:
         return None
-    if state is not None:
-        state.handed = True
-    return {name: row}
+    state.handed = True
+    return {action.keyed: state.row}
 
 
 @dataclass(frozen=True)
@@ -397,7 +453,7 @@ def apply_updates(store: Store, updates: dict, domain_var: Optional[str]) -> Sto
     if domain_var is not None and domain_var in updates:
         dom = new.get(domain_var) or frozenset()
         for name, value in new.items():
-            if isinstance(value, dict) and any(u not in dom for u in value):
+            if type(value) is dict and not value.keys() <= dom:
                 new[name] = {u: x for u, x in value.items() if u in dom}
     return new
 

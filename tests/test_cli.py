@@ -240,6 +240,18 @@ def test_cmd_sweep_that_runs_nothing_is_input_error(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_steps", ["0", "-3"])
+def test_cmd_sweep_nonpositive_max_steps_names_the_flag(tmp_path, capsys, max_steps):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "path", "--n", "5", "--k", "2", "--seeds", "1",
+                 "--max-steps", max_steps, "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--max-steps {max_steps}" in err
+    assert not out.exists()
+
+
 def test_cmd_sweep_cycle_of_two_is_input_error(tmp_path, capsys):
     code = main(["sweep", "--family", "cycle", "--n", "2", "--k", "1", "--seeds", "1",
                  "--out", str(tmp_path / "sweep.csv")])

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from stabsim import kgrouping, runtime
 from stabsim.bfs import LEVEL, PARENT, ROOT
 from stabsim.configs import random_config, zeroed_config
 from stabsim.graphs import (
@@ -27,6 +28,8 @@ from stabsim.kgrouping import (
     IN_PRIOR,
     IN_STAMP_ON,
     INIT_GROUP,
+    STAMP_DIST,
+    TARGET,
     check_k,
     eval_E,
     init_actions,
@@ -483,8 +486,8 @@ def _checked(action, checks):
     return dataclasses.replace(action, evaluate=evaluate)
 
 
-KEYED_LABELS = {"I2", "I6", "I7", "M1", "M2", "M3", "M4", "M5", "M7", "M9", "M10",
-                "M11", "M13"}
+KEYED_LABELS = {"I2", "I6", "I7", "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M9",
+                "M10", "M11", "M13"}
 
 
 @pytest.mark.parametrize("daemon", [DaemonPolicy(kind="random", p=0.5, seed=4),
@@ -511,3 +514,89 @@ def test_kept_rows_match_full_recomputes(daemon):
     assert {a.label for a in (*kgrouping_binding(1).base.actions,
                               *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
     assert set(checks) == KEYED_LABELS, sorted(KEYED_LABELS - set(checks))
+
+
+def test_every_kept_row_matches_a_full_recompute(monkeypatch):
+    # Every kept row handed out during a run, whether patched, current
+    # (the action's result still cached) or read by another row (M6 reads
+    # M5's, M7 M6's), equals the full row of a fresh Eval and so does its
+    # disagreement set; under the random, synchronous and central daemons.
+    real = runtime.kept_row
+    checks = Counter()
+
+    def checked(ev, action, keys, *declared):
+        kept = ev.kept is not None and ev.pid in ev.kept.by_action.get(action, ())
+        current = kept and ev.pid in (ev.shared or {}).get(action, ())
+        state = real(ev, action, keys, *declared)
+        if kept:
+            full = real(Eval(ev.cfg, ev.pid, ev.nbr_ids), action, keys, *declared)
+            assert (state.row, state.diff) == (full.row, full.diff), action.label
+            checks[action.label, "current" if current else "patched"] += 1
+        return state
+
+    monkeypatch.setattr(runtime, "kept_row", checked)
+    monkeypatch.setattr(kgrouping, "kept_row", checked)
+    for daemon in (DaemonPolicy(kind="random", p=0.5, seed=4),
+                   DaemonPolicy(kind="synchronous"), DaemonPolicy(kind="central", seed=4)):
+        for graph, k in ((grid_graph(3, 3), 2), (random_connected_graph(10, 0.3, 0), 3)):
+            binding = kgrouping_binding(k)
+            trace = run(graph, compose(binding, graph), random_config(graph, k, seed=3, n_false=2),
+                        daemon, max_steps=200_000, record_steps=False)
+            assert trace.terminated and check_Cfin(trace.final, binding, graph)
+    assert {label for label, _ in checks} == KEYED_LABELS
+    assert all(checks[label, kind] for label in ("M5", "M6") for kind in ("current", "patched"))
+    assert checks["M7", "patched"]
+
+
+def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5):
+    # M5 reads the owner's target array at its own key and the elected
+    # target at the old and the new target's key; M6 reads a neighbor's
+    # stamp_dist at our group id at the key of the neighbor's group.  Each
+    # write recomputes just those keys of the kept rows.
+    k = 2
+    cfg = init_silent_cfg(p5, k)
+    m5, m6 = merge_actions(k).actions[4:6]
+    kept, computed = KeptRows(DOMAIN), []
+    for name in ("_stamp1_row", "_stamp_dist_row"):
+        def counted(ev, *args, real=getattr(kgrouping, name), name=name):
+            if ev.kept is kept:  # not the fresh full recompute
+                computed.append((name, None if args[-1] is None else sorted(args[-1])))
+            return real(ev, *args)
+
+        monkeypatch.setattr(kgrouping, name, counted)
+
+    def evaluate(action, cfg, v):
+        computed.clear()
+        action.evaluate(Eval(cfg, v, p5.neighbors_of(v), {}, kept))
+        fresh = KeptRows(DOMAIN)
+        action.evaluate(Eval(cfg, v, p5.neighbors_of(v), {}, fresh))
+        assert kept.by_action[action][v].row == fresh.by_action[action][v].row
+        return computed
+
+    def write(cfg, u, name, key, value):
+        new = dict(cfg)
+        new[u] = dict(cfg[u], **{name: {**cfg[u][name], key: value}})
+        kept.changed(u, frozenset((name,)), cfg[u], new[u], p5.neighbors_of(u))
+        return new
+
+    v, w = next((v, w) for v in p5.vertices for w in p5.neighbors_of(v)
+                if cfg[v][IN_GROUP] != cfg[w][IN_GROUP])
+    lv, gid = cfg[v][IN_GROUP], cfg[w][IN_GROUP]
+    assert evaluate(m5, cfg, v) == [("_stamp1_row", None)]
+    assert evaluate(m6, cfg, v) == [("_stamp_dist_row", None)]
+    key = next(u for u in sorted(cfg[v][DOMAIN]) if u != lv)
+    assert cfg[v][TARGET].get(key) != lv
+    cfg = write(cfg, v, TARGET, key, lv)
+    assert evaluate(m5, cfg, v) == [("_stamp1_row", [key])]
+    assert lv in cfg[w][DOMAIN] and cfg[w][STAMP_DIST].get(lv) is BOT
+    cfg = write(cfg, w, STAMP_DIST, lv, 0)
+    assert evaluate(m6, cfg, v) == [("_stamp_dist_row", sorted({lv, gid}))]
+
+    # Process 4 (group 4) borders groups 1 and 2 and elects 1; group 1
+    # targets it.  Preferring group 2 moves the target: keys 1 and 2.
+    cfg[4] = dict(cfg[4], **{BORDER: {1: 1, 2: 2}, TARGET: {1: 4}})
+    assert evaluate(m5, cfg, 4) == [("_stamp1_row", None)]
+    assert kgrouping._target(Eval(cfg, 4, p5.neighbors_of(4))) == 1
+    cfg = write(cfg, 4, IN_PRIOR, 2, True)
+    assert kgrouping._target(Eval(cfg, 4, p5.neighbors_of(4))) == 2
+    assert evaluate(m5, cfg, 4) == [("_stamp1_row", [1, 2])]

@@ -405,19 +405,22 @@ def test_guard_scan_resumes_at_the_first_action_a_change_reaches():
 FULL_DOMAIN = frozenset({1, 2, 3})
 
 
-def keyed_copy(script, calls, seen, handed=None):
-    """Process 2 keeps the row u -> process 1's a[u] (action K, keyed on
-    `a`, reading `b` of its neighbor too); W applies script[pid], one write
-    per step.  `calls` records the keys of every row computation (None for
-    a full row), `seen` the waiting keys of the kept row at the start of
-    each evaluation at 2 (None when no row is kept), `handed` each row
-    handed out as updates next to a copy of its content."""
+def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=None):
+    """Process 2 keeps the row u -> process 1's a[u] + its own t[u], plus 1
+    at its own m (action K, keyed on `a`; the whole row depends on `domain`
+    and `b`, `t` reaches it key by key if `key_reads` says so, and `m`
+    through `marks`); W applies script[pid], one write per step.  `calls`
+    records the keys of every row computation (None for a full row),
+    `seen` the waiting keys of the kept row at the start of each evaluation
+    at 2 (None when no row is kept), `handed` each row handed out as
+    updates next to a copy of its content."""
 
     def row_of(ev, keys):
         if ev.kept is not None:  # not the uncached replay
             calls.append(None if keys is None else sorted(keys))
-        src = ev.nbr(1)["a"]
-        return {u: src.get(u) for u in (ev.store["domain"] if keys is None else keys)}
+        src, t, m = ev.nbr(1)["a"], ev.store["t"], ev.store["m"]
+        return {u: None if src.get(u) is None else src[u] + t.get(u, 0) + (u == m)
+                for u in (ev.store["domain"] if keys is None else keys)}
 
     def evaluate_k(ev):
         if ev.pid != 2:
@@ -426,7 +429,7 @@ def keyed_copy(script, calls, seen, handed=None):
             state = ev.kept.by_action.get(keyed, {}).get(2)
             seen.append(None if state is None else set(state.waiting))
         updates = keyed_updates(ev, keyed, ev.store["domain"], row_of,
-                                frozenset({"domain"}))
+                                frozenset({"domain", "b"}), key_reads, marks)
         if updates is not None and handed is not None and ev.kept is not None:
             handed.append((updates["a"], dict(updates["a"])))
         return updates
@@ -436,18 +439,20 @@ def keyed_copy(script, calls, seen, handed=None):
         i = ev.store["i"]
         return dict(todo[i], i=i + 1) if i < len(todo) else None
 
-    keyed = Action("K", evaluate_k, frozenset({"domain", "a", "b"}), frozenset({"a"}),
-                   keyed="a")
+    keyed = Action("K", evaluate_k, frozenset({"domain", "a", "b", "t", "m"}),
+                   frozenset({"a"}), keyed="a")
     write = Action("W", evaluate_w, frozenset({"i"}),
-                   frozenset({"domain", "a", "b", "c", "i"}), frozenset())
+                   frozenset({"domain", "a", "b", "c", "t", "m", "i"}), frozenset())
     return AlgorithmSpec("keyed", (keyed, write), domain_var="domain")
 
 
-def run_keyed_copy(script, selections, calls, seen, handed=None, observers=()):
+def run_keyed_copy(script, selections, calls, seen, handed=None, observers=(),
+                   **declared):
     g = make_graph([1, 2], [(1, 2)])
-    cfg0 = {v: {"domain": FULL_DOMAIN, "a": {1: 5, 2: 5, 3: 5}, "b": 0, "c": 0, "i": 0}
+    cfg0 = {v: {"domain": FULL_DOMAIN, "a": {1: 5, 2: 5, 3: 5}, "b": 0, "c": 0,
+                "t": {1: 0, 2: 0, 3: 0}, "m": None, "i": 0}
             for v in (1, 2)}
-    alg = keyed_copy(script, calls, seen, handed)
+    alg = keyed_copy(script, calls, seen, handed, **declared)
     trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=selections),
                 len(selections) + 1, observers=observers)
     assert trace.terminated
@@ -529,3 +534,25 @@ def test_row_handed_out_as_updates_is_never_mutated():
     assert second == second_copy == {1: 5, 2: 7, 3: 9}
     assert trace.final[2]["a"] is second
     assert all(obj == copy for obj, copy in stored)
+
+
+def test_owner_write_of_a_key_read_array_patches_its_changed_keys():
+    # Process 2 changes its own t at key 3: the kept row waits for that key
+    # alone, and the next evaluation recomputes only it.
+    calls, seen = [], []
+    trace = run_keyed_copy({2: [{"t": {1: 0, 2: 0, 3: 4}}]}, [{2}, {2}], calls, seen,
+                           key_reads=frozenset({"t"}))
+    assert calls == [None, [3]]
+    assert seen == [None, {3}, set()]
+    assert trace.final[2]["a"] == {1: 5, 2: 5, 3: 9}
+
+
+def test_changed_marks_patch_the_keys_they_differ_at():
+    # The row reads the owner's m through the mark {m: 1}: setting m to 1
+    # recomputes key 1, moving it on to 3 keys 1 and 3; no key waits.
+    calls, seen = [], []
+    trace = run_keyed_copy({2: [{"m": 1}, {"m": 3}]}, [{2}, {2}, {2}, {2}], calls, seen,
+                           marks=lambda ev: {ev.store["m"]: 1})
+    assert calls == [None, [1], [1, 3]]
+    assert seen[0] is None and all(keys == set() for keys in seen[1:])
+    assert trace.final[2]["a"] == {1: 5, 2: 5, 3: 6}
