@@ -4,8 +4,12 @@ A boundary is where the root starts the next base execution, by the copy
 shift or by the initializer's hand-off; it records that execution's start
 configuration.  Qualifying boundaries feed the per-execution verdicts
 (error-freedom, stamp soundness, potential accounting) and the isolated round
-measurements.  `judge` is the one place that decides whether a run met the
-paper's claims; the CLI, the sweeps and the acceptance suite all ask it.
+measurements.  Whether a boundary qualifies is read from the run's own
+caches while it runs (`qualifies`, through StepEvent.evaluate); the verdicts
+(`boundary_checks`, `closure_check`) are still computed from scratch, an
+independent referee of what the run's caches hold.  `judge` is the one place
+that decides whether a run met the paper's claims; the CLI, the sweeps and
+the acceptance suite all ask it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .configs import (
     ConfigError,
@@ -26,6 +30,7 @@ from .configs import (
 )
 from .graphs import (
     Graph,
+    GraphError,
     cycle_graph,
     diameter,
     grid_graph,
@@ -50,8 +55,10 @@ from .runtime import (
     AlgorithmSpec,
     Configuration,
     DaemonPolicy,
+    Eval,
     ExecutionTrace,
     default_max_steps,
+    plain_evals,
     run,
 )
 
@@ -61,7 +68,9 @@ class Boundary:
     """Where the next base execution starts: `start` is its first
     configuration.  It qualifies when the module that just ended is disabled
     everywhere and, for a shift, the error predicate is false everywhere,
-    since a merge execution needs error-free inputs."""
+    since a merge execution needs error-free inputs.  run_grouping decides
+    this from the evaluations the run has cached (`qualifies`); the verdicts
+    on `start` are computed from scratch (`boundary_checks`)."""
 
     step: int
     kind: str  # "shift" (next base execution) | "handoff" (initializer done)
@@ -96,6 +105,16 @@ class RunResult:
         return sum(1 for b in self.boundaries if b.kind == "shift")
 
 
+def qualifies(label: str, evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:
+    """Whether the boundary the root's `label` (SHIFT or HANDOFF) starts
+    qualifies, at the configuration `evals` read (see loop.disabled_everywhere):
+    the module that just ended is disabled everywhere and, after a merge
+    execution, the error predicate is false everywhere."""
+    if label == SHIFT:
+        return disabled_everywhere(evals, binding.base) and error_nowhere(evals, binding)
+    return disabled_everywhere(evals, binding.init)
+
+
 def run_grouping(
     graph: Graph,
     k: int,
@@ -104,7 +123,15 @@ def run_grouping(
     max_steps: Optional[int] = None,
     record_steps: bool = True,
 ) -> RunResult:
-    """One full composed run plus the oracle verdict on its final state."""
+    """One full composed run plus the oracle verdict on its final state.
+
+    A boundary is qualified at the configuration it starts from.  After each
+    step whose configuration gives the root SHIFT or HANDOFF as its next
+    label, the observer qualifies that configuration through the run's own
+    caches (StepEvent.evaluate), so the predicates reuse what the run has
+    evaluated there; when the root then fires, its pre-step configuration is
+    that very object.  A boundary at step 0 is qualified from scratch.
+    """
     binding = kgrouping_binding(k)
     alg = compose(binding, graph)
     root = min(graph.vertices)
@@ -112,24 +139,32 @@ def run_grouping(
         max_steps = default_max_steps(graph, diameter(graph))
 
     seen = []
+    ahead = None  # (configuration, qualification of the root's next boundary)
 
     def observe(event):
-        if event.fired.get(root) in (SHIFT, HANDOFF):
-            seen.append((event.index, event.fired[root], event.pre_cfg))
+        nonlocal ahead
+        label = event.fired.get(root)
+        if label in (SHIFT, HANDOFF):
+            cfg = event.pre_cfg
+            if ahead is not None and ahead[0] is cfg:
+                qualifying = ahead[1]
+            else:  # step 0: the run's caches have moved past its start
+                qualifying = qualifies(label, plain_evals(cfg, graph), binding)
+            seen.append((event.index, label, cfg, qualifying))
+        label = event.next_label(root)
+        if label in (SHIFT, HANDOFF):
+            evals = [event.evaluate(v) for v in graph.vertices]
+            ahead = (event.post_cfg, qualifies(label, evals, binding))
 
     trace = run(
         graph, alg, cfg0, daemon, max_steps,
         observers=(observe,), record_steps=record_steps,
     )
-    boundaries = []
-    for i, label, cfg in seen:
-        if label == SHIFT:
-            qualifying = (disabled_everywhere(cfg, binding.base, graph)
-                          and error_nowhere(cfg, binding, graph))
-            boundaries.append(Boundary(i, "shift", copy_shift(cfg, binding), qualifying))
-        else:
-            qualifying = disabled_everywhere(cfg, binding.init, graph)
-            boundaries.append(Boundary(i, "handoff", cfg, qualifying))
+    boundaries = [
+        Boundary(i, "shift", copy_shift(cfg, binding), qualifying) if label == SHIFT
+        else Boundary(i, "handoff", cfg, qualifying)
+        for i, label, cfg, qualifying in seen
+    ]
 
     report = check_Lk(trace.final, graph, k)
     return RunResult(graph, k, binding, alg, trace, report, boundaries)
@@ -152,7 +187,8 @@ def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
     for b in result.boundaries:
         check = BoundaryCheck(b.step, b.kind, b.qualifying)
         if b.qualifying:
-            check.shift_error_free = error_nowhere(b.start, result.binding, result.graph)
+            check.shift_error_free = error_nowhere(plain_evals(b.start, result.graph),
+                                                   result.binding)
             check.stamp_violations = stamp_soundness_violations(
                 b.start, result.graph, result.k
             )
@@ -190,7 +226,7 @@ def closure_check(result: RunResult) -> bool:
     final = result.trace.final
     return (
         result.trace.terminated
-        and disabled_everywhere(final, result.algorithm, result.graph)
+        and disabled_everywhere(plain_evals(final, result.graph), result.algorithm)
         and check_Cfin(final, result.binding, result.graph)
     )
 
@@ -281,6 +317,8 @@ FAMILIES = {
 
 
 def _grid_near(n: int) -> Graph:
+    if n < 2:
+        raise GraphError("need at least two processes")
     rows = max(2, int(n**0.5))
     cols = max(2, (n + rows - 1) // rows)
     return grid_graph(rows, cols)

@@ -832,8 +832,9 @@ def merge_actions(k: int) -> AlgorithmSpec:
         fixed=frozenset((DOMAIN, IN_GROUP)), marks=stamp_dist_marks)
 
     actions = (
-        _keyed_sub("M1", BORDER, border_row, shared | {BORDER}, _GROUP_NBR | {BORDER}),
-        _keyed_sub("M2", FAR, far_row, shared | {FAR}, _GROUP_NBR | {FAR}),
+        _keyed_sub("M1", BORDER, border_row, _GROUP_NBR | {BORDER}, _GROUP_NBR | {BORDER}),
+        _keyed_sub("M2", FAR, far_row, _GROUP_NBR | {DIST, IN_GROUP_OF, FAR},
+                   _GROUP_NBR | {FAR}),
         _share_sub("M3", TARGET, _target, cand_reads | {TARGET}, _SHARE_NBR | {TARGET}),
         _keyed_sub("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
                    cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),

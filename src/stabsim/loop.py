@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .graphs import Graph
-from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var
+from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var, plain_evals
 from .bfs import PARENT, bfs_actions
 
 COLOR = "color"
@@ -75,6 +75,15 @@ class BaseAlgorithmBinding:
     def arrays(self) -> frozenset:
         """The declared array variables, copied and compared key-wise."""
         return frozenset(var.name for var in self.variables if var.kind == "array")
+
+    @cached_property
+    def error_check(self) -> Action:
+        """The error predicate as an action whose evaluate returns the
+        verdict (label E): one object, so L5's cache entries and the ones
+        the boundary qualification reads are the same entries.  It reads the
+        copies and the initializer's inputs and outputs."""
+        copies = frozenset(c for _, c in self.outputs)
+        return Action("E", self.error, self.init.reads | copies | self.init.writes)
 
     def validate(self) -> None:
         outs = [x for x, _ in self.outputs]
@@ -143,7 +152,7 @@ def copy_shift(cfg: Configuration, binding: BaseAlgorithmBinding) -> Configurati
 def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     """Emit the full composed action table (tree layer + wave + base/init)."""
     binding.validate()
-    base, init, error = binding.base, binding.init, binding.error
+    base, init, error_check = binding.base, binding.init, binding.error_check
 
     def wave_ok(ev: Eval, parent_color, child_color) -> bool:
         # The parent (if any) shows parent_color, every child child_color.
@@ -277,10 +286,9 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     copy_names = frozenset(c for _, c in binding.outputs)
     out_names = frozenset(x for x, _ in binding.outputs)
     domain = frozenset((binding.domain_var,)) - {None}
-    # The two checks L5 and L14 cache, as actions whose evaluate returns a
-    # verdict instead of updates: the error predicate, and whether the
-    # outputs equal their copies (the owner's store alone).
-    error_check = Action("E", error, init.reads | copy_names | init.writes)
+    # The check L14 caches, as an action whose evaluate returns a verdict
+    # instead of updates (like L5's error check): whether the outputs equal
+    # their copies (the owner's store alone).
     sync_check = Action("sync", lambda ev: _copies_match(binding, ev.store),
                         out_names | copy_names | domain, nbr_reads=frozenset())
 
@@ -321,29 +329,31 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 # ---------------------------------------------------------------------------
 # configuration-level predicates
 
-def disabled_everywhere(cfg: Configuration, alg: AlgorithmSpec, graph: Graph) -> bool:
+# Each predicate reads a configuration through `evals`, one Eval per
+# process, and asks every action through Eval.cached.  Plain Evals
+# (runtime.plain_evals) decide from scratch; Evals on a run's own caches
+# (StepEvent.evaluate) give the same verdict from what the run has already
+# evaluated.
+
+def disabled_everywhere(evals: Sequence[Eval], alg: AlgorithmSpec) -> bool:
     """No action of `alg` is enabled at any process."""
-    return all(
-        alg.first_enabled(Eval(cfg, v, graph.neighbors_of(v))) is None
-        for v in graph.vertices
-    )
+    return all(all(ev.cached(a) is None for a in alg.actions) for ev in evals)
 
 
-def error_nowhere(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:
-    for v in graph.vertices:
-        ev = Eval(cfg, v, graph.neighbors_of(v))
-        if binding.error(ev):
-            return False
-    return True
+def error_nowhere(evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:
+    """The error predicate is false at every process."""
+    error_check = binding.error_check
+    return not any(ev.cached(error_check) for ev in evals)
 
 
 def check_Cgoal(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:
     """No error anywhere, outputs equal to their copies, base disabled."""
-    if not error_nowhere(cfg, binding, graph):
+    evals = plain_evals(cfg, graph)
+    if not error_nowhere(evals, binding):
         return False
     if not all(_copies_match(binding, cfg[v]) for v in graph.vertices):
         return False
-    return disabled_everywhere(cfg, binding.base, graph)
+    return disabled_everywhere(evals, binding.base)
 
 
 def check_Cfin(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:

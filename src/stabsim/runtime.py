@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .graphs import Graph
@@ -436,6 +437,12 @@ class AlgorithmSpec:
         return None
 
 
+def plain_evals(cfg: Configuration, graph: Graph) -> list[Eval]:
+    """One Eval per process of `cfg`, without a run's caches: whatever is
+    asked through them is evaluated from scratch."""
+    return [Eval(cfg, v, graph.neighbors_of(v)) for v in graph.vertices]
+
+
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
     """Labels of all actions whose guard holds at v, in label order."""
     ev = Eval(cfg, v, graph.neighbors_of(v))
@@ -587,7 +594,17 @@ class StepRecord:
 
 @dataclass
 class StepEvent:
-    """Passed to observers after each applied step."""
+    """Passed to observers after each applied step.
+
+    During the observer call, `evaluate(v)` is an Eval of process v at
+    `post_cfg` on the run's own caches (its layer cache and kept rows), and
+    `next_label(v)` is the label v fires next, its kept first enabled
+    action, or None when v is disabled at `post_cfg`.  Evaluating through
+    them is pure: Eval.cached can only add or patch entries valid at
+    `post_cfg`, the configuration the next step starts from.  Both read the
+    run's state as it is when called, so they are meaningless once the
+    observer has returned.
+    """
 
     index: int
     pre_cfg: Configuration
@@ -597,6 +614,8 @@ class StepEvent:
     enabled_pre: set[int]
     enabled_post: set[int]
     round_end: bool
+    evaluate: Callable[[int], Eval] = field(repr=False)
+    next_label: Callable[[int], Optional[str]] = field(repr=False)
 
 
 @dataclass
@@ -690,6 +709,10 @@ def run(
         cache[v] = alg.first_enabled(fresh_eval(cfg, v))
     enabled = {v for v, hit in cache.items() if hit is not None}
 
+    def next_label(v):
+        hit = cache[v]
+        return None if hit is None else labels[hit[0]]
+
     steps: list[StepRecord] = []
     boundaries: list[int] = []
     pending = set(enabled)
@@ -763,7 +786,8 @@ def run(
         if record_steps:
             steps.append(StepRecord(fired))
         if observers:
-            event = StepEvent(i, cfg, new_cfg, selected, fired, enabled, new_enabled, round_end)
+            event = StepEvent(i, cfg, new_cfg, selected, fired, enabled, new_enabled,
+                              round_end, partial(fresh_eval, new_cfg), next_label)
             for obs in observers:
                 obs(event)
 

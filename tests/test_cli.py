@@ -259,6 +259,17 @@ def test_cmd_sweep_cycle_of_two_is_input_error(tmp_path, capsys):
     assert "a cycle needs at least 3 vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["-4", "0"])
+def test_cmd_sweep_grid_below_two_processes_is_input_error(tmp_path, capsys, n):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "grid", "--n", n, "--k", "1", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: need at least two processes\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     pytest.param(["--n", "48:6:-6"], id="n-negative-step"),
     pytest.param(["--n", "6:12:0"], id="n-zero-step"),

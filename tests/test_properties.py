@@ -1,13 +1,14 @@
 """Cross-cutting property tests: row forms agree with the reference macros,
 fired labels respect priority under the cached engine, actions touch only
 their declared variables, the round recount matches the engine, pinned
-runs keep their summaries, boundaries record where each execution starts,
-and the judge catches a tampered final state or an error left at a
-boundary."""
+runs keep their summaries, boundaries record where each execution starts
+and qualify as an uncached check says, and the judge catches a tampered
+final state or an error left at a boundary."""
 
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,9 +43,11 @@ from stabsim.kgrouping import (
     same_group_nbrs,
     share,
 )
-from stabsim.loop import COLOR, compose, copy_shift, disabled_everywhere
+from stabsim.loop import COLOR, HANDOFF, SHIFT, compose, copy_shift, disabled_everywhere
 from stabsim.kgrouping import kgrouping_binding
-from stabsim.runtime import BOT, DaemonPolicy, Eval, enabled_actions, rounds, run, step
+from stabsim.runtime import (
+    BOT, DaemonPolicy, Eval, enabled_actions, plain_evals, rounds, run, step,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,16 +344,111 @@ def test_boundaries_record_where_each_execution_starts(daemon):
                     assert copy_shift(b.start, result.binding) == b.start
                     shifts += 1
                 elif b.qualifying:
-                    assert disabled_everywhere(b.start, result.binding.init, g)
+                    assert disabled_everywhere(plain_evals(b.start, g), result.binding.init)
                     handoffs += 1
     assert shifts and handoffs  # neither check is vacuous
+
+
+# Both verdicts of both boundary kinds: no part of a check is vacuous.
+EVERY_VERDICT = {(kind, ok) for kind in ("shift", "handoff") for ok in (True, False)}
+
+
+def _record_root_starts(monkeypatch):
+    """Make run_grouping's run also record, at each step where the root
+    fires SHIFT or HANDOFF, (step, pre-step configuration), and the run's
+    layer cache; the list is cleared at each run."""
+    seen, caches = [], []
+    real_run = experiments.run
+
+    def recording_run(graph, alg, cfg0, daemon, max_steps, observers=(), **kwargs):
+        if not observers:  # run_with_corruption's run up to the corruption
+            return real_run(graph, alg, cfg0, daemon, max_steps, **kwargs)
+        root = min(graph.vertices)
+        seen.clear()
+        caches.clear()
+
+        def observe(event):
+            if event.fired.get(root) in (SHIFT, HANDOFF):
+                seen.append((event.index, event.pre_cfg))
+            if not caches:
+                caches.append(event.evaluate(root).shared)
+
+        return real_run(graph, alg, cfg0, daemon, max_steps,
+                        observers=(*observers, observe), **kwargs)
+
+    monkeypatch.setattr(experiments, "run", recording_run)
+    return seen, caches
+
+
+def _check_qualification(result, seen, caches):
+    # Differential: the qualification run_grouping took from the run's caches
+    # against an uncached reference on the pre-step configuration, which
+    # scans every action with enabled_actions and calls the error predicate
+    # itself.  L5 and the qualification share one E action, the binding's.
+    g, binding = result.graph, result.binding
+    assert [b.step for b in result.boundaries] == [i for i, _ in seen]
+    counts = Counter()
+    for b, (_, pre) in zip(result.boundaries, seen):
+        module = binding.base if b.kind == "shift" else binding.init
+        want = all(not enabled_actions(pre, v, module, g) for v in g.vertices)
+        if b.kind == "shift":
+            want = want and not any(
+                binding.error(Eval(pre, v, g.neighbors_of(v))) for v in g.vertices)
+        assert b.qualifying == want, (b.step, b.kind)
+        counts[b.kind, want] += 1
+    assert [a for a in caches[0] if a.label == "E"] == [binding.error_check]
+    return counts
+
+
+def test_boundary_qualification_matches_an_uncached_check(monkeypatch):
+    seen, caches = _record_root_starts(monkeypatch)
+    counts = Counter()
+    for daemon in DAEMONS.values():
+        for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
+            make, k = INSTANCES[instance]
+            # seeds 4 and 5 start some instances where a hand-off fails to
+            # qualify; shifts that fail to qualify are common
+            for seed in (0, 4, 5):
+                g = make(seed)
+                result = run_grouping(g, k, daemon, random_config(g, k, seed=seed))
+                counts += _check_qualification(result, seen, caches)
+    assert set(counts) == EVERY_VERDICT
+
+
+def test_boundary_qualification_at_step_0_matches_an_uncached_check(monkeypatch):
+    # Runs started where the root fires SHIFT or HANDOFF first: the boundary
+    # at step 0 is qualified from scratch, the run's caches being past it.
+    seen, caches = _record_root_starts(monkeypatch)
+    starts = []
+    for instance, seed in (("cycle6-k1", 0), ("path6-k2", 5)):
+        make, k = INSTANCES[instance]
+        g = make(seed)
+        run_grouping(g, k, DAEMONS["random"], random_config(g, k, seed=seed))
+        starts += [(g, k, pre) for _, pre in seen]
+    counts = Counter()
+    for g, k, pre in starts:
+        result = run_grouping(g, k, DAEMONS["synchronous"], pre)
+        assert result.boundaries[0].step == 0
+        counts += _check_qualification(result, seen, caches)
+    assert set(counts) == EVERY_VERDICT
+
+
+def test_boundary_qualification_after_a_corruption_matches_an_uncached_check(monkeypatch):
+    seen, caches = _record_root_starts(monkeypatch)
+    g, k = grid_graph(3, 3), 2
+    desc = RunDescriptor(g, k, DaemonPolicy(kind="random", seed=2), None, "random",
+                         init_seed=9)
+    result = run_with_corruption(desc, ("color", "mode", "in_group", "stamp_on"),
+                                 5, 3, at_step=400)
+    counts = _check_qualification(result, seen, caches)
+    assert set(counts) == EVERY_VERDICT
 
 
 def test_judge_flags_an_error_left_at_a_handoff(monkeypatch):
     # Criterion 5 is checked, not assumed, where the initializer hands off:
     # an error predicate reporting an error everywhere must be flagged there.
     g, k = grid_graph(3, 3), 2
-    monkeypatch.setattr(experiments, "error_nowhere", lambda cfg, binding, graph: False)
+    monkeypatch.setattr(experiments, "error_nowhere", lambda evals, binding: False)
     result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
                           random_config(g, k, seed=11))
     flagged = [message for tag, message in judge(result).failures if tag == "5"]
