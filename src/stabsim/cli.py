@@ -8,6 +8,7 @@ Exit codes: 0 the run passed every per-run verdict of `experiments.judge`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -80,6 +81,8 @@ def cmd_inject(args) -> int:
         return _is_int(x) and x >= 0
 
     count = _field(spec, "count", None, natural, "an integer >= 0")
+    if count > 0 and not variables:
+        raise DescriptorError(f"'variables' is empty, so 'count' {count} would corrupt nothing")
     seed = _field(spec, "seed", 0, natural, "an integer >= 0")
     at_step = _field(spec, "at_step", 0, natural, "an integer >= 0")
     result = run_with_corruption(desc, tuple(variables), count, seed, at_step)
@@ -122,12 +125,18 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} {text} selects no value: the sweep would run nothing")
     if args.max_steps is not None and args.max_steps <= 0:
         raise ValueError(f"--max-steps {args.max_steps}: the step budget must be positive")
-    rows = sweep_rows(args.family, ns, ks, seeds, args.max_steps)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            write_sweep_csv(rows, f)
-    else:
-        write_sweep_csv(rows, sys.stdout)
+    # Open --out before the sweep, which may run for long; a sweep that
+    # fails leaves no file behind.
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    try:
+        rows = sweep_rows(args.family, ns, ks, seeds, args.max_steps)
+    except BaseException:
+        if out is not None:
+            out.close()
+            os.remove(args.out)
+        raise
+    with out or contextlib.nullcontext(sys.stdout) as stream:
+        write_sweep_csv(rows, stream)
     failed = [r for r in rows if r["verdict"] != "ok"]
     for r in failed:
         log.error("failed: %s", r)

@@ -222,12 +222,14 @@ def merge_segment_rounds(result: RunResult) -> list[int]:
 
 
 def closure_check(result: RunResult) -> bool:
-    """Nothing is enabled in the final configuration, of shape C_fin."""
-    final = result.trace.final
+    """Nothing is enabled in the final configuration, of shape C_fin.  Both
+    checks ask one set of plain Evals, so each process evaluates the error
+    predicate and the merge table once."""
+    evals = plain_evals(result.trace.final, result.graph)
     return (
         result.trace.terminated
-        and disabled_everywhere(plain_evals(final, result.graph), result.algorithm)
-        and check_Cfin(final, result.binding, result.graph)
+        and disabled_everywhere(evals, result.algorithm)
+        and check_Cfin(evals, result.binding)
     )
 
 

@@ -24,11 +24,14 @@ cached view the same way (TARGET_VIEW), dropped only when its own reads
 change.  M6 reads the stamp1 row and M7 the stamp_dist row as M5's and
 M6's kept rows, so each stamp row is computed once for all its readers.
 
-Each row form takes the domain keys to compute.  The share, min, distance
-and stamp rows are key-local in the array they gather and write, so their
-actions are keyed (runtime.Action.keyed): a run keeps each row and patches
-it per key, and computes the full row only first and after a change the
-whole row depends on (the domain, the group view, the gradient).  The keys
+Every array substitution declares its row on its action (runtime.Keyed),
+and each row form takes the domain keys to compute: a run keeps each row
+and patches it per key, and computes the full row only first and after a
+change the whole row depends on.  By default that is any change of the
+row's reads, as for the constant rows of I8 and I9 and M12's stamp_on row.
+The share, min, distance and stamp rows are key-local in the array they
+gather and write, so fewer reads drop them (the domain, the group view,
+the gradient), and the others reach only some keys.  The keys
 to patch are found three ways.  A neighbor's write of the row's array
 reaches the keys it changed.  So does the owner's write of an array the
 row reads at its key: for M5 the owner's `target`, `in_stamp_on` and
@@ -62,6 +65,7 @@ from .runtime import (
     AlgorithmSpec,
     Configuration,
     Eval,
+    Keyed,
     Var,
     bot_inc,
     bot_min,
@@ -656,63 +660,34 @@ def _scalar_sub(label, name, value_fn, reads, nbr_reads):
                   frozenset(nbr_reads))
 
 
-def _array_sub(label, name, row_fn, reads, nbr_reads):
-    def evaluate(ev: Eval):
-        dom = ev.store.get(DOMAIN) or ()
-        if not dom:
-            return None
-        cur = ev.store.get(name) or _EMPTY
-        new = row_fn(ev)
-        for u in dom:
-            if cur.get(u, BOT) != new[u]:
-                return {name: new}
-        return None
-
-    return Action(label, evaluate, frozenset(reads), frozenset((name,)),
-                  frozenset(nbr_reads))
-
-
 def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, key_reads=(),
            marks=None):
-    """_array_sub for a row that is key-local in the neighbors' `name`,
-    kept across steps by the engine (Action.keyed, runtime.kept_row):
-    the action and row(ev), its current row.  row_of(ev, keys) gives the
-    row at the domain keys `keys`, or at all of them for None.
-
+    """The substitution of the array `name` by the row row_of(ev, None),
+    declared on the action (runtime.Keyed) so that a run keeps the row
+    across steps; row_of(ev, keys) gives the row at the domain keys `keys`.
     The row is dropped when a `fixed` variable changes (by default every
     read but `name` and `key_reads`), patched at the changed keys of the
-    `key_reads` arrays, and reads anything else through `marks`.
-    """
+    `key_reads` arrays, and reads anything else through `marks`."""
     reads, key_reads = frozenset(reads), frozenset(key_reads)
     fixed = reads - key_reads - {name} if fixed is None else frozenset(fixed)
 
-    def row(ev: Eval) -> dict:
-        dom = ev.store.get(DOMAIN) or frozenset()
-        return kept_row(ev, action, dom, row_of, fixed, key_reads, marks).row
-
     def evaluate(ev: Eval):
-        dom = ev.store.get(DOMAIN)
-        if not dom:
+        if not ev.store.get(DOMAIN):
             return None
-        return keyed_updates(ev, action, dom, row_of, fixed, key_reads, marks)
+        return keyed_updates(ev, action)
 
-    action = Action(label, evaluate, reads, frozenset((name,)),
-                    frozenset(nbr_reads), keyed=name)
-    return action, row
-
-
-def _keyed_sub(label, name, row_of, reads, nbr_reads, **declared):
-    """The action of _keyed."""
-    return _keyed(label, name, row_of, reads, nbr_reads, **declared)[0]
+    action = Action(label, evaluate, reads, frozenset((name,)), frozenset(nbr_reads),
+                    keyed=Keyed(name, row_of, fixed, key_reads, marks))
+    return action
 
 
 def _share_sub(label, name, own, reads, nbr_reads):
     """The keyed share(name) row with the owner's value own(ev).  It reads
     the owner's other variables only at its own key, through the mark
     {pid: own(ev)}, and is dropped when the gradient's reads change."""
-    return _keyed_sub(label, name, lambda ev, keys: _share_row(ev, name, own(ev), keys),
-                      reads, nbr_reads, fixed=GRADIENT.reads,
-                      marks=lambda ev: {ev.pid: own(ev)})
+    return _keyed(label, name, lambda ev, keys: _share_row(ev, name, own(ev), keys),
+                  reads, nbr_reads, fixed=GRADIENT.reads,
+                  marks=lambda ev: {ev.pid: own(ev)})
 
 
 # What the share rows read from neighbors besides the shared array (the
@@ -732,14 +707,14 @@ def init_actions(k: int) -> AlgorithmSpec:
         return _distance_row(ev, IN_GROUP_DIST, same_group_nbrs(ev),
                              _domain_keys(ev, keys), k)
 
-    def const_false_row(ev):
-        return {u: False for u in ev.store.get(DOMAIN) or ()}
+    def const_false_row(ev, keys):
+        return dict.fromkeys(_domain_keys(ev, keys), False)
 
     actions = (
         _scalar_sub("I1", DOMAIN, lambda ev: _domain_value(ev, k), (DOMAIN, DIST),
                     (DOMAIN, DIST)),
-        _keyed_sub("I2", DIST, lambda ev, keys: _dist_row(ev, k, keys),
-                   (DOMAIN, DIST), (DOMAIN, DIST)),
+        _keyed("I2", DIST, lambda ev, keys: _dist_row(ev, k, keys), (DOMAIN, DIST),
+               (DOMAIN, DIST)),
         _scalar_sub("I3", HEIGHT, lambda ev: _height_value(ev, k), (PARENT, HEIGHT),
                     (PARENT, HEIGHT)),
         _scalar_sub("I4", INIT_GROUP, lambda ev: _init_group_value(ev, k), tree_reads,
@@ -748,11 +723,9 @@ def init_actions(k: int) -> AlgorithmSpec:
                     (*tree_reads, IN_GROUP), (INIT_GROUP,)),
         _share_sub("I6", IN_GROUP_OF, _lv, _SHARE_NBR | {IN_GROUP, IN_GROUP_OF},
                    _SHARE_NBR | {IN_GROUP_OF}),
-        _keyed_sub("I7", IN_GROUP_DIST, group_dist_row, _GROUP_NBR, _GROUP_NBR),
-        _array_sub("I8", IN_STAMP_ON, const_false_row,
-                   frozenset((DOMAIN, IN_STAMP_ON)), ()),
-        _array_sub("I9", IN_PRIOR, const_false_row,
-                   frozenset((DOMAIN, IN_PRIOR)), ()),
+        _keyed("I7", IN_GROUP_DIST, group_dist_row, _GROUP_NBR, _GROUP_NBR),
+        _keyed("I8", IN_STAMP_ON, const_false_row, (DOMAIN, IN_STAMP_ON), ()),
+        _keyed("I9", IN_PRIOR, const_false_row, (DOMAIN, IN_PRIOR), ()),
     )
     return AlgorithmSpec("init", actions, domain_var=DOMAIN)
 
@@ -777,6 +750,12 @@ def merge_actions(k: int) -> AlgorithmSpec:
     # The stamp rows read one another as kept rows: M6 reads M5's row and
     # M7 reads M6's.  Their marks are what a row reads at a key besides the
     # arrays it reads there key by key.
+    def stamp1(ev):
+        return kept_row(ev, m5).row
+
+    def stamp_dist(ev):
+        return kept_row(ev, m6).row
+
     def stamp1_marks(ev):
         # Bit 1 at the groups with a member at merge distance k+1, bit 2
         # at the elected target.
@@ -806,7 +785,7 @@ def merge_actions(k: int) -> AlgorithmSpec:
         srcs = [(w, ws) for w, ws in _all_nbrs(ev) if ws.get(GROUP, BOT) == own]
         return _distance_row(ev, GROUP_DIST, srcs, _domain_keys(ev, keys), k)
 
-    def stamp_on_row(ev):
+    def stamp_on_row(ev, keys):
         sd = ev.store.get(STAMP_DIST) or _EMPTY
         mg = ev.store.get(MERGING) or _EMPTY
         merging_self = _merging(ev)
@@ -814,7 +793,7 @@ def merge_actions(k: int) -> AlgorithmSpec:
             u: (sd.get(u, BOT) is not BOT
                 and not merging_self
                 and not mg.get(u, False))
-            for u in ev.store.get(DOMAIN) or ()
+            for u in _domain_keys(ev, keys)
         }
 
     shared = frozenset((DOMAIN, DIST, IN_GROUP, IN_GROUP_OF, IN_GROUP_DIST,
@@ -822,38 +801,37 @@ def merge_actions(k: int) -> AlgorithmSpec:
     cand_reads = shared | {BORDER, FAR}
 
     stamp1_reads = cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1}
-    m5, stamp1 = _keyed(
+    m5 = _keyed(
         "M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys), stamp1_reads,
         _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR,
         key_reads=(TARGET, IN_STAMP_ON, IN_STAMP1), marks=stamp1_marks)
-    m6, stamp_dist = _keyed(
+    m6 = _keyed(
         "M6", STAMP_DIST, lambda ev, keys: _stamp_dist_row(ev, k, stamp1(ev), keys),
         stamp1_reads | {STAMP_DIST}, _GROUP_NBR | {STAMP1, STAMP_DIST},
         fixed=frozenset((DOMAIN, IN_GROUP)), marks=stamp_dist_marks)
 
     actions = (
-        _keyed_sub("M1", BORDER, border_row, _GROUP_NBR | {BORDER}, _GROUP_NBR | {BORDER}),
-        _keyed_sub("M2", FAR, far_row, _GROUP_NBR | {DIST, IN_GROUP_OF, FAR},
-                   _GROUP_NBR | {FAR}),
+        _keyed("M1", BORDER, border_row, _GROUP_NBR | {BORDER}, _GROUP_NBR | {BORDER}),
+        _keyed("M2", FAR, far_row, _GROUP_NBR | {DIST, IN_GROUP_OF, FAR},
+               _GROUP_NBR | {FAR}),
         _share_sub("M3", TARGET, _target, cand_reads | {TARGET}, _SHARE_NBR | {TARGET}),
-        _keyed_sub("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
-                   cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
+        _keyed("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
+               cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
         m5,
         m6,
-        _keyed_sub("M7", STAMP2, stamp2_row, stamp1_reads | {STAMP_DIST, STAMP2},
-                   _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}, fixed=_GROUP_NBR,
-                   marks=stamp2_marks),
+        _keyed("M7", STAMP2, stamp2_row, stamp1_reads | {STAMP_DIST, STAMP2},
+               _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}, fixed=_GROUP_NBR,
+               marks=stamp2_marks),
         _scalar_sub("M8", GROUP, _group_value,
                     cand_reads | {TARGET, STAMP_DIST, GROUP}, ()),
         _share_sub("M9", GROUP_OF, lambda ev: ev.store.get(GROUP, BOT),
                    shared | {GROUP, GROUP_OF}, _SHARE_NBR | {GROUP_OF}),
-        _keyed_sub("M10", GROUP_DIST, group_dist_row,
-                   frozenset((DOMAIN, DIST, GROUP, GROUP_DIST)),
-                   (DOMAIN, GROUP, GROUP_DIST)),
+        _keyed("M10", GROUP_DIST, group_dist_row, (DOMAIN, DIST, GROUP, GROUP_DIST),
+               (DOMAIN, GROUP, GROUP_DIST)),
         _share_sub("M11", MERGING, _merging, cand_reads | {TARGET, STAMP_DIST, MERGING},
                    _SHARE_NBR | {MERGING}),
-        _array_sub("M12", STAMP_ON, stamp_on_row,
-                   cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, ()),
+        _keyed("M12", STAMP_ON, stamp_on_row,
+               cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, ()),
         _share_sub("M13", PRIOR, _prior, cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
                    _SHARE_NBR | {PRIOR}),
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .graphs import Graph
-from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var, plain_evals
+from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var
 from .bfs import PARENT, bfs_actions
 
 COLOR = "color"
@@ -346,20 +346,19 @@ def error_nowhere(evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:
     return not any(ev.cached(error_check) for ev in evals)
 
 
-def check_Cgoal(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:
+def check_Cgoal(evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:
     """No error anywhere, outputs equal to their copies, base disabled."""
-    evals = plain_evals(cfg, graph)
     if not error_nowhere(evals, binding):
         return False
-    if not all(_copies_match(binding, cfg[v]) for v in graph.vertices):
+    if not all(_copies_match(binding, ev.store) for ev in evals):
         return False
     return disabled_everywhere(evals, binding.base)
 
 
-def check_Cfin(cfg: Configuration, binding: BaseAlgorithmBinding, graph: Graph) -> bool:
+def check_Cfin(evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:
     """Terminal shape: goal condition plus mode A, color 3, reset 0 everywhere."""
-    for v in graph.vertices:
-        s = cfg[v]
+    for ev in evals:
+        s = ev.store
         if s.get(MODE) != MODE_BASE or s.get(COLOR) != 3 or s.get(RESET) != 0:
             return False
-    return check_Cgoal(cfg, binding, graph)
+    return check_Cgoal(evals, binding)

@@ -176,19 +176,9 @@ class Action:
     reaches it.  `writes` declares the variables the statement may assign.
     Actions hash by identity, so a cache lookup never hashes their fields.
 
-    `keyed` names an array the action writes and reads from neighbors when
-    its row is key-local in it: the row's entry at key u depends on the
-    neighbors' arrays only through their entries at u.  `run` then keeps the
-    row across steps (Eval.kept) and `evaluate` patches it (keyed_updates).
-    Each read reaches the row in one of three ways, which the action
-    declares to keyed_updates: a change of a variable the whole row
-    depends on drops it; a change of the neighbors' keyed array, or of
-    another array read key by key, queues the keys whose value changed;
-    and any other read reaches the row through per-key marks the action
-    derives at each evaluation (a predicate per key, or a value read at
-    one key), whose difference from the last marks names the keys to
-    recompute.  The owner's write of the array with anything but the row
-    itself drops the row too.
+    `keyed`, for an array substitution, declares its row (see Keyed); `run`
+    then keeps the row across steps (Eval.kept) and `evaluate` patches it
+    (keyed_updates).
     """
 
     label: str
@@ -196,7 +186,7 @@ class Action:
     reads: frozenset = frozenset()
     writes: frozenset = frozenset()
     nbr_reads: Optional[frozenset] = None
-    keyed: Optional[str] = None
+    keyed: Optional[Keyed] = None
 
     def __post_init__(self):
         if self.nbr_reads is None:
@@ -205,11 +195,43 @@ class Action:
             raise ValueError(
                 f"{self.label}: neighbor reads {sorted(self.nbr_reads - self.reads)}"
                 " are not declared in reads")
-        if self.keyed is not None and not (
-                self.keyed in self.writes and self.keyed in self.nbr_reads):
-            raise ValueError(
-                f"{self.label}: keyed array {self.keyed!r} must be written and"
-                " read from neighbors")
+        keyed = self.keyed
+        if keyed is not None:
+            if keyed.array not in self.writes:
+                raise ValueError(
+                    f"{self.label}: keyed array {keyed.array!r} is not written")
+            outside = (keyed.fixed | keyed.key_reads) - self.reads
+            if outside:
+                raise ValueError(
+                    f"{self.label}: keyed row declares {sorted(outside)} outside reads")
+
+
+@dataclass(frozen=True)
+class Keyed:
+    """The row of an array substitution, declared once on its Action.
+
+    `array` is the array the action writes, whose whole new value is the
+    row: one entry per key of the owner's domain.  `row(ev, keys)` computes
+    the row at exactly the domain keys `keys`, or at all of them for None.
+    The row is kept across steps (kept_row), and each read reaches it in
+    one of three ways.  A change of a `fixed` variable, which the whole row
+    depends on, drops it; `fixed` includes the domain variable, so every
+    domain write drops the owner's row.  A change of a `key_reads` array,
+    or of a neighbor's `array` when the action reads it from neighbors,
+    queues the keys whose value changed: the row's entry at key u reads
+    those arrays only at u.  Any other read reaches the row through
+    `marks(ev)`, a dict from keys to the derived values the row reads at
+    those keys (a predicate that holds there, or a value read at one key),
+    whose difference from the last marks names the keys to recompute.  The
+    owner's write of `array` with anything but the row itself drops the row
+    too.
+    """
+
+    array: str
+    row: Callable[[Eval, Optional[Iterable]], dict]
+    fixed: frozenset
+    key_reads: frozenset = frozenset()
+    marks: Optional[Callable[[Eval], dict]] = None
 
 
 class Kept:
@@ -239,32 +261,35 @@ class KeptRows:
     def __init__(self, domain_var: Optional[str]):
         self.domain_var = domain_var
         self.by_action: dict[Action, dict[int, Kept]] = {}
-        self.declared: dict[Action, tuple[frozenset, frozenset]] = {}
         self._touching: dict[frozenset, tuple] = {}  # names -> what they reach
 
-    def rows(self, action: Action, fixed: frozenset,
-             key_reads: frozenset) -> dict[int, Kept]:
-        """The kept rows of `action`, whose `fixed` variables the whole row
-        depends on and whose `key_reads` reach it key by key."""
+    def rows(self, action: Action) -> dict[int, Kept]:
+        """The kept rows of the keyed `action`.  A row's keys are the
+        domain, so its `fixed` variables must include the domain variable."""
         rows = self.by_action.get(action)
         if rows is None:
+            domain_var = self.domain_var
+            if domain_var is not None and domain_var not in action.keyed.fixed:
+                raise ValueError(
+                    f"{action.label}: a keyed row must be fixed on {domain_var!r}")
             rows = self.by_action[action] = {}
-            self.declared[action] = (fixed, key_reads)
             self._touching.clear()
         return rows
 
     def _reach(self, names: frozenset) -> tuple:
-        # Per keyed action that `names` reach: its rows; whether they drop
-        # the owner's row; whether they include the keyed array; the owner's
-        # arrays among them whose changed keys wait; whether they drop the
-        # neighbors' rows; the neighbors' arrays whose changed keys wait.
+        # Per keyed action that `names` reach: its rows and array; whether
+        # they drop the owner's row; whether they include the array; the
+        # owner's arrays among them whose changed keys wait; whether they
+        # drop the neighbors' rows; the neighbors' arrays whose changed keys
+        # wait.
         reached = []
         for action, rows in self.by_action.items():
-            fixed, key_reads = self.declared[action]
+            keyed = action.keyed
             nbr = names & action.nbr_reads
-            entry = (action, rows, not names.isdisjoint(fixed), action.keyed in names,
-                     tuple(names & key_reads), not nbr.isdisjoint(fixed),
-                     tuple(nbr & (key_reads | {action.keyed})))
+            entry = (rows, keyed.array, not names.isdisjoint(keyed.fixed),
+                     keyed.array in names, tuple(names & keyed.key_reads),
+                     not nbr.isdisjoint(keyed.fixed),
+                     tuple(nbr & (keyed.key_reads | {keyed.array})))
             if any(entry[2:]):
                 reached.append(entry)
         return tuple(reached)
@@ -281,24 +306,16 @@ class KeptRows:
         the keys that write changed are the row's disagreement set (keys
         outside v's domain, which no row reads from v, are not counted);
         v's storing anything else there drops the row.  Any other read
-        reaches a row only through its marks.  A domain write drops v's
-        rows and the neighbor rows it touches."""
-        if self.domain_var in names:
-            # new keys for every row of v, and new neighbor arrays
-            for action, rows in self.by_action.items():
-                rows.pop(v, None)
-                if not names.isdisjoint(action.nbr_reads):
-                    for w in nbrs:
-                        rows.pop(w, None)
-            return
+        reaches a row only through its marks.  A domain write is a change
+        of a fixed variable, since every row is fixed on the domain."""
         reached = self._touching.get(names)
         if reached is None:
             reached = self._touching[names] = self._reach(names)
         diffs = {}  # array -> its changed keys, computed once
-        for action, rows, drop, stored, *_ in reached:
+        for rows, array, drop, stored, *_ in reached:
             state = rows.get(v) if stored and not drop else None
-            if state is not None and new.get(action.keyed) is state.row:
-                diffs[action.keyed], state.diff = state.diff, set()
+            if state is not None and new.get(array) is state.row:
+                diffs[array], state.diff = state.diff, set()
 
         def keys_of(name):
             keys = diffs.get(name)
@@ -306,10 +323,10 @@ class KeptRows:
                 keys = diffs[name] = changed_keys(old.get(name), new.get(name))
             return keys
 
-        for action, rows, drop, stored, own_keyed, nbr_drop, nbr_keyed in reached:
+        for rows, array, drop, stored, own_keyed, nbr_drop, nbr_keyed in reached:
             state = rows.get(v)
             if state is not None:
-                if drop or stored and new.get(action.keyed) is not state.row:
+                if drop or stored and new.get(array) is not state.row:
                     del rows[v]
                 else:
                     for name in own_keyed:
@@ -327,54 +344,47 @@ class KeptRows:
                             state.waiting |= keys
 
 
-def kept_row(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
-             key_reads: frozenset = frozenset(), marks=None) -> Kept:
-    """The row of the keyed `action` (an array substitution) at ev's
-    snapshot, as a Kept with its disagreement set.
+def kept_row(ev: Eval, action: Action) -> Kept:
+    """The row of the keyed `action` (see Keyed) at ev's snapshot, as a
+    Kept with its disagreement set.
 
-    `keys` is the owner's domain, the keys of the row; `row_of(ev, some)`
-    computes the row at exactly the keys `some`, or at all of `keys` for
-    None.  A change of a `fixed` variable (the owner's, or a neighbor's it
-    reads) drops the kept row; a change of a `key_reads` array (or a
-    neighbor's keyed array) reaches it at the changed keys
-    (KeptRows.changed).  Every other input reaches the row through
-    `marks(ev)`: a dict from keys to the derived values the row reads at
-    those keys, such as a predicate that holds there.  The first
-    evaluation computes the full row; later ones recompute the waiting
-    keys and the keys whose marks differ from the last ones (added,
-    removed or changed), and update the disagreement set at those keys
-    only.  While the action's result stays in the run's cache
-    (Eval.cached), no change has reached the row since it was last
-    patched, and it is returned as it is.  Without the run's kept rows the
-    full row is computed; either way it is computed at most once per Eval.
+    The first evaluation computes the full row, whose keys are the owner's
+    domain; later ones recompute the waiting keys and the keys whose marks
+    differ from the last ones (added, removed or changed), and update the
+    disagreement set at those keys only.  While the action's result stays
+    in the run's cache (Eval.cached), no change has reached the row since
+    it was last patched, and it is returned as it is.  Without the run's
+    kept rows the full row is computed; either way it is computed at most
+    once per Eval.
     """
     memo_key = (Kept, action)
     state = ev.memo.get(memo_key)
     if state is not None:
         return state
-    rows = None if ev.kept is None else ev.kept.rows(action, fixed, key_reads)
+    keyed = action.keyed
+    rows = None if ev.kept is None else ev.kept.rows(action)
     state = None if rows is None else rows.get(ev.pid)
     if state is None:
-        stored = ev.store.get(action.keyed) or _EMPTY
-        row = row_of(ev, None)
-        state = Kept(row, {u for u in keys if stored.get(u, BOT) != row[u]},
-                     None if rows is None or marks is None else marks(ev))
+        stored = ev.store.get(keyed.array) or _EMPTY
+        row = keyed.row(ev, None)
+        state = Kept(row, {u for u, x in row.items() if stored.get(u, BOT) != x},
+                     None if rows is None or keyed.marks is None else keyed.marks(ev))
         if rows is not None:
             rows[ev.pid] = state
     elif ev.shared is None or ev.pid not in ev.shared.get(action, _EMPTY):
         todo = state.waiting
-        if marks is not None:
-            new_marks = marks(ev)
+        if keyed.marks is not None:
+            new_marks = keyed.marks(ev)
             if new_marks != state.marks:
                 todo.update(u for u, _ in new_marks.items() ^ state.marks.items())
                 state.marks = new_marks
         if todo:
-            todo &= keys
+            todo &= state.row.keys()  # the domain: a domain write drops the row
             state.waiting = set()
         if todo:
-            stored = ev.store.get(action.keyed) or _EMPTY
+            stored = ev.store.get(keyed.array) or _EMPTY
             row, diff = state.row, state.diff
-            for u, x in row_of(ev, todo).items():
+            for u, x in keyed.row(ev, todo).items():
                 if row[u] != x:
                     if state.handed:
                         row = state.row = dict(row)
@@ -388,16 +398,15 @@ def kept_row(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
     return state
 
 
-def keyed_updates(ev: Eval, action: Action, keys, row_of, fixed: frozenset,
-                  key_reads: frozenset = frozenset(), marks=None) -> Optional[dict]:
-    """Evaluate the keyed `action` from its kept row (see kept_row, which
-    takes the same arguments): enabled iff the row disagrees with the
-    stored array at some key of `keys`; the updates write the row."""
-    state = kept_row(ev, action, keys, row_of, fixed, key_reads, marks)
+def keyed_updates(ev: Eval, action: Action) -> Optional[dict]:
+    """Evaluate the keyed `action` from its kept row (kept_row): enabled iff
+    the row disagrees with the stored array at some key; the updates write
+    the row."""
+    state = kept_row(ev, action)
     if not state.diff:
         return None
     state.handed = True
-    return {action.keyed: state.row}
+    return {action.keyed.array: state.row}
 
 
 @dataclass(frozen=True)
@@ -609,11 +618,8 @@ class StepEvent:
     index: int
     pre_cfg: Configuration
     post_cfg: Configuration
-    selected: set[int]
     fired: dict[int, str]
-    enabled_pre: set[int]
     enabled_post: set[int]
-    round_end: bool
     evaluate: Callable[[int], Eval] = field(repr=False)
     next_label: Callable[[int], Optional[str]] = field(repr=False)
 
@@ -775,19 +781,17 @@ def run(
         # neutralized (enabled before the step, not after)
         pending -= selected
         pending -= {v for v in enabled if v not in new_enabled}
-        round_end = False
         if not pending:
             boundaries.append(i + 1)
             pending = set(new_enabled)
-            round_end = True
 
         sched.after_step(enabled, selected, new_enabled)
 
         if record_steps:
             steps.append(StepRecord(fired))
         if observers:
-            event = StepEvent(i, cfg, new_cfg, selected, fired, enabled, new_enabled,
-                              round_end, partial(fresh_eval, new_cfg), next_label)
+            event = StepEvent(i, cfg, new_cfg, fired, new_enabled,
+                              partial(fresh_eval, new_cfg), next_label)
             for obs in observers:
                 obs(event)
 

@@ -147,6 +147,7 @@ def test_cmd_inject_zero_corruptions_matches_run(tmp_path, capsys):
 @pytest.mark.parametrize("spec,named", [
     pytest.param({"variables": [["color"]]}, "variables", id="variables-nested"),
     pytest.param({"variables": "color"}, "variables", id="variables-str"),
+    pytest.param({"variables": []}, "variables", id="variables-empty"),
     pytest.param({"count": True}, "count", id="count-bool"),
     pytest.param({"count": "2"}, "count", id="count-str"),
     pytest.param({"count": -1}, "count", id="count-negative"),
@@ -187,6 +188,19 @@ def test_cmd_sweep_stdout_matches_out_file(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.encode() == out.read_bytes()
     assert len(list(csv.DictReader(printed.splitlines()))) == 2
+
+
+def test_cmd_sweep_unwritable_out_fails_before_running(tmp_path, capsys, monkeypatch):
+    from stabsim import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "sweep_rows", lambda *args: calls.append(args) or [])
+    out = tmp_path / "missing" / "sweep.csv"
+    code = main(["sweep", "--family", "path", "--n", "5", "--k", "2", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert str(out) in capsys.readouterr().err
+    assert calls == []
 
 
 def test_adversarial_file_mode(tmp_path, capsys):

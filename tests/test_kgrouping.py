@@ -41,7 +41,7 @@ from stabsim.kgrouping import (
     share,
 )
 from stabsim.loop import check_Cfin, compose
-from stabsim.runtime import BOT, DaemonPolicy, Eval, KeptRows, run
+from stabsim.runtime import BOT, DaemonPolicy, Eval, KeptRows, plain_evals, run
 
 
 def tree_state(graph):
@@ -376,6 +376,31 @@ def test_uncached_eval_computes_the_gradient_once(monkeypatch):
     assert share_rows == [v for v in g.vertices for _ in range(5)]
 
 
+def test_closure_check_evaluates_the_error_predicate_once_per_process(monkeypatch):
+    # closure_check asks the composed table (whose L5 reads the error check)
+    # and C_fin through one set of plain Evals, so each process evaluates
+    # the error predicate once.
+    from stabsim.configs import random_config
+    from stabsim.experiments import closure_check, run_grouping
+    from stabsim.graphs import grid_graph
+
+    g, k = grid_graph(3, 3), 2
+    result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
+                          random_config(g, k, seed=11))
+    calls = []
+    real = kgrouping.error_predicate
+
+    def counted(ev, k):
+        calls.append(ev.pid)
+        return real(ev, k)
+
+    monkeypatch.setattr(kgrouping, "error_predicate", counted)
+    for _ in range(2):
+        calls.clear()
+        assert closure_check(result)
+        assert sorted(calls) == sorted(g.vertices)
+
+
 # ---------------------------------------------------------------------------
 # pairwise group relations (ground truth side)
 
@@ -476,7 +501,7 @@ def _checked(action, checks):
             assert real(Eval(ev.cfg, ev.pid, ev.nbr_ids, {}, fresh)) == updates
             full = fresh.by_action[action][ev.pid]
             assert state.row == full.row, action.label
-            stored = ev.store.get(action.keyed) or {}
+            stored = ev.store.get(action.keyed.array) or {}
             assert state.diff == {u for u in ev.store[DOMAIN]
                                   if stored.get(u, BOT) != state.row[u]}, action.label
             assert state.diff == full.diff, action.label
@@ -486,8 +511,8 @@ def _checked(action, checks):
     return dataclasses.replace(action, evaluate=evaluate)
 
 
-KEYED_LABELS = {"I2", "I6", "I7", "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M9",
-                "M10", "M11", "M13"}
+KEYED_LABELS = {"I2", "I6", "I7", "I8", "I9", "M1", "M2", "M3", "M4", "M5", "M6", "M7",
+                "M9", "M10", "M11", "M12", "M13"}
 
 
 @pytest.mark.parametrize("daemon", [DaemonPolicy(kind="random", p=0.5, seed=4),
@@ -510,7 +535,7 @@ def test_kept_rows_match_full_recomputes(daemon):
         trace = run(graph, compose(binding, graph), cfg0, daemon, max_steps=200_000,
                     record_steps=False)
         assert trace.terminated
-        assert check_Cfin(trace.final, binding, graph)
+        assert check_Cfin(plain_evals(trace.final, graph), binding)
     assert {a.label for a in (*kgrouping_binding(1).base.actions,
                               *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
     assert set(checks) == KEYED_LABELS, sorted(KEYED_LABELS - set(checks))
@@ -524,12 +549,12 @@ def test_every_kept_row_matches_a_full_recompute(monkeypatch):
     real = runtime.kept_row
     checks = Counter()
 
-    def checked(ev, action, keys, *declared):
+    def checked(ev, action):
         kept = ev.kept is not None and ev.pid in ev.kept.by_action.get(action, ())
         current = kept and ev.pid in (ev.shared or {}).get(action, ())
-        state = real(ev, action, keys, *declared)
+        state = real(ev, action)
         if kept:
-            full = real(Eval(ev.cfg, ev.pid, ev.nbr_ids), action, keys, *declared)
+            full = real(Eval(ev.cfg, ev.pid, ev.nbr_ids), action)
             assert (state.row, state.diff) == (full.row, full.diff), action.label
             checks[action.label, "current" if current else "patched"] += 1
         return state
@@ -542,7 +567,7 @@ def test_every_kept_row_matches_a_full_recompute(monkeypatch):
             binding = kgrouping_binding(k)
             trace = run(graph, compose(binding, graph), random_config(graph, k, seed=3, n_false=2),
                         daemon, max_steps=200_000, record_steps=False)
-            assert trace.terminated and check_Cfin(trace.final, binding, graph)
+            assert trace.terminated and check_Cfin(plain_evals(trace.final, graph), binding)
     assert {label for label, _ in checks} == KEYED_LABELS
     assert all(checks[label, kind] for label in ("M5", "M6") for kind in ("current", "patched"))
     assert checks["M7", "patched"]

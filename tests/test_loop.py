@@ -27,6 +27,7 @@ from stabsim.runtime import (
     Eval,
     Var,
     enabled_actions,
+    plain_evals,
     run,
     step,
 )
@@ -180,13 +181,13 @@ def test_cgoal_cfin_relation(p3):
     cfg[1].update({ROOT: 1, LEVEL: 0, PARENT: BOT})
     cfg[2].update({ROOT: 1, LEVEL: 1, PARENT: 1})
     cfg[3].update({ROOT: 1, LEVEL: 2, PARENT: 2})
-    assert check_Cgoal(cfg, binding, p3)
-    assert check_Cfin(cfg, binding, p3)
+    assert check_Cgoal(plain_evals(cfg, p3), binding)
+    assert check_Cfin(plain_evals(cfg, p3), binding)
     cfg[2][COLOR] = 2
-    assert check_Cgoal(cfg, binding, p3)
-    assert not check_Cfin(cfg, binding, p3)
+    assert check_Cgoal(plain_evals(cfg, p3), binding)
+    assert not check_Cfin(plain_evals(cfg, p3), binding)
     cfg[2]["in_m"] = 99  # breaks the copy fixed point
-    assert not check_Cgoal(cfg, binding, p3)
+    assert not check_Cgoal(plain_evals(cfg, p3), binding)
 
 
 def test_generic_loop_runs_toy_base_to_fixed_point():
@@ -197,7 +198,7 @@ def test_generic_loop_runs_toy_base_to_fixed_point():
     trace = run(g, alg, cfg, DaemonPolicy(kind="random", p=0.5, seed=11),
                 max_steps=200_000)
     assert trace.terminated
-    assert check_Cfin(trace.final, toy_binding(), g)
+    assert check_Cfin(plain_evals(trace.final, g), toy_binding())
     assert all(trace.final[v]["m"] == 3 for v in g.vertices)
     assert all(trace.final[v]["in_m"] == 3 for v in g.vertices)
 
@@ -221,7 +222,7 @@ def test_generic_loop_from_corrupted_colors():
         trace = run(g, alg, cfg, DaemonPolicy(kind="random", p=0.6, seed=trial),
                     max_steps=200_000)
         assert trace.terminated
-        assert check_Cfin(trace.final, binding, g)
+        assert check_Cfin(plain_evals(trace.final, g), binding)
         final_values = {trace.final[v]["m"] for v in g.vertices}
         assert len(final_values) == 1
 

@@ -8,6 +8,8 @@ from stabsim.runtime import (
     DaemonContractError,
     DaemonPolicy,
     Eval,
+    Keyed,
+    KeptRows,
     ScheduleError,
     bot_inc,
     bot_min,
@@ -428,8 +430,7 @@ def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=No
         if ev.kept is not None:
             state = ev.kept.by_action.get(keyed, {}).get(2)
             seen.append(None if state is None else set(state.waiting))
-        updates = keyed_updates(ev, keyed, ev.store["domain"], row_of,
-                                frozenset({"domain", "b"}), key_reads, marks)
+        updates = keyed_updates(ev, keyed)
         if updates is not None and handed is not None and ev.kept is not None:
             handed.append((updates["a"], dict(updates["a"])))
         return updates
@@ -440,7 +441,8 @@ def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=No
         return dict(todo[i], i=i + 1) if i < len(todo) else None
 
     keyed = Action("K", evaluate_k, frozenset({"domain", "a", "b", "t", "m"}),
-                   frozenset({"a"}), keyed="a")
+                   frozenset({"a"}),
+                   keyed=Keyed("a", row_of, frozenset({"domain", "b"}), key_reads, marks))
     write = Action("W", evaluate_w, frozenset({"i"}),
                    frozenset({"domain", "a", "b", "c", "t", "m", "i"}), frozenset())
     return AlgorithmSpec("keyed", (keyed, write), domain_var="domain")
@@ -463,12 +465,31 @@ def run_keyed_copy(script, selections, calls, seen, handed=None, observers=(),
     return trace
 
 
-def test_keyed_action_must_write_and_read_its_array_from_neighbors():
-    with pytest.raises(ValueError, match="keyed"):
-        Action("K", lambda ev: None, frozenset("ab"), frozenset("b"), keyed="a")
-    with pytest.raises(ValueError, match="keyed"):
-        Action("K", lambda ev: None, frozenset("ab"), frozenset("a"),
-               nbr_reads=frozenset("b"), keyed="a")
+def test_keyed_row_declaration_is_checked():
+    def row(ev, keys):
+        return {}
+
+    def keyed_action(writes, fixed, key_reads=frozenset()):
+        return Action("K", lambda ev: None, frozenset({"domain", "a", "b"}),
+                      frozenset(writes), keyed=Keyed("a", row, frozenset(fixed),
+                                                     frozenset(key_reads)))
+
+    with pytest.raises(ValueError, match="keyed array 'a' is not written"):
+        keyed_action("b", {"domain"})
+    with pytest.raises(ValueError, match=r"\['c'\] outside reads"):
+        keyed_action("a", {"domain", "c"})
+    with pytest.raises(ValueError, match=r"\['t'\] outside reads"):
+        keyed_action("a", {"domain"}, key_reads={"b", "t"})
+    # An array the action does not read from neighbors is accepted.
+    local = Action("K", lambda ev: None, frozenset({"domain", "a"}), frozenset("a"),
+                   frozenset(), keyed=Keyed("a", row, frozenset({"domain"})))
+    assert KeptRows("domain").rows(local) == {}
+    # A row's keys are the domain, so a row not dropped by a domain write
+    # is refused when it is first kept.
+    undomained = keyed_action("a", {"b"})
+    assert KeptRows(None).rows(undomained) == {}
+    with pytest.raises(ValueError, match="fixed on 'domain'"):
+        KeptRows("domain").rows(undomained)
 
 
 def test_kept_row_patches_the_changed_keys_only():
