@@ -125,17 +125,21 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{flag} {text} selects no value: the sweep would run nothing")
     if args.max_steps is not None and args.max_steps <= 0:
         raise ValueError(f"--max-steps {args.max_steps}: the step budget must be positive")
-    # Open --out before the sweep, which may run for long; a sweep that
-    # fails leaves no file behind.
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    # Open --out before the sweep, which may run for long, for appending: a
+    # failed sweep leaves an existing file as it was and removes a new one.
+    created = bool(args.out) and not os.path.exists(args.out)
+    out = open(args.out, "a", encoding="utf-8", newline="") if args.out else None
     try:
         rows = sweep_rows(args.family, ns, ks, seeds, args.max_steps)
     except BaseException:
         if out is not None:
             out.close()
-            os.remove(args.out)
+            if created:
+                os.remove(args.out)
         raise
     with out or contextlib.nullcontext(sys.stdout) as stream:
+        if out is not None and os.path.isfile(args.out):
+            stream.truncate(0)
         write_sweep_csv(rows, stream)
     failed = [r for r in rows if r["verdict"] != "ok"]
     for r in failed:

@@ -213,18 +213,18 @@ class Keyed:
     `array` is the array the action writes, whose whole new value is the
     row: one entry per key of the owner's domain.  `row(ev, keys)` computes
     the row at exactly the domain keys `keys`, or at all of them for None.
-    The row is kept across steps (kept_row), and each read reaches it in
-    one of three ways.  A change of a `fixed` variable, which the whole row
-    depends on, drops it; `fixed` includes the domain variable, so every
-    domain write drops the owner's row.  A change of a `key_reads` array,
-    or of a neighbor's `array` when the action reads it from neighbors,
-    queues the keys whose value changed: the row's entry at key u reads
-    those arrays only at u.  Any other read reaches the row through
-    `marks(ev)`, a dict from keys to the derived values the row reads at
-    those keys (a predicate that holds there, or a value read at one key),
-    whose difference from the last marks names the keys to recompute.  The
-    owner's write of `array` with anything but the row itself drops the row
-    too.
+    The row is kept across steps (kept_row), and each read reaches it in one
+    of three ways.  A change of a `fixed` variable, which the whole row
+    depends on, drops it; `fixed` includes the domain variable
+    (AlgorithmSpec checks this), so every domain write drops the owner's
+    row.  A change of a `key_reads` array, or of a neighbor's `array` when
+    the action reads it from neighbors, queues the keys whose value changed:
+    the row's entry at key u reads those arrays only at u.  Any other read
+    reaches the row through `marks(ev)`, a dict from keys to the derived
+    values the row reads at those keys (a predicate that holds there, or a
+    value read at one key), whose difference from the last marks names the
+    keys to recompute.  The owner's write of `array` with anything but the
+    row itself drops the row too.
     """
 
     array: str
@@ -258,20 +258,14 @@ class KeptRows:
     """The rows `run` keeps for keyed actions: per action, per process, a
     Kept.  `changed` applies one process's step to them."""
 
-    def __init__(self, domain_var: Optional[str]):
-        self.domain_var = domain_var
+    def __init__(self):
         self.by_action: dict[Action, dict[int, Kept]] = {}
         self._touching: dict[frozenset, tuple] = {}  # names -> what they reach
 
     def rows(self, action: Action) -> dict[int, Kept]:
-        """The kept rows of the keyed `action`.  A row's keys are the
-        domain, so its `fixed` variables must include the domain variable."""
+        """The kept rows of the keyed `action`."""
         rows = self.by_action.get(action)
         if rows is None:
-            domain_var = self.domain_var
-            if domain_var is not None and domain_var not in action.keyed.fixed:
-                raise ValueError(
-                    f"{action.label}: a keyed row must be fixed on {domain_var!r}")
             rows = self.by_action[action] = {}
             self._touching.clear()
         return rows
@@ -422,6 +416,14 @@ class AlgorithmSpec:
     name: str
     actions: tuple[Action, ...]
     domain_var: Optional[str] = None
+
+    def __post_init__(self):
+        # A keyed row's keys are the domain, so a domain write must drop it.
+        for a in self.actions:
+            if (a.keyed is not None and self.domain_var is not None
+                    and self.domain_var not in a.keyed.fixed):
+                raise ValueError(
+                    f"{a.label}: a keyed row must be fixed on {self.domain_var!r}")
 
     @property
     def reads(self) -> frozenset:
@@ -684,7 +686,7 @@ def run(
 
     cfg = {v: dict(cfg0[v]) for v in cfg0}
     shared: dict = {}  # see Eval.cached
-    kept = KeptRows(domain_var)  # see Action.keyed
+    kept = KeptRows()  # see Action.keyed
     reaches: dict[frozenset, tuple] = {}  # changed names -> what they reach
 
     def reach(names):

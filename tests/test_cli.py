@@ -203,6 +203,22 @@ def test_cmd_sweep_unwritable_out_fails_before_running(tmp_path, capsys, monkeyp
     assert calls == []
 
 
+def test_cmd_sweep_failure_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    out.write_text("earlier results\n")
+    code = main(["sweep", "--family", "grid", "--n", "1", "--k", "1", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert "need at least two processes" in capsys.readouterr().err
+    assert out.read_text() == "earlier results\n"
+    # A sweep that succeeds replaces the file's contents.
+    code = main(["sweep", "--family", "path", "--n", "5", "--k", "2", "--seeds", "1",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["family"] for row in rows] == ["path"]
+
+
 def test_adversarial_file_mode(tmp_path, capsys):
     from stabsim.configs import config_to_json, random_config
 

@@ -497,7 +497,7 @@ def _checked(action, checks):
         updates = real(ev)
         if patched:
             state = rows[ev.pid]
-            fresh = KeptRows(DOMAIN)  # no row kept: the first evaluation is full
+            fresh = KeptRows()  # no row kept: the first evaluation is full
             assert real(Eval(ev.cfg, ev.pid, ev.nbr_ids, {}, fresh)) == updates
             full = fresh.by_action[action][ev.pid]
             assert state.row == full.row, action.label
@@ -581,7 +581,7 @@ def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5
     k = 2
     cfg = init_silent_cfg(p5, k)
     m5, m6 = merge_actions(k).actions[4:6]
-    kept, computed = KeptRows(DOMAIN), []
+    kept, computed = KeptRows(), []
     for name in ("_stamp1_row", "_stamp_dist_row"):
         def counted(ev, *args, real=getattr(kgrouping, name), name=name):
             if ev.kept is kept:  # not the fresh full recompute
@@ -593,7 +593,7 @@ def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5
     def evaluate(action, cfg, v):
         computed.clear()
         action.evaluate(Eval(cfg, v, p5.neighbors_of(v), {}, kept))
-        fresh = KeptRows(DOMAIN)
+        fresh = KeptRows()
         action.evaluate(Eval(cfg, v, p5.neighbors_of(v), {}, fresh))
         assert kept.by_action[action][v].row == fresh.by_action[action][v].row
         return computed

@@ -9,7 +9,6 @@ from stabsim.runtime import (
     DaemonPolicy,
     Eval,
     Keyed,
-    KeptRows,
     ScheduleError,
     bot_inc,
     bot_min,
@@ -483,13 +482,13 @@ def test_keyed_row_declaration_is_checked():
     # An array the action does not read from neighbors is accepted.
     local = Action("K", lambda ev: None, frozenset({"domain", "a"}), frozenset("a"),
                    frozenset(), keyed=Keyed("a", row, frozenset({"domain"})))
-    assert KeptRows("domain").rows(local) == {}
+    assert AlgorithmSpec("local", (local,), domain_var="domain").actions == (local,)
     # A row's keys are the domain, so a row not dropped by a domain write
-    # is refused when it is first kept.
+    # is refused when the algorithm is declared.
     undomained = keyed_action("a", {"b"})
-    assert KeptRows(None).rows(undomained) == {}
+    assert AlgorithmSpec("plain", (undomained,)).actions == (undomained,)
     with pytest.raises(ValueError, match="fixed on 'domain'"):
-        KeptRows("domain").rows(undomained)
+        AlgorithmSpec("domained", (undomained,), domain_var="domain")
 
 
 def test_kept_row_patches_the_changed_keys_only():
