@@ -2,7 +2,8 @@
 
 Exit codes: 0 the run passed every per-run verdict of `experiments.judge`,
 1 some verdict failed (each printed to stderr as `criterion: message`),
-2 step budget exhausted, 3 input error.
+2 step budget exhausted, 3 input error (a malformed command line included),
+printed to stderr as one `error: message` line.
 """
 
 from __future__ import annotations
@@ -147,8 +148,17 @@ def cmd_sweep(args) -> int:
     return EXIT_INVALID if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error, not with
+    argparse's exit status 2, which here means an exhausted budget."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabsim",
         description="Self-stabilizing grouping simulator and verdict suite",
     )
@@ -178,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         logging.basicConfig(level=_log_level(os.environ.get("STABSIM_LOG", "WARNING")))
         return args.func(args)
     except (DescriptorError, GraphError, ConfigError, ScheduleError, ValueError) as exc:

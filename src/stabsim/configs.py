@@ -12,9 +12,10 @@ configuration files and the zeroed configuration.
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from . import bfs, kgrouping, loop
-from .graphs import Graph
+from .graphs import MAX_ID, Graph
 from .runtime import BOT, ID, NEIGHBOR, Configuration, Var
 
 MODEL = bfs.VARS + loop.VARS + kgrouping.VARS
@@ -28,6 +29,10 @@ class ConfigError(ValueError):
 
 
 def false_ids(graph: Graph, count: int) -> tuple[int, ...]:
+    """The `count` smallest identifiers that match no process."""
+    if count > MAX_ID + 1 - graph.n:
+        raise ConfigError(f"{count} false identifiers: only {MAX_ID + 1 - graph.n}"
+                          " identifiers match no process")
     out = []
     candidate = 0
     while len(out) < count:
@@ -41,18 +46,18 @@ def _is_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _values(var: Var, graph: Graph, k: int, pool: tuple, pid: int) -> tuple:
-    """The range of `var` at process pid, in draw order."""
+def _values(var: Var, graph: Graph, k: int, pool: tuple, pid: int) -> Sequence:
+    """The values of `var` at process pid in draw order, BOT left out (see
+    _draw): the declared sequence itself, never copied, so a range sized by
+    k costs the same for any k."""
     if var.values == ID:
-        values = pool
-    elif var.values == NEIGHBOR:
-        values = graph.neighbors_of(pid)
-    else:
-        values = tuple(var.values(graph.n, k))
-    return values + (BOT,) if var.bot else values
+        return pool
+    if var.values == NEIGHBOR:
+        return graph.neighbors_of(pid)
+    return var.values(graph.n, k)
 
 
-def _in_range(var: Var, value, values: tuple) -> bool:
+def _in_range(var: Var, value, values: Sequence) -> bool:
     if value is BOT:
         return var.bot
     if var.values == ID:
@@ -60,13 +65,16 @@ def _in_range(var: Var, value, values: tuple) -> bool:
     return value in values and type(value) is type(values[0])
 
 
-def _draw(rng: random.Random, var: Var, values: tuple, store: dict):
+def _draw(rng: random.Random, var: Var, values: Sequence, store: dict):
     if var.kind == "set":
         return frozenset(x for x in values if rng.random() < 0.5)
+    n = len(values)
+    top = n + var.bot  # BOT, when in range, is drawn as one more value
     if var.kind == "array":
         keys = sorted(store.get(_DOMAIN) or ())
-        return {u: values[rng.randrange(len(values))] for u in keys}
-    return values[rng.randrange(len(values))]
+        return {u: values[i] if (i := rng.randrange(top)) < n else BOT for u in keys}
+    i = rng.randrange(top)
+    return values[i] if i < n else BOT
 
 
 def _fresh(var: Var, graph: Graph, k: int, pid: int):

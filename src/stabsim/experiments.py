@@ -5,7 +5,8 @@ shift or by the initializer's hand-off; it records that execution's start
 configuration.  Qualifying boundaries feed the per-execution verdicts
 (error-freedom, stamp soundness, potential accounting) and the isolated round
 measurements.  Whether a boundary qualifies is read from the run's own
-caches while it runs (`qualifies`, through StepEvent.evaluate); the verdicts
+caches at the step that starts it (`qualifies`, through
+StepEvent.evaluate, before the step's changes reach them); the verdicts
 (`boundary_checks`, `closure_check`) are still computed from scratch, an
 independent referee of what the run's caches hold.  `judge` is the one place
 that decides whether a run met the paper's claims; the CLI, the sweeps and
@@ -31,6 +32,7 @@ from .configs import (
 from .graphs import (
     Graph,
     GraphError,
+    _is_int,
     cycle_graph,
     diameter,
     grid_graph,
@@ -69,7 +71,8 @@ class Boundary:
     configuration.  It qualifies when the module that just ended is disabled
     everywhere and, for a shift, the error predicate is false everywhere,
     since a merge execution needs error-free inputs.  run_grouping decides
-    this from the evaluations the run has cached (`qualifies`); the verdicts
+    this once, at the step where the root fires, from the evaluations the
+    run has cached at its pre-step configuration (`qualifies`); the verdicts
     on `start` are computed from scratch (`boundary_checks`)."""
 
     step: int
@@ -125,12 +128,10 @@ def run_grouping(
 ) -> RunResult:
     """One full composed run plus the oracle verdict on its final state.
 
-    A boundary is qualified at the configuration it starts from.  After each
-    step whose configuration gives the root SHIFT or HANDOFF as its next
-    label, the observer qualifies that configuration through the run's own
-    caches (StepEvent.evaluate), so the predicates reuse what the run has
-    evaluated there; when the root then fires, its pre-step configuration is
-    that very object.  A boundary at step 0 is qualified from scratch.
+    A boundary is qualified at the step that starts it: when the root fires
+    SHIFT or HANDOFF, the observer qualifies the pre-step configuration
+    through the run's own caches (StepEvent.evaluate), which are still valid
+    there, so the predicates reuse what the run has evaluated.
     """
     binding = kgrouping_binding(k)
     alg = compose(binding, graph)
@@ -139,22 +140,13 @@ def run_grouping(
         max_steps = default_max_steps(graph, diameter(graph))
 
     seen = []
-    ahead = None  # (configuration, qualification of the root's next boundary)
 
     def observe(event):
-        nonlocal ahead
         label = event.fired.get(root)
         if label in (SHIFT, HANDOFF):
-            cfg = event.pre_cfg
-            if ahead is not None and ahead[0] is cfg:
-                qualifying = ahead[1]
-            else:  # step 0: the run's caches have moved past its start
-                qualifying = qualifies(label, plain_evals(cfg, graph), binding)
-            seen.append((event.index, label, cfg, qualifying))
-        label = event.next_label(root)
-        if label in (SHIFT, HANDOFF):
             evals = [event.evaluate(v) for v in graph.vertices]
-            ahead = (event.post_cfg, qualifies(label, evals, binding))
+            seen.append((event.index, label, event.pre_cfg,
+                         qualifies(label, evals, binding)))
 
     trace = run(
         graph, alg, cfg0, daemon, max_steps,
@@ -362,10 +354,6 @@ def load_descriptor(path: str) -> RunDescriptor:
     return parse_descriptor(payload)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -418,7 +406,7 @@ def parse_descriptor(payload: dict) -> RunDescriptor:
             init_path=_field(init, "path", None,
                              lambda x: x is None or isinstance(x, str), "a file path"),
         )
-    except DescriptorError:
+    except (DescriptorError, GraphError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DescriptorError(f"bad descriptor: {exc}") from exc

@@ -42,6 +42,10 @@ class Graph:
             raise GraphError(f"unknown vertex {v}") from None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and freeze a graph: connected, n >= 2, simple, 32-bit ids."""
     vlist = list(vertices)
@@ -51,7 +55,7 @@ def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Gra
     if len(vset) < 2:
         raise GraphError("need at least two processes")
     for v in vset:
-        if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v <= MAX_ID):
+        if not _is_int(v) or not (0 <= v <= MAX_ID):
             raise GraphError(f"identifier {v!r} is not a 32-bit non-negative integer")
     norm = set()
     for u, v in edges:
@@ -159,35 +163,59 @@ def diameter(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # loading / saving
 
+def _malformed(path: str, fault) -> GraphError:
+    return GraphError(f"malformed graph file {path}: {fault}")
+
+
 def load_graph_json(path: str) -> Graph:
+    """A graph from a JSON object {"vertices": [ids], "edges": [[u, v], ...]};
+    any fault in the file is a GraphError naming the file."""
     with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise _malformed(path, f"not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise _malformed(path, "not a JSON object")
+    vertices, edges = payload.get("vertices"), payload.get("edges")
+    if not (isinstance(vertices, list) and all(map(_is_int, vertices))):
+        raise _malformed(path, f"'vertices' must be a list of integers, got {vertices!r}")
+    if not isinstance(edges, list):
+        raise _malformed(path, f"'edges' must be a list of pairs, got {edges!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+            raise _malformed(path, f"edge {e!r} is not a pair of integers")
     try:
-        vertices = payload["vertices"]
-        edges = [tuple(e) for e in payload["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph file {path}: {exc}") from exc
-    return make_graph(vertices, edges)
+        return make_graph(vertices, [tuple(e) for e in edges])
+    except GraphError as exc:
+        raise _malformed(path, exc) from exc
 
 
 def load_graph_edgelist(path: str) -> Graph:
     """One `u v` pair per line; vertex set inferred from endpoints."""
     edges = []
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{lineno}: expected 'u v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: non-integer endpoint") from exc
-            edges.append((u, v))
+        try:
+            lines = f.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise _malformed(path, f"not UTF-8 ({exc})") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphError(f"{path}:{lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphError(f"{path}:{lineno}: non-integer endpoint") from exc
+        edges.append((u, v))
     vertices = {u for e in edges for u in e}
-    return make_graph(vertices, edges)
+    try:
+        return make_graph(vertices, edges)
+    except GraphError as exc:
+        raise _malformed(path, exc) from exc
 
 
 def load_graph(path: str) -> Graph:

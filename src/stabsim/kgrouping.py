@@ -55,7 +55,7 @@ from __future__ import annotations
 from functools import wraps
 from types import MappingProxyType
 
-from .graphs import Graph, dist as graph_dist, induced_diameter
+from .graphs import MAX_ID, Graph, dist as graph_dist, induced_diameter
 from .loop import BaseAlgorithmBinding
 from .runtime import (
     BOT,
@@ -132,8 +132,10 @@ VARS = (
 
 
 def check_k(k: int) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"diameter bound k must be an integer >= 1, got {k!r}")
+    # A diameter among 32-bit identifiers is at most MAX_ID, and the
+    # distance ranges (0..2k) must stay sized in machine integers.
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_ID:
+        raise ValueError(f"diameter bound k must be an integer in 1..{MAX_ID}, got {k!r}")
     return k
 
 

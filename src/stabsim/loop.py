@@ -331,9 +331,9 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 
 # Each predicate reads a configuration through `evals`, one Eval per
 # process, and asks every action through Eval.cached.  Plain Evals
-# (runtime.plain_evals) decide from scratch; Evals on a run's own caches
-# (StepEvent.evaluate) give the same verdict from what the run has already
-# evaluated.
+# (runtime.plain_evals) decide from scratch; Evals on a run's own caches at
+# a step's pre-step configuration (StepEvent.evaluate) give the same verdict
+# from what the run has already evaluated there.
 
 def disabled_everywhere(evals: Sequence[Eval], alg: AlgorithmSpec) -> bool:
     """No action of `alg` is enabled at any process."""

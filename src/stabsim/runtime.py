@@ -605,15 +605,16 @@ class StepRecord:
 
 @dataclass
 class StepEvent:
-    """Passed to observers after each applied step.
+    """Passed to observers at each step, once its new configuration
+    `post_cfg` is computed and before its changes reach the run's caches.
 
-    During the observer call, `evaluate(v)` is an Eval of process v at
-    `post_cfg` on the run's own caches (its layer cache and kept rows), and
-    `next_label(v)` is the label v fires next, its kept first enabled
-    action, or None when v is disabled at `post_cfg`.  Evaluating through
-    them is pure: Eval.cached can only add or patch entries valid at
-    `post_cfg`, the configuration the next step starts from.  Both read the
-    run's state as it is when called, so they are meaningless once the
+    `enabled` is the set the daemon selected from, the processes enabled at
+    `pre_cfg`.  During the observer call, `evaluate(v)` is an Eval of
+    process v at `pre_cfg` on the run's own caches (its layer cache and kept
+    rows), which are still valid there.  Evaluating through it is pure:
+    Eval.cached can only add or patch entries valid at `pre_cfg`, which the
+    step's changes then drop like those of the guard scans.  It reads the
+    run's state as it is when called, so it is meaningless once the
     observer has returned.
     """
 
@@ -621,9 +622,8 @@ class StepEvent:
     pre_cfg: Configuration
     post_cfg: Configuration
     fired: dict[int, str]
-    enabled_post: set[int]
+    enabled: set[int]
     evaluate: Callable[[int], Eval] = field(repr=False)
-    next_label: Callable[[int], Optional[str]] = field(repr=False)
 
 
 @dataclass
@@ -672,6 +672,10 @@ def run(
     only from the first action whose `reads` (its own changes) or
     `nbr_reads` (a neighbor's) meet them: the actions before that position
     read none of them, so they keep their verdicts.
+
+    Observers are called at each step before its changes drop anything
+    (see StepEvent), so they can ask the run's caches at the step's
+    pre-step configuration.
     """
     if max_steps <= 0:
         raise ScheduleError("max_steps must be positive")
@@ -717,10 +721,6 @@ def run(
         cache[v] = alg.first_enabled(fresh_eval(cfg, v))
     enabled = {v for v, hit in cache.items() if hit is not None}
 
-    def next_label(v):
-        hit = cache[v]
-        return None if hit is None else labels[hit[0]]
-
     steps: list[StepRecord] = []
     boundaries: list[int] = []
     pending = set(enabled)
@@ -751,6 +751,11 @@ def run(
             names = changed_names(old, new, new if domain_var in updates else updates)
             if names:
                 changed[v] = names
+        if observers:
+            event = StepEvent(i, cfg, new_cfg, fired, enabled,
+                              partial(fresh_eval, cfg))
+            for obs in observers:
+                obs(event)
 
         start: dict[int, int] = {}  # where each reached process resumes its scan
         for v, names in changed.items():
@@ -791,12 +796,6 @@ def run(
 
         if record_steps:
             steps.append(StepRecord(fired))
-        if observers:
-            event = StepEvent(i, cfg, new_cfg, fired, new_enabled,
-                              partial(fresh_eval, new_cfg), next_label)
-            for obs in observers:
-                obs(event)
-
         cfg = new_cfg
         enabled = new_enabled
         steps_done = i + 1

@@ -1,10 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import logging
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stabsim.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INVALID, EXIT_OK, main
+from stabsim.configs import config_to_json, random_config
 from stabsim.graphs import graph_to_json, path_graph
 
 
@@ -111,6 +118,15 @@ def test_cmd_run_malformed_descriptor_is_input_error(tmp_path, capsys, override,
     dpath.write_text(json.dumps(desc))
     assert main(["run", str(dpath)]) == EXIT_INPUT
     assert named in capsys.readouterr().err
+
+
+def test_cmd_run_malformed_graph_file_is_input_error(tmp_path, capsys):
+    dpath = write_inputs(tmp_path)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"vertices": [1, 2], "edges": [[1]]}')
+    assert main(["run", str(dpath)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: malformed graph file {gpath}: edge [1] is not a pair of integers\n")
 
 
 @pytest.mark.parametrize("command", ["run", "inject"])
@@ -343,3 +359,109 @@ def test_unknown_log_level_is_input_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: STABSIM_LOG=verbose") and err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: each CLI input is valid but for one field
+
+FUZZ_INPUTS = ("descriptor", "graph", "config", "corrupt")
+DELETE = object()  # the field is removed; at the root, the file is empty
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(-4, 40) | st.sampled_from([2**32, 2**63, 2**64, -2**63]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=4)
+
+
+def fuzz_inputs(directory, mode):
+    """The four inputs of `run` and `inject` on a 3-vertex path with k=1, all
+    valid, the descriptor's init in `mode`, and the file each is written to
+    (None: --corrupt takes its text)."""
+    g = path_graph(3)
+    paths = {name: os.path.join(directory, f"{name}.json") for name in FUZZ_INPUTS}
+    paths["corrupt"] = None
+    docs = {
+        "graph": graph_to_json(g),
+        "config": config_to_json(random_config(g, 1, seed=1)),
+        "descriptor": {
+            "algorithm": "kgrouping", "graph": paths["graph"], "k": 1,
+            "daemon": {"kind": "random", "p": 0.5, "seed": 1, "fairness_aging": True},
+            "init": {"mode": mode, "path": paths["config"], "seed": 0,
+                     "n_false": 3},
+            "max_steps": 150,
+        },
+        "corrupt": {"variables": ["color", "dist"], "count": 2, "seed": 0, "at_step": 5},
+    }
+    return docs, paths
+
+
+def fields(doc, path=()):
+    """The path of every field of a JSON document, its root included."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from fields(value, path + (key,))
+
+
+def with_field(doc, path, value):
+    """A copy of `doc` with the field at `path` set to `value` (or deleted)."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def run_fuzzed(name, index, value):
+    """Run the CLI with input `name` changed at its field number `index`
+    (modulo their count; 0 is the root) to `value`; returns the exit code
+    and standard error."""
+    with tempfile.TemporaryDirectory() as directory:
+        # a random start reads the descriptor's init seed and n_false; the
+        # configuration file is read in adversarial-file mode only
+        docs, paths = fuzz_inputs(directory, "random" if name == "descriptor"
+                                  else "adversarial-file")
+        every = sorted(fields(docs[name]), key=lambda field: (len(field), repr(field)))
+        docs[name] = with_field(docs[name], every[index % len(every)], value)
+        texts = {n: "" if doc is DELETE else json.dumps(doc) for n, doc in docs.items()}
+        for n, file in paths.items():
+            if file is not None:
+                with open(file, "w", encoding="utf-8") as f:
+                    f.write(texts[n])
+        if name == "corrupt":
+            argv = ["inject", paths["descriptor"], "--corrupt", texts["corrupt"]]
+        else:
+            argv = ["run", paths["descriptor"]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("name", FUZZ_INPUTS)
+@settings(max_examples=100, deadline=None)
+@given(index=st.integers(0, 10**4), value=st.just(DELETE) | JSON_VALUES)
+# a --corrupt spec that reads as an option: argparse exited with status 2
+@example(index=0, value=-1e16)
+# the descriptor's k (field 5): a random start raised OverflowError
+@example(index=5, value=2**63)
+def test_fuzzed_input_gets_a_verdict_or_one_error_line(name, index, value):
+    code, err = run_fuzzed(name, index, value)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_BUDGET, EXIT_INPUT)
+    if code == EXIT_INPUT:
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and err.endswith(errors[0] + "\n"), err

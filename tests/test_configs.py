@@ -16,7 +16,7 @@ from stabsim.configs import (
     validate_config,
     zeroed_config,
 )
-from stabsim.graphs import grid_graph, path_graph, random_connected_graph
+from stabsim.graphs import MAX_ID, grid_graph, path_graph, random_connected_graph
 from stabsim.kgrouping import DIST, DOMAIN, GROUP
 from stabsim.runtime import BOT
 
@@ -166,3 +166,22 @@ def test_zeroed_and_corrupted_config_digests_pinned():
     out = corrupt_config(random_config(g, 3, seed=5), g, 3, names, 20, 7)
     assert _config_digest(out) == (
         "6355f1a5fb205bfcace61b17e394fab78e3c0c9a2beed361db1dcbb25a444819")
+
+
+def test_value_ranges_of_the_largest_k_are_read_without_being_built():
+    # The distance ranges are 0..2k: sampling, corrupting and validating
+    # read them through their declared sequence, never as a tuple.
+    g = path_graph(3)
+    cfg = random_config(g, MAX_ID, seed=1)
+    assert validate_config(cfg, g, MAX_ID) == []
+    out = corrupt_config(cfg, g, MAX_ID, (DIST, "height"), 6, seed=2)
+    assert validate_config(out, g, MAX_ID) == []
+    with pytest.raises(ValueError, match="diameter bound k must be an integer in 1.."):
+        random_config(g, MAX_ID + 1, seed=1)
+
+
+def test_false_identifiers_fit_the_identifier_space():
+    g = path_graph(3)
+    assert len(false_ids(g, 5)) == 5
+    with pytest.raises(ConfigError, match="only 4294967293 identifiers match no process"):
+        random_config(g, 1, seed=1, n_false=MAX_ID - 1)

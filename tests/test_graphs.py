@@ -147,6 +147,29 @@ def test_json_roundtrip(tmp_path, c6):
     assert load_graph(str(path)).edges == c6.edges
 
 
+@pytest.mark.parametrize("text,fault", [
+    ('{"vertices": [1, 2], "edges": [[1]]}', "edge [1] is not a pair of integers"),
+    ('{"vertices": [1, 2], "edges": [[1, 2, 2]]}', "edge [1, 2, 2] is not a pair"),
+    ('{"vertices": [1, 2], "edges": [[1, "2"]]}', "is not a pair of integers"),
+    ('{"vertices": [1, 2], "edges": [[1, true]]}', "is not a pair of integers"),
+    ('{"vertices": [1, 2], "edges": 5}', "'edges' must be a list"),
+    ('{"vertices": null, "edges": []}', "'vertices' must be a list of integers"),
+    ('{"vertices": [[1], 2], "edges": []}', "'vertices' must be a list of integers"),
+    ('{"edges": [[1, 2]]}', "'vertices' must be a list"),
+    ('[1, 2]', "not a JSON object"),
+    ('{"vertices": [1, 2], ', "not JSON"),
+    ('', "not JSON"),
+    ('{"vertices": [1, 2, 3], "edges": [[1, 2]]}', "graph is not connected"),
+])
+def test_malformed_json_graph_file_names_the_file_and_the_fault(tmp_path, text, fault):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(GraphError) as info:
+        load_graph_json(str(path))
+    message = str(info.value)
+    assert message.startswith(f"malformed graph file {path}: ") and fault in message
+
+
 def test_edgelist_loader(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# comment\n1 2\n2 3\n")
@@ -155,6 +178,12 @@ def test_edgelist_loader(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n")
     with pytest.raises(GraphError):
+        load_graph_edgelist(str(bad))
+    bad.write_bytes(b"1 2\n\xff 3\n")
+    with pytest.raises(GraphError, match="bad.txt: not UTF-8"):
+        load_graph_edgelist(str(bad))
+    bad.write_text("1 2\n3 4\n")
+    with pytest.raises(GraphError, match="bad.txt: graph is not connected"):
         load_graph_edgelist(str(bad))
 
 

@@ -127,8 +127,9 @@ SCAN_DAEMONS = {
 def test_resumed_guard_scans_match_full_scans(instance, daemon):
     # Differential: run() re-evaluates a process only from the first action
     # a step's changes can reach and keeps its first enabled action while
-    # none does.  After every step, its enabled set must equal that of
-    # uncached full scans, and each fired label must be the first enabled.
+    # none does.  At every step, the set the daemon selects from must equal
+    # that of uncached full scans of the step's configuration, each fired
+    # label must be the first enabled, and nothing is enabled at the end.
     make, k = INSTANCES[instance]
     g = make(0)
     alg = compose(kgrouping_binding(k), g)
@@ -140,17 +141,18 @@ def test_resumed_guard_scans_match_full_scans(instance, daemon):
         steps = []
 
         def observe(event):
-            pre = steps[-1] if steps else full_scan(event.pre_cfg)
+            pre = full_scan(event.pre_cfg)
+            assert event.enabled == {v for v, labels in pre.items() if labels}, (
+                event.index)
             for v, label in event.fired.items():
                 assert pre[v][:1] == [label], (event.index, v)
-            post = full_scan(event.post_cfg)
-            assert event.enabled_post == {v for v, labels in post.items() if labels}, (
-                event.index)
-            steps.append(post)
+            steps.append(event.index)
 
         trace = run(g, alg, random_config(g, k, seed=seed), SCAN_DAEMONS[daemon],
                     max_steps=100_000, observers=(observe,))
         assert trace.terminated and len(steps) == trace.num_steps > 0
+        # the last configuration, which no step starts from
+        assert not any(full_scan(trace.final).values())
 
 
 class _RecordingStore(dict):
@@ -417,7 +419,7 @@ def test_boundary_qualification_matches_an_uncached_check(monkeypatch):
 
 def test_boundary_qualification_at_step_0_matches_an_uncached_check(monkeypatch):
     # Runs started where the root fires SHIFT or HANDOFF first: the boundary
-    # at step 0 is qualified from scratch, the run's caches being past it.
+    # at step 0 is qualified from the caches of the run's initial guard scans.
     seen, caches = _record_root_starts(monkeypatch)
     starts = []
     for instance, seed in (("cycle6-k1", 0), ("path6-k2", 5)):
@@ -442,6 +444,31 @@ def test_boundary_qualification_after_a_corruption_matches_an_uncached_check(mon
                                  5, 3, at_step=400)
     counts = _check_qualification(result, seen, caches)
     assert set(counts) == EVERY_VERDICT
+
+
+@pytest.mark.parametrize("daemon", sorted(DAEMONS))
+def test_each_boundary_is_qualified_once(daemon, monkeypatch):
+    # run_grouping asks `qualifies` at the steps where the root fires SHIFT
+    # or HANDOFF and at no other: one call per boundary, in step order.
+    calls = []
+    real_qualifies = experiments.qualifies
+
+    def counting(label, evals, binding):
+        calls.append(label)
+        return real_qualifies(label, evals, binding)
+
+    monkeypatch.setattr(experiments, "qualifies", counting)
+    total = 0
+    for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
+        make, k = INSTANCES[instance]
+        for seed in range(3):
+            g = make(seed)
+            calls.clear()
+            result = run_grouping(g, k, DAEMONS[daemon], random_config(g, k, seed=seed))
+            assert calls == [SHIFT if b.kind == "shift" else HANDOFF
+                             for b in result.boundaries], (instance, seed)
+            total += len(calls)
+    assert total
 
 
 def test_judge_flags_an_error_left_at_a_handoff(monkeypatch):

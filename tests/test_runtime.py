@@ -350,11 +350,12 @@ def test_cache_drops_entries_by_owner_and_neighbor_reads():
         Action("B2", bump, frozenset(("x", "todo")), frozenset(("x", "todo")), frozenset()),
     ))
     cfg0 = {v: {"x": 0, "todo": 1, "seen": 0} for v in (1, 2)}
-    after_step = []
+    before_step = []
     trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{2}, {2}, {1}, {1}]),
-                10, observers=(lambda event: after_step.append(dict(misses)),))
+                10, observers=(lambda event: before_step.append(dict(misses)),))
     assert trace.terminated
-    assert after_step == [
+    assert before_step + [misses] == [
+        {1: 1, 2: 1},  # the initial guard scans
         {1: 1, 2: 2},  # 2 wrote x: its own entry went, 1's stayed
         {1: 1, 2: 2},  # 2 wrote seen, which `own` does not read
         {1: 2, 2: 2},  # 1 wrote x: its own entry went, 2's stayed
