@@ -67,11 +67,16 @@ def cmd_run(args) -> int:
 
 def cmd_inject(args) -> int:
     desc = load_descriptor(args.descriptor)
+    # Text starting with { or [ is inline JSON (an array is refused below),
+    # anything else a spec file's path.
     try:
-        spec = json.loads(args.corrupt)
-    except json.JSONDecodeError:
-        with open(args.corrupt, "r", encoding="utf-8") as f:
-            spec = json.load(f)
+        if args.corrupt.lstrip()[:1] in ("{", "["):
+            spec = json.loads(args.corrupt)
+        else:
+            with open(args.corrupt, "r", encoding="utf-8") as f:
+                spec = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise DescriptorError(f"--corrupt: not valid JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise DescriptorError("a corruption spec must be a JSON object")
     variables = _field(

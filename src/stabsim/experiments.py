@@ -41,7 +41,7 @@ from .graphs import (
     path_graph,
     random_connected_graph,
 )
-from .kgrouping import DOMAIN, check_k, kgrouping_binding, merge_actions
+from .kgrouping import DOMAIN, check_k, kgrouping_binding
 from .loop import (
     HANDOFF,
     SHIFT,
@@ -196,16 +196,15 @@ def merge_segment_rounds(result: RunResult) -> list[int]:
     """Rounds of each base execution, replayed in isolation.
 
     Every qualifying boundary starts a maximal pure merge execution;
-    re-running it standalone under the synchronous daemon measures that
-    execution's round count directly.
+    re-running it standalone with the run's own merge table under the
+    synchronous daemon measures that execution's round count directly.
     """
-    merge = merge_actions(result.k)
     sync = DaemonPolicy(kind="synchronous")
     out = []
     for b in result.boundaries:
         if not b.qualifying:
             continue
-        trace = run(result.graph, merge, b.start, sync, SEGMENT_MAX_STEPS,
+        trace = run(result.graph, result.binding.base, b.start, sync, SEGMENT_MAX_STEPS,
                     record_steps=False)
         if not trace.terminated:
             raise RuntimeError("isolated merge execution did not terminate")

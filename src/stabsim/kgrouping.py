@@ -48,6 +48,9 @@ Each action declares `reads`, every name it reads in the closed
 neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
 stores; a run drops a cached result only when the owner changes a name of
 the first or a neighbor one of the second.
+
+The error predicate asks I1-I4 and I6 whether they are enabled, through
+Eval.cached and within error_check.reads, instead of restating their guards.
 """
 
 from __future__ import annotations
@@ -852,17 +855,6 @@ def _grp_ok(ev: Eval) -> bool:
     return True
 
 
-def _grps_ok(ev: Eval) -> bool:
-    s = ev.store
-    lv = _lv(ev)
-    arr = s.get(IN_GROUP_OF) or _EMPTY
-    want = _share_row(ev, IN_GROUP_OF, lv)
-    for u in s.get(DOMAIN) or ():
-        if arr.get(u, BOT) != want[u]:
-            return False
-    return lv is not BOT and arr.get(lv, BOT) == lv and lv in (s.get(DOMAIN) or ())
-
-
 def _grp_dist_ok(ev: Eval, k: int) -> bool:
     arr = ev.store.get(IN_GROUP_DIST) or _EMPTY
     members = members_of(ev, _lv(ev))
@@ -920,43 +912,39 @@ def _prior_agreement(ev: Eval) -> bool:
     return True
 
 
-def error_predicate(ev: Eval, k: int) -> bool:
-    """E(v): true when any local consistency condition fails."""
-    s = ev.store
-    if s.get(DOMAIN, BOT) != _domain_value(ev, k):
+def error_predicate(ev: Eval, k: int, init: AlgorithmSpec) -> bool:
+    """E(v): true when any local consistency condition fails.  E holds
+    where I1-I4 or I6 of `init`, the table init_actions(k) built, is enabled
+    (asked through ev.cached: a run answers from its caches).  It does not
+    ask I5, I7, I8 or I9, which rewrite copies a merge shift changes."""
+    i1, i2, i3, i4, _, i6, *_ = init.actions
+    if any(ev.cached(action) is not None for action in (i1, i2, i3, i4)):
         return True
-    d = s.get(DIST) or _EMPTY
-    want = _dist_row(ev, k)
-    for u in s.get(DOMAIN) or ():
-        if d.get(u, BOT) != want[u]:
-            return True
-    if s.get(HEIGHT, BOT) != _height_value(ev, k):
+    lv = _lv(ev)
+    if lv is BOT or _entry(ev.store, IN_GROUP_OF, lv) != lv:
         return True
-    if s.get(INIT_GROUP, BOT) != _init_group_value(ev, k):
-        return True
-    if not _grp_ok(ev):
-        return True
-    if not _grps_ok(ev):
+    if not _grp_ok(ev) or ev.cached(i6) is not None:
         return True
     if not _grp_dist_ok(ev, k):
         return True
-    stamped = s.get(IN_STAMP_ON) or _EMPTY
-    for u in s.get(DOMAIN) or ():
+    stamped = ev.store.get(IN_STAMP_ON) or _EMPTY
+    for u in ev.store.get(DOMAIN) or ():
         if stamped.get(u, False) and not _stamp_ok(ev, u, k):
             return True
     return not _prior_agreement(ev)
 
 
 def eval_E(cfg: Configuration, graph: Graph, v: int, k: int) -> bool:
-    return error_predicate(Eval(cfg, v, graph.neighbors_of(v)), k)
+    return error_predicate(Eval(cfg, v, graph.neighbors_of(v)), k, init_actions(k))
 
 
 def kgrouping_binding(k: int) -> BaseAlgorithmBinding:
     check_k(k)
+    init = init_actions(k)
     return BaseAlgorithmBinding(
         base=merge_actions(k),
-        init=init_actions(k),
-        error=lambda ev: error_predicate(ev, k),
+        init=init,
+        error=lambda ev: error_predicate(ev, k, init),
         outputs=COPY_PAIRS,
         variables=VARS,
     )

@@ -57,7 +57,10 @@ class BaseAlgorithmBinding:
     domain, the one variable declared as a set.  The write sets of the base
     and the initializer are those their actions declare.  The error predicate
     must read only input-side copies and initializer inputs and outputs of
-    the 1-neighborhood.
+    the 1-neighborhood (`error_check.reads`).  Within them it may ask the
+    initializer's actions through Eval.cached, as the grouping payload's
+    does; a copy of the binding with another `init` keeps asking the
+    actions its `error` was built with.
     """
 
     base: AlgorithmSpec

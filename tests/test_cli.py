@@ -179,6 +179,19 @@ def test_cmd_inject_malformed_spec_is_input_error(tmp_path, capsys, spec, named)
     assert named in capsys.readouterr().err
 
 
+def test_cmd_inject_mistyped_inline_spec_reports_its_json_error(tmp_path, capsys):
+    # Text that starts with "{" is an inline spec, never read as a file path;
+    # other text names a spec file.
+    dpath = write_inputs(tmp_path)
+    mistyped = '{"variables": ["color"], "count": 2'
+    assert main(["inject", str(dpath), "--corrupt", mistyped]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --corrupt: not valid JSON: ") and err.count("\n") == 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"variables": ["color"], "count": 0}))
+    assert main(["inject", str(dpath), "--corrupt", str(spec)]) == EXIT_OK
+
+
 def test_cmd_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([

@@ -253,6 +253,26 @@ def test_eval_E_detects_wrong_distance(p5):
     assert eval_E(cfg, p5, 2, 2)
 
 
+@pytest.mark.parametrize("label", ["I3", "I4", "I6"])
+def test_eval_E_holds_where_an_asked_initializer_action_is_enabled(p5, label):
+    # One wrong value (a child's height, process 2's init group, or its
+    # group map at a key other than its own group's) enables the action
+    # `label` at process 2 and no other check of E there, and E asks it.
+    cfg = {v: dict(s) for v, s in init_silent_cfg(p5, 2).items()}
+    s = cfg[2]
+    if label == "I3":
+        (child,) = Eval(cfg, 2, p5.neighbors_of(2)).children()
+        cfg[child][HEIGHT] = 1 - cfg[child][HEIGHT]
+    elif label == "I4":
+        s[INIT_GROUP] = 99
+    else:
+        key = next(u for u in sorted(s[DOMAIN]) if u != s[IN_GROUP])
+        s[IN_GROUP_OF] = {**s[IN_GROUP_OF], key: 99}
+    action = next(a for a in init_actions(2).actions if a.label == label)
+    assert action.evaluate(Eval(cfg, 2, p5.neighbors_of(2))) is not None
+    assert eval_E(cfg, p5, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # array write convention
 
@@ -340,7 +360,7 @@ def test_merge_updates_stay_in_declared_writes(p5):
 
 
 def test_uncached_eval_computes_the_gradient_once(monkeypatch):
-    # The share rows of M3, M9, M11, M13 and of the error predicate gather
+    # The share rows of M3, M9, M11, M13 and I6 (which E asks) gather
     # along one gradient; an Eval without the engine cache (as in
     # disabled_everywhere and error_nowhere) must still compute it only once.
     from stabsim import kgrouping
@@ -367,11 +387,11 @@ def test_uncached_eval_computes_the_gradient_once(monkeypatch):
     monkeypatch.setattr(kgrouping, "GRADIENT",
                         Action("gradient", counted_gradient, kgrouping.GRADIENT.reads))
     monkeypatch.setattr(kgrouping, "_share_row", counted_share_row)
-    merge = merge_actions(k)
+    merge, init = merge_actions(k), init_actions(k)
     for v in g.vertices:
         ev = Eval(result.trace.final, v, g.neighbors_of(v))
         assert merge.first_enabled(ev) is None
-        assert not kgrouping.error_predicate(ev, k)
+        assert not kgrouping.error_predicate(ev, k, init)
     assert gradients == list(g.vertices)
     assert share_rows == [v for v in g.vertices for _ in range(5)]
 
@@ -390,15 +410,61 @@ def test_closure_check_evaluates_the_error_predicate_once_per_process(monkeypatc
     calls = []
     real = kgrouping.error_predicate
 
-    def counted(ev, k):
+    def counted(ev, *args):
         calls.append(ev.pid)
-        return real(ev, k)
+        return real(ev, *args)
 
     monkeypatch.setattr(kgrouping, "error_predicate", counted)
     for _ in range(2):
         calls.clear()
         assert closure_check(result)
         assert sorted(calls) == sorted(g.vertices)
+
+
+def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
+    # Inside run(), E asks I2 and I6 through the run's kept rows, so it
+    # computes a full dist or group-map row (keys=None) only when it creates
+    # the process's kept row: at most once per process while the row is kept.
+    from stabsim.graphs import grid_graph
+
+    g, k = grid_graph(3, 3), 2
+    binding = kgrouping_binding(k)
+    i2, i6 = binding.init.actions[1], binding.init.actions[5]
+    inside, full, kept_before = [], [], []
+
+    def error(ev):
+        kept_before.append(ev.kept is not None and ev.pid in ev.kept.by_action.get(i2, {}))
+        inside.append(ev)
+        try:
+            return binding.error(ev)
+        finally:
+            inside.pop()
+
+    def record(action, ev):
+        if inside and ev.kept is not None:
+            full.append((action.label, ev.pid, ev.pid in ev.kept.by_action.get(action, {})))
+
+    real_dist_row, real_share_row = kgrouping._dist_row, kgrouping._share_row
+
+    def dist_row(ev, k, keys=None):
+        if keys is None:
+            record(i2, ev)
+        return real_dist_row(ev, k, keys)
+
+    def share_row(ev, x_name, own_value, keys=None):
+        if keys is None and x_name == IN_GROUP_OF:
+            record(i6, ev)
+        return real_share_row(ev, x_name, own_value, keys)
+
+    monkeypatch.setattr(kgrouping, "_dist_row", dist_row)
+    monkeypatch.setattr(kgrouping, "_share_row", share_row)
+    alg = compose(dataclasses.replace(binding, error=error), g)
+    for daemon in (DaemonPolicy(kind="random", seed=1), DaemonPolicy(kind="synchronous")):
+        trace = run(g, alg, random_config(g, k, seed=11), daemon, max_steps=100_000,
+                    record_steps=False)
+        assert trace.terminated
+    assert sum(kept_before) > len(g.vertices)  # E mostly finds the rows kept
+    assert full and not any(existed for _, _, existed in full), full
 
 
 # ---------------------------------------------------------------------------

@@ -130,9 +130,14 @@ def test_resumed_guard_scans_match_full_scans(instance, daemon):
     # none does.  At every step, the set the daemon selects from must equal
     # that of uncached full scans of the step's configuration, each fired
     # label must be the first enabled, and nothing is enabled at the end.
+    # E read through the run's caches (StepEvent.evaluate) must equal E on
+    # plain Evals at every process, including those whose L5 gate is closed
+    # (mode P, color 4), which no scan asks.
     make, k = INSTANCES[instance]
     g = make(0)
-    alg = compose(kgrouping_binding(k), g)
+    binding = kgrouping_binding(k)
+    alg = compose(binding, g)
+    error_check = binding.error_check
 
     def full_scan(cfg):
         return {v: enabled_actions(cfg, v, alg, g) for v in g.vertices}
@@ -146,6 +151,9 @@ def test_resumed_guard_scans_match_full_scans(instance, daemon):
                 event.index)
             for v, label in event.fired.items():
                 assert pre[v][:1] == [label], (event.index, v)
+            plain = [ev.cached(error_check) for ev in plain_evals(event.pre_cfg, g)]
+            assert [event.evaluate(v).cached(error_check) for v in g.vertices] == plain, (
+                event.index)
             steps.append(event.index)
 
         trace = run(g, alg, random_config(g, k, seed=seed), SCAN_DAEMONS[daemon],
