@@ -333,14 +333,17 @@ class RunDescriptor:
     init_path: Optional[str] = None
 
     def initial_configuration(self) -> Configuration:
-        if self.init_mode == "zeroed":
-            return zeroed_config(self.graph, self.k)
-        if self.init_mode == "random":
-            return random_config(self.graph, self.k, self.init_seed, self.n_false)
-        if self.init_mode == "adversarial-file":
-            with open(self.init_path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-            return config_from_json(payload, self.graph, self.k)
+        try:
+            if self.init_mode == "zeroed":
+                return zeroed_config(self.graph, self.k)
+            if self.init_mode == "random":
+                return random_config(self.graph, self.k, self.init_seed, self.n_false)
+            if self.init_mode == "adversarial-file":
+                with open(self.init_path, "r", encoding="utf-8") as f:
+                    payload = json.load(f)
+                return config_from_json(payload, self.graph, self.k)
+        except (OSError, ConfigError, json.JSONDecodeError) as exc:
+            raise DescriptorError(f"bad initial configuration: {exc}") from exc
         raise DescriptorError(f"unknown init mode {self.init_mode!r}")
 
 
@@ -415,11 +418,8 @@ def parse_descriptor(payload: dict) -> RunDescriptor:
 
 
 def run_descriptor(desc: RunDescriptor) -> RunResult:
-    try:
-        cfg0 = desc.initial_configuration()
-    except (OSError, ConfigError, json.JSONDecodeError) as exc:
-        raise DescriptorError(f"bad initial configuration: {exc}") from exc
-    return run_grouping(desc.graph, desc.k, desc.daemon, cfg0, desc.max_steps)
+    return run_grouping(desc.graph, desc.k, desc.daemon, desc.initial_configuration(),
+                        desc.max_steps)
 
 
 def run_with_corruption(

@@ -41,8 +41,8 @@ the owner's key; M5's elected target and the groups with a member at merge
 distance k+1; M6's keys where the stamp1 row names the owner, and per
 neighboring group the least stamp distance it claims toward ours (a
 neighbor's stamp_dist at our group id reaches the key of its group); M7's
-keys where the stamp_dist row reads k+1.  Without the run's kept rows (any
-Eval built outside `run`), every evaluation computes the full row.
+keys where the stamp_dist row reads k+1.  An Eval built outside `run` has
+fresh caches, so it computes each row in full, once per cache.
 
 Each action declares `reads`, every name it reads in the closed
 neighborhood, and `nbr_reads`, the part of them it reads from neighbors'

@@ -62,45 +62,33 @@ class Eval:
 
     `memo` is scratch space shared by all guard/statement evaluations of this
     process in this step, so derived quantities are computed at most once.
-    `shared` is the run's layer cache, which survives across steps: per
-    Action, per process, the last result.  An entry is dropped when the
-    process itself changes the value of a variable in the action's `reads`,
-    or when a neighbor changes one in its `nbr_reads`, so cached results stay
-    snapshot-accurate; a write of an equal value is no change.  The same
-    declarations decide where `run` resumes a process's guard scan after a
-    step, and a process keeps its first enabled action while no change
-    reaches it.  Payload layers cache derived views this way too, such
-    as the grouping payload's `dist` gradient, an Action whose evaluate
-    returns a value (never a dict, which reads as updates) instead of
-    updates.  An action's first miss in the run adds it to `shared`, which
-    is how `run` learns which cached actions a change can reach.  Without
-    `shared`, `cached` memoizes in `memo` for this one snapshot.
-
-    `kept` is the run's table of kept rows of keyed actions (see
-    Action.keyed and kept_row): per Action, per process, the last row, the
-    keys where it disagrees with the stored array, the keys whose inputs
-    changed since, and the row's last marks.  Without it (an Eval built
-    outside `run`) every row is computed in full, once per Eval.
+    `caches` holds what survives across steps (RunCaches): the layer cache,
+    per Action, per process, the last result of `cached`, and the kept rows
+    of keyed actions (kept_row).  `run` evaluates through its own, and each
+    change reaches the entries that read it (RunCaches.changed), so cached
+    results stay snapshot-accurate.  Payload layers cache derived views this
+    way too, such as the grouping payload's `dist` gradient, an Action whose
+    evaluate returns a value (never a dict, which reads as updates) instead
+    of updates.  An Eval built without caches gets fresh ones: whatever is
+    asked through it is evaluated from scratch, and each row is computed in
+    full once per cache.
     """
 
-    __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "shared", "kept",
-                 "_children")
+    __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "caches", "_children")
 
     def __init__(
         self,
         cfg: Configuration,
         pid: int,
         nbr_ids: tuple[int, ...],
-        shared: Optional[dict] = None,
-        kept: Optional[KeptRows] = None,
+        caches: Optional[RunCaches] = None,
     ):
         self.cfg = cfg
         self.pid = pid
         self.store = cfg[pid]
         self.nbr_ids = nbr_ids
         self.memo = {}
-        self.shared = shared
-        self.kept = kept
+        self.caches = RunCaches() if caches is None else caches
         self._children = None
 
     def nbr(self, u: int) -> Store:
@@ -108,16 +96,10 @@ class Eval:
 
     def cached(self, action: Action):
         """action.evaluate(self), memoized until one of its reads changes."""
-        shared = self.shared
-        if shared is None:
-            memo = self.memo
-            if action in memo:
-                return memo[action]
-            value = memo[action] = action.evaluate(self)
-            return value
-        rows = shared.get(action)
+        results = self.caches.results
+        rows = results.get(action)
         if rows is None:
-            rows = shared[action] = {}
+            rows = results[action] = {}
         else:
             value = rows.get(self.pid, _ABSENT)
             if value is not _ABSENT:
@@ -176,8 +158,8 @@ class Action:
     reaches it.  `writes` declares the variables the statement may assign.
     Actions hash by identity, so a cache lookup never hashes their fields.
 
-    `keyed`, for an array substitution, declares its row (see Keyed); `run`
-    then keeps the row across steps (Eval.kept) and `evaluate` patches it
+    `keyed`, for an array substitution, declares its row (see Keyed); the
+    row is kept across steps (RunCaches.kept) and `evaluate` patches it
     (keyed_updates).
     """
 
@@ -235,78 +217,112 @@ class Keyed:
 
 
 class Kept:
-    """The last row of a keyed action at one process, kept by `run`.
+    """The last row of a keyed action at one process (see kept_row).
 
     `diff` holds the keys where `row` disagrees with the stored array,
     `waiting` the keys whose inputs changed since the row was last patched,
-    and `marks` the row's derived per-key inputs as they were then (see
-    kept_row).  Once the row is handed out as updates (`handed`) it may be
-    stored in a configuration, so it is copied before it is patched again.
+    and `marks` the row's derived per-key inputs as they were then.
+    `current` holds while no read of the action has changed since.  Once
+    the row is handed out as updates (`handed`) it may be stored in a
+    configuration, so it is copied before it is patched again.
     """
 
-    __slots__ = ("row", "diff", "waiting", "marks", "handed")
+    __slots__ = ("row", "diff", "waiting", "marks", "current", "handed")
 
     def __init__(self, row: dict, diff: set, marks):
         self.row = row
         self.diff = diff
         self.waiting = set()
         self.marks = marks
+        self.current = True
         self.handed = False
 
 
-class KeptRows:
-    """The rows `run` keeps for keyed actions: per action, per process, a
-    Kept.  `changed` applies one process's step to them."""
+class RunCaches:
+    """What Evals keep across steps, and what a change reaches in it.
 
-    def __init__(self):
-        self.by_action: dict[Action, dict[int, Kept]] = {}
-        self._touching: dict[frozenset, tuple] = {}  # names -> what they reach
+    `results` is the layer cache (Eval.cached) and `kept` the kept rows of
+    keyed actions (kept_row), each per Action, per process.  `changed`
+    applies one process's step to both and says where the guard scans of
+    `actions`, the table `run` drives, resume.
+    """
 
-    def rows(self, action: Action) -> dict[int, Kept]:
-        """The kept rows of the keyed `action`."""
-        rows = self.by_action.get(action)
-        if rows is None:
-            rows = self.by_action[action] = {}
-            self._touching.clear()
-        return rows
+    __slots__ = ("actions", "results", "kept", "_reach")
 
-    def _reach(self, names: frozenset) -> tuple:
-        # Per keyed action that `names` reach: its rows and array; whether
-        # they drop the owner's row; whether they include the array; the
-        # owner's arrays among them whose changed keys wait; whether they
-        # drop the neighbors' rows; the neighbors' arrays whose changed keys
-        # wait.
-        reached = []
-        for action, rows in self.by_action.items():
+    def __init__(self, actions: tuple = ()):
+        self.actions = actions
+        self.results: dict[Action, dict[int, object]] = {}
+        self.kept: dict[Action, dict[int, Kept]] = {}
+        self._reach: dict[frozenset, tuple] = {}  # changed names -> what they reach
+
+    def _reach_of(self, names: frozenset, size: int) -> tuple:
+        # (cache size, owner's resume position, neighbors' resume position,
+        # owner's results to drop, neighbors' results to drop, and per kept
+        # action that `names` reach: its rows and array; whether they reach
+        # the owner's row, drop it, include the array; the owner's arrays
+        # among them whose changed keys wait; whether they reach the
+        # neighbors' rows, drop them; the neighbors' arrays whose changed
+        # keys wait).  An entry made before an action was first cached is
+        # made again.
+        actions = self.actions
+        end = len(actions)
+        kept = []
+        for action, rows in self.kept.items():
             keyed = action.keyed
             nbr = names & action.nbr_reads
-            entry = (rows, keyed.array, not names.isdisjoint(keyed.fixed),
-                     keyed.array in names, tuple(names & keyed.key_reads),
+            entry = (rows, keyed.array, not names.isdisjoint(action.reads),
+                     not names.isdisjoint(keyed.fixed), keyed.array in names,
+                     tuple(names & keyed.key_reads), bool(nbr),
                      not nbr.isdisjoint(keyed.fixed),
                      tuple(nbr & (keyed.key_reads | {keyed.array})))
-            if any(entry[2:]):
-                reached.append(entry)
-        return tuple(reached)
+            if entry[2] or entry[4] or entry[6]:
+                kept.append(entry)
+        return (
+            size,
+            next((i for i, a in enumerate(actions) if not names.isdisjoint(a.reads)), end),
+            next((i for i, a in enumerate(actions) if not names.isdisjoint(a.nbr_reads)),
+                 end),
+            tuple(rows for a, rows in self.results.items() if not names.isdisjoint(a.reads)),
+            tuple(rows for a, rows in self.results.items()
+                  if not names.isdisjoint(a.nbr_reads)),
+            tuple(kept),
+        )
 
     def changed(self, v: int, names: frozenset, old: Store, new: Store,
-                nbrs: tuple[int, ...]) -> None:
-        """Process v's store went from old to new, changing `names`.
+                nbrs: tuple[int, ...]) -> tuple[int, int]:
+        """Process v's store went from old to new, changing `names`; v's
+        neighbors are `nbrs`.  Returns the positions of `actions` from
+        which v's and its neighbors' guard scans resume: the first action
+        whose `reads` meet `names`, and the first whose `nbr_reads` do.
 
-        A change of a fixed variable drops v's row and, if the row reads
-        it from neighbors, the neighbors' rows.  A change of a key-read
-        array (for neighbors, the keyed array too) adds its changed keys to
-        the waiting keys of those rows.  A row of v whose keyed array v
+        It drops v's results of the actions whose `reads` meet `names`
+        and the neighbors' results of those whose `nbr_reads` do.  A kept
+        row such a change reaches is no longer current.  A change of a
+        fixed variable drops v's row and, if the row reads it from
+        neighbors, the neighbors' rows.  A change of a key-read array (for
+        neighbors, the keyed array too) adds its changed keys to the
+        waiting keys of those rows.  A row of v whose keyed array v
         overwrote with that very row now agrees with it everywhere, and
         the keys that write changed are the row's disagreement set (keys
         outside v's domain, which no row reads from v, are not counted);
         v's storing anything else there drops the row.  Any other read
         reaches a row only through its marks.  A domain write is a change
         of a fixed variable, since every row is fixed on the domain."""
-        reached = self._touching.get(names)
-        if reached is None:
-            reached = self._touching[names] = self._reach(names)
+        size = len(self.results) + len(self.kept)
+        reach = self._reach.get(names)
+        if reach is None or reach[0] != size:
+            reach = self._reach[names] = self._reach_of(names, size)
+        _, own, nbr, own_results, nbr_results, kept = reach
+        for rows in own_results:
+            rows.pop(v, None)
+        for rows in nbr_results:
+            for w in nbrs:
+                rows.pop(w, None)
+        if not kept:
+            return own, nbr
+
         diffs = {}  # array -> its changed keys, computed once
-        for rows, array, drop, stored, *_ in reached:
+        for rows, array, _, drop, stored, *_ in kept:
             state = rows.get(v) if stored and not drop else None
             if state is not None and new.get(array) is state.row:
                 diffs[array], state.diff = state.diff, set()
@@ -317,55 +333,52 @@ class KeptRows:
                 keys = diffs[name] = changed_keys(old.get(name), new.get(name))
             return keys
 
-        for rows, array, drop, stored, own_keyed, nbr_drop, nbr_keyed in reached:
+        for (rows, array, reached, drop, stored, own_keyed, nbr_reached, nbr_drop,
+             nbr_keyed) in kept:
             state = rows.get(v)
-            if state is not None:
+            if state is not None and (reached or stored):
                 if drop or stored and new.get(array) is not state.row:
                     del rows[v]
                 else:
+                    state.current = False
                     for name in own_keyed:
                         state.waiting |= keys_of(name)
             if nbr_drop:
                 for w in nbrs:
                     rows.pop(w, None)
-                continue
-            for name in nbr_keyed:
-                keys = keys_of(name)
-                if keys:
-                    for w in nbrs:
-                        state = rows.get(w)
-                        if state is not None:
-                            state.waiting |= keys
+            elif nbr_reached:
+                keys = set().union(*map(keys_of, nbr_keyed))
+                for w in nbrs:
+                    state = rows.get(w)
+                    if state is not None:
+                        state.current = False
+                        state.waiting |= keys
+        return own, nbr
 
 
 def kept_row(ev: Eval, action: Action) -> Kept:
     """The row of the keyed `action` (see Keyed) at ev's snapshot, as a
-    Kept with its disagreement set.
+    Kept with its disagreement set, kept in ev's caches.
 
     The first evaluation computes the full row, whose keys are the owner's
     domain; later ones recompute the waiting keys and the keys whose marks
     differ from the last ones (added, removed or changed), and update the
-    disagreement set at those keys only.  While the action's result stays
-    in the run's cache (Eval.cached), no change has reached the row since
-    it was last patched, and it is returned as it is.  Without the run's
-    kept rows the full row is computed; either way it is computed at most
-    once per Eval.
+    disagreement set at those keys only.  A row still current met no
+    change since it was last patched, and is returned as it is.
     """
-    memo_key = (Kept, action)
-    state = ev.memo.get(memo_key)
-    if state is not None:
-        return state
     keyed = action.keyed
-    rows = None if ev.kept is None else ev.kept.rows(action)
-    state = None if rows is None else rows.get(ev.pid)
+    kept = ev.caches.kept
+    rows = kept.get(action)
+    if rows is None:
+        rows = kept[action] = {}
+    state = rows.get(ev.pid)
     if state is None:
         stored = ev.store.get(keyed.array) or _EMPTY
         row = keyed.row(ev, None)
-        state = Kept(row, {u for u, x in row.items() if stored.get(u, BOT) != x},
-                     None if rows is None or keyed.marks is None else keyed.marks(ev))
-        if rows is not None:
-            rows[ev.pid] = state
-    elif ev.shared is None or ev.pid not in ev.shared.get(action, _EMPTY):
+        state = rows[ev.pid] = Kept(
+            row, {u for u, x in row.items() if stored.get(u, BOT) != x},
+            None if keyed.marks is None else keyed.marks(ev))
+    elif not state.current:
         todo = state.waiting
         if keyed.marks is not None:
             new_marks = keyed.marks(ev)
@@ -388,7 +401,7 @@ def kept_row(ev: Eval, action: Action) -> Kept:
                     diff.add(u)
                 else:
                     diff.discard(u)
-    ev.memo[memo_key] = state
+        state.current = True
     return state
 
 
@@ -449,9 +462,10 @@ class AlgorithmSpec:
 
 
 def plain_evals(cfg: Configuration, graph: Graph) -> list[Eval]:
-    """One Eval per process of `cfg`, without a run's caches: whatever is
-    asked through them is evaluated from scratch."""
-    return [Eval(cfg, v, graph.neighbors_of(v)) for v in graph.vertices]
+    """One Eval per process of `cfg`, on fresh caches shared by them all:
+    whatever is asked through them is evaluated from scratch."""
+    caches = RunCaches()
+    return [Eval(cfg, v, graph.neighbors_of(v), caches) for v in graph.vertices]
 
 
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
@@ -610,12 +624,13 @@ class StepEvent:
 
     `enabled` is the set the daemon selected from, the processes enabled at
     `pre_cfg`.  During the observer call, `evaluate(v)` is an Eval of
-    process v at `pre_cfg` on the run's own caches (its layer cache and kept
-    rows), which are still valid there.  Evaluating through it is pure:
-    Eval.cached can only add or patch entries valid at `pre_cfg`, which the
-    step's changes then drop like those of the guard scans.  It reads the
-    run's state as it is when called, so it is meaningless once the
-    observer has returned.
+    process v at `pre_cfg` on the run's own RunCaches (its layer cache and
+    kept rows), which are still valid there.  Evaluating through it is pure:
+    it can only add or patch entries valid at `pre_cfg`, which the step's
+    changes then reach like those of the guard scans.  It reads the run's
+    state as it is when called, so it is meaningless once the observer has
+    returned.  An Eval built outside `run` gets fresh caches instead and
+    evaluates from scratch.
     """
 
     index: int
@@ -667,11 +682,15 @@ def run(
     Each process's first enabled action, found by one guard scan, is kept
     across steps while no change reaches it.  A step's changes are the
     variables whose value a fired process changed (a domain write also
-    changes the arrays it prunes).  They drop the cached results that read
-    them (Eval.cached), and a process they reach re-evaluates its table
-    only from the first action whose `reads` (its own changes) or
-    `nbr_reads` (a neighbor's) meet them: the actions before that position
-    read none of them, so they keep their verdicts.
+    changes the arrays it prunes).  Every Eval of the run shares one
+    RunCaches, and each changed process makes one call of its `changed`:
+    it drops the cached results and kept rows that read the changes (or
+    queues their changed keys), and says where the reached processes
+    resume.  A process re-evaluates its table only from the first action
+    whose `reads` (its own changes) or `nbr_reads` (a neighbor's) meet
+    them: the actions before that position read none of them, so they keep
+    their verdicts.  Each kept row is computed in full once per RunCaches,
+    and again only after a change drops it.
 
     Observers are called at each step before its changes drop anything
     (see StepEvent), so they can ask the run's caches at the step's
@@ -689,31 +708,10 @@ def run(
     domain_var = alg.domain_var
 
     cfg = {v: dict(cfg0[v]) for v in cfg0}
-    shared: dict = {}  # see Eval.cached
-    kept = KeptRows()  # see Action.keyed
-    reaches: dict[frozenset, tuple] = {}  # changed names -> what they reach
-
-    def reach(names):
-        # (cache size, owner's resume position, neighbors' resume position,
-        # owner's cache rows to drop, neighbors' cache rows to drop); an
-        # entry made before an action was first cached is made again.
-        entry = reaches.get(names)
-        if entry is None or entry[0] != len(shared):
-            entry = reaches[names] = (
-                len(shared),
-                next((i for i, a in enumerate(alg.actions)
-                      if not names.isdisjoint(a.reads)), end),
-                next((i for i, a in enumerate(alg.actions)
-                      if not names.isdisjoint(a.nbr_reads)), end),
-                tuple(rows for a, rows in shared.items()
-                      if not names.isdisjoint(a.reads)),
-                tuple(rows for a, rows in shared.items()
-                      if not names.isdisjoint(a.nbr_reads)),
-            )
-        return entry
+    caches = RunCaches(alg.actions)
 
     def fresh_eval(c, v):
-        return Eval(c, v, adj[v], shared, kept)
+        return Eval(c, v, adj[v], caches)
 
     # per process: (position, updates) of its first enabled action, or None
     cache: dict[int, Optional[tuple[int, dict]]] = {}
@@ -759,20 +757,14 @@ def run(
 
         start: dict[int, int] = {}  # where each reached process resumes its scan
         for v, names in changed.items():
-            _, own, nbr, own_rows, nbr_rows = reach(names)
             nbrs = adj[v]
-            for rows in own_rows:
-                rows.pop(v, None)
-            for rows in nbr_rows:
-                for w in nbrs:
-                    rows.pop(w, None)
+            own, nbr = caches.changed(v, names, cfg[v], new_cfg[v], nbrs)
             if own < start.get(v, end):
                 start[v] = own
             if nbr < end:
                 for w in nbrs:
                     if nbr < start.get(w, end):
                         start[w] = nbr
-            kept.changed(v, names, cfg[v], new_cfg[v], nbrs)
         new_enabled = set(enabled)
         for v, resume in start.items():
             hit = cache[v]

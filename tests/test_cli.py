@@ -78,8 +78,15 @@ def test_cmd_run_missing_descriptor(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("name,value", [("dist", [1, 2]), ("domain", 5)])
-def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, value):
+@pytest.mark.parametrize("name,value,command", [
+    pytest.param("dist", [1, 2], "run", id="dist-value0"),
+    pytest.param("domain", 5, "run", id="domain-5"),
+    pytest.param("dist", [1, 2], "inject", id="inject-dist"),
+])
+def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, value,
+                                                      command):
+    # `inject` with a positive count reads the start configuration itself,
+    # and reports it as `run` does.
     from stabsim.configs import config_to_json, random_config
 
     payload = config_to_json(random_config(path_graph(5), 2, seed=1))
@@ -87,8 +94,11 @@ def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, va
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps(payload))
     dpath = write_inputs(tmp_path, init={"mode": "adversarial-file", "path": str(cpath)})
-    assert main(["run", str(dpath)]) == EXIT_INPUT
-    assert name in capsys.readouterr().err
+    spec = json.dumps({"variables": ["color"], "count": 2, "seed": 0, "at_step": 5})
+    args = ["--corrupt", spec] if command == "inject" else []
+    assert main([command, str(dpath), *args]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad initial configuration: ") and name in err
 
 
 @pytest.mark.parametrize("override,named", [
@@ -199,7 +209,7 @@ def test_cmd_sweep_csv(tmp_path):
         "--seeds", "2", "--out", str(out),
     ])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4
     for row in rows:
         assert row["verdict"] == "ok"
@@ -273,7 +283,7 @@ def test_cmd_sweep_other_families(tmp_path):
         "--seeds", "2", "--out", str(out),
     ])
     assert code == EXIT_OK
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 4 and all(r["verdict"] == "ok" for r in rows)
     code = main([
         "sweep", "--family", "grid", "--n", "6", "--k", "2", "--seeds", "1",

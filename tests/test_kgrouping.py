@@ -41,7 +41,7 @@ from stabsim.kgrouping import (
     share,
 )
 from stabsim.loop import check_Cfin, compose
-from stabsim.runtime import BOT, DaemonPolicy, Eval, KeptRows, plain_evals, run
+from stabsim.runtime import BOT, DaemonPolicy, Eval, RunCaches, plain_evals, run
 
 
 def tree_state(graph):
@@ -433,7 +433,7 @@ def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
     inside, full, kept_before = [], [], []
 
     def error(ev):
-        kept_before.append(ev.kept is not None and ev.pid in ev.kept.by_action.get(i2, {}))
+        kept_before.append(ev.pid in ev.caches.kept.get(i2, {}))
         inside.append(ev)
         try:
             return binding.error(ev)
@@ -441,8 +441,8 @@ def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
             inside.pop()
 
     def record(action, ev):
-        if inside and ev.kept is not None:
-            full.append((action.label, ev.pid, ev.pid in ev.kept.by_action.get(action, {})))
+        if inside:
+            full.append((action.label, ev.pid, ev.pid in ev.caches.kept.get(action, {})))
 
     real_dist_row, real_share_row = kgrouping._dist_row, kgrouping._share_row
 
@@ -550,93 +550,107 @@ def test_synchronous_daemon_flushes_false_identifiers():
 # ---------------------------------------------------------------------------
 # kept rows against full recomputes
 
-def _checked(action, checks):
-    """`action` with an evaluate that, at every patched evaluation of its
-    kept row, checks the row against a full recompute (the row forms the
-    reference macros pin down) and the disagreement set against the stored
-    array."""
-    real = action.evaluate
-
-    def evaluate(ev):
-        rows = None if ev.kept is None else ev.kept.by_action.get(action)
-        patched = rows is not None and ev.pid in rows
-        updates = real(ev)
-        if patched:
-            state = rows[ev.pid]
-            fresh = KeptRows()  # no row kept: the first evaluation is full
-            assert real(Eval(ev.cfg, ev.pid, ev.nbr_ids, {}, fresh)) == updates
-            full = fresh.by_action[action][ev.pid]
-            assert state.row == full.row, action.label
-            stored = ev.store.get(action.keyed.array) or {}
-            assert state.diff == {u for u in ev.store[DOMAIN]
-                                  if stored.get(u, BOT) != state.row[u]}, action.label
-            assert state.diff == full.diff, action.label
-            checks[action.label] += 1
-        return updates
-
-    return dataclasses.replace(action, evaluate=evaluate)
-
-
 KEYED_LABELS = {"I2", "I6", "I7", "I8", "I9", "M1", "M2", "M3", "M4", "M5", "M6", "M7",
                 "M9", "M10", "M11", "M12", "M13"}
 
 
-@pytest.mark.parametrize("daemon", [DaemonPolicy(kind="random", p=0.5, seed=4),
-                                    DaemonPolicy(kind="synchronous"),
-                                    DaemonPolicy(kind="central", seed=4)],
-                         ids=["random", "synchronous", "central"])
-def test_kept_rows_match_full_recomputes(daemon):
-    checks = Counter()
-    for graph, k in ((grid_graph(3, 3), 2), (random_connected_graph(10, 0.3, 0), 3),
-                     (path_graph(7), 1)):
-        binding = kgrouping_binding(k)
-
-        def checked(spec):
-            actions = tuple(_checked(a, checks) if a.keyed else a for a in spec.actions)
-            return dataclasses.replace(spec, actions=actions)
-
-        binding = dataclasses.replace(binding, base=checked(binding.base),
-                                      init=checked(binding.init))
-        cfg0 = random_config(graph, k, seed=3, n_false=2)
-        trace = run(graph, compose(binding, graph), cfg0, daemon, max_steps=200_000,
-                    record_steps=False)
-        assert trace.terminated
-        assert check_Cfin(plain_evals(trace.final, graph), binding)
-    assert {a.label for a in (*kgrouping_binding(1).base.actions,
-                              *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
-    assert set(checks) == KEYED_LABELS, sorted(KEYED_LABELS - set(checks))
+DAEMONS = {"random": DaemonPolicy(kind="random", p=0.5, seed=4),
+           "synchronous": DaemonPolicy(kind="synchronous"),
+           "central": DaemonPolicy(kind="central", seed=4)}
 
 
-def test_every_kept_row_matches_a_full_recompute(monkeypatch):
-    # Every kept row handed out during a run, whether patched, current
-    # (the action's result still cached) or read by another row (M6 reads
-    # M5's, M7 M6's), equals the full row of a fresh Eval and so does its
-    # disagreement set; under the random, synchronous and central daemons.
+def _check_kept_rows(monkeypatch, daemon):
+    """Run three instances under `daemon`, checking every kept row handed
+    out, whether patched or current, against the full row of a fresh Eval
+    and its disagreement set against that Eval's and against the stored
+    array; return the checks counted by (label, "current" | "patched")."""
     real = runtime.kept_row
     checks = Counter()
 
     def checked(ev, action):
-        kept = ev.kept is not None and ev.pid in ev.kept.by_action.get(action, ())
-        current = kept and ev.pid in (ev.shared or {}).get(action, ())
+        kept = ev.caches.kept.get(action, {}).get(ev.pid)
+        current = kept is not None and kept.current
         state = real(ev, action)
-        if kept:
+        if kept is not None:
             full = real(Eval(ev.cfg, ev.pid, ev.nbr_ids), action)
             assert (state.row, state.diff) == (full.row, full.diff), action.label
+            stored = ev.store.get(action.keyed.array) or {}
+            assert state.diff == {u for u in ev.store[DOMAIN]
+                                  if stored.get(u, BOT) != state.row[u]}, action.label
             checks[action.label, "current" if current else "patched"] += 1
         return state
 
     monkeypatch.setattr(runtime, "kept_row", checked)
     monkeypatch.setattr(kgrouping, "kept_row", checked)
-    for daemon in (DaemonPolicy(kind="random", p=0.5, seed=4),
-                   DaemonPolicy(kind="synchronous"), DaemonPolicy(kind="central", seed=4)):
-        for graph, k in ((grid_graph(3, 3), 2), (random_connected_graph(10, 0.3, 0), 3)):
-            binding = kgrouping_binding(k)
-            trace = run(graph, compose(binding, graph), random_config(graph, k, seed=3, n_false=2),
-                        daemon, max_steps=200_000, record_steps=False)
-            assert trace.terminated and check_Cfin(plain_evals(trace.final, graph), binding)
-    assert {label for label, _ in checks} == KEYED_LABELS
+    for graph, k in ((grid_graph(3, 3), 2), (random_connected_graph(10, 0.3, 0), 3),
+                     (path_graph(7), 1)):
+        binding = kgrouping_binding(k)
+        trace = run(graph, compose(binding, graph), random_config(graph, k, seed=3, n_false=2),
+                    daemon, max_steps=200_000, record_steps=False)
+        assert trace.terminated and check_Cfin(plain_evals(trace.final, graph), binding)
+    return checks
+
+
+@pytest.mark.parametrize("daemon", list(DAEMONS.values()), ids=list(DAEMONS))
+def test_kept_rows_match_full_recomputes(monkeypatch, daemon):
+    # Under each daemon, every keyed action hands out kept rows, and each
+    # equals a full recompute.
+    checks = _check_kept_rows(monkeypatch, daemon)
+    assert {a.label for a in (*kgrouping_binding(1).base.actions,
+                              *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
+    assert {label for label, _ in checks} == KEYED_LABELS, sorted(
+        KEYED_LABELS - {label for label, _ in checks})
+
+
+def test_every_kept_row_matches_a_full_recompute(monkeypatch):
+    # The rows a run hands out without patching them (current: no read of
+    # their action changed since they were last patched) and the rows read
+    # by another row (M6 reads M5's, M7 M6's) are among those checked, and
+    # equal a full recompute like the patched ones.
+    checks = _check_kept_rows(monkeypatch, DAEMONS["random"])
     assert all(checks[label, kind] for label in ("M5", "M6") for kind in ("current", "patched"))
     assert checks["M7", "patched"]
+
+
+def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
+    # A copy of an Action (dataclasses.replace, as a tracer makes) reaches
+    # the original's kept row through _keyed's closure, and the row's
+    # `current` flag lives on the row, not on the Action that asks: a run of
+    # copies computes as many full rows, patched rows and marks as a run of
+    # the originals.
+    counts = Counter()
+
+    def counting_keyed(array, row, fixed, key_reads=frozenset(), marks=None):
+        def counted_row(ev, keys):
+            counts["full" if keys is None else "patched"] += 1
+            return row(ev, keys)
+
+        def counted_marks(ev):
+            counts["marks"] += 1
+            return marks(ev)
+
+        return runtime.Keyed(array, counted_row, fixed, key_reads,
+                             None if marks is None else counted_marks)
+
+    monkeypatch.setattr(kgrouping, "Keyed", counting_keyed)
+    g, k = grid_graph(4, 4), 2
+    binding = kgrouping_binding(k)
+
+    def copied(spec):
+        return dataclasses.replace(
+            spec, actions=tuple(dataclasses.replace(a) for a in spec.actions))
+
+    totals = []
+    for b in (binding, dataclasses.replace(binding, base=copied(binding.base),
+                                           init=copied(binding.init))):
+        counts.clear()
+        trace = run(g, compose(b, g), random_config(g, k, seed=3),
+                    DaemonPolicy(kind="random", seed=1), max_steps=200_000,
+                    record_steps=False)
+        assert trace.terminated
+        totals.append(dict(counts))
+    assert totals[0] == totals[1]
+    assert set(totals[0]) == {"full", "patched", "marks"}
 
 
 def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5):
@@ -647,10 +661,10 @@ def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5
     k = 2
     cfg = init_silent_cfg(p5, k)
     m5, m6 = merge_actions(k).actions[4:6]
-    kept, computed = KeptRows(), []
+    caches, computed = RunCaches(), []
     for name in ("_stamp1_row", "_stamp_dist_row"):
         def counted(ev, *args, real=getattr(kgrouping, name), name=name):
-            if ev.kept is kept:  # not the fresh full recompute
+            if ev.caches is caches:  # not the fresh full recompute
                 computed.append((name, None if args[-1] is None else sorted(args[-1])))
             return real(ev, *args)
 
@@ -658,16 +672,16 @@ def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5
 
     def evaluate(action, cfg, v):
         computed.clear()
-        action.evaluate(Eval(cfg, v, p5.neighbors_of(v), {}, kept))
-        fresh = KeptRows()
-        action.evaluate(Eval(cfg, v, p5.neighbors_of(v), {}, fresh))
-        assert kept.by_action[action][v].row == fresh.by_action[action][v].row
+        action.evaluate(Eval(cfg, v, p5.neighbors_of(v), caches))
+        fresh = Eval(cfg, v, p5.neighbors_of(v))
+        action.evaluate(fresh)
+        assert caches.kept[action][v].row == fresh.caches.kept[action][v].row
         return computed
 
     def write(cfg, u, name, key, value):
         new = dict(cfg)
         new[u] = dict(cfg[u], **{name: {**cfg[u][name], key: value}})
-        kept.changed(u, frozenset((name,)), cfg[u], new[u], p5.neighbors_of(u))
+        caches.changed(u, frozenset((name,)), cfg[u], new[u], p5.neighbors_of(u))
         return new
 
     v, w = next((v, w) for v in p5.vertices for w in p5.neighbors_of(v)

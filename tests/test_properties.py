@@ -218,7 +218,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
     audited = set()
 
     def audited_cached(ev, action):
-        if ev.shared is None or ev.pid not in ev.shared.get(action, ()):
+        if ev.pid not in ev.caches.results.get(action, ()):
             _audit(action, ev)
             audited.add(action.label)
         return real_cached(ev, action)
@@ -381,7 +381,7 @@ def _record_root_starts(monkeypatch):
             if event.fired.get(root) in (SHIFT, HANDOFF):
                 seen.append((event.index, event.pre_cfg))
             if not caches:
-                caches.append(event.evaluate(root).shared)
+                caches.append(event.evaluate(root).caches.results)
 
         return real_run(graph, alg, cfg0, daemon, max_steps,
                         observers=(*observers, observe), **kwargs)

@@ -418,8 +418,7 @@ def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=No
     updates next to a copy of its content."""
 
     def row_of(ev, keys):
-        if ev.kept is not None:  # not the uncached replay
-            calls.append(None if keys is None else sorted(keys))
+        calls.append(None if keys is None else sorted(keys))
         src, t, m = ev.nbr(1)["a"], ev.store["t"], ev.store["m"]
         return {u: None if src.get(u) is None else src[u] + t.get(u, 0) + (u == m)
                 for u in (ev.store["domain"] if keys is None else keys)}
@@ -427,11 +426,10 @@ def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=No
     def evaluate_k(ev):
         if ev.pid != 2:
             return None
-        if ev.kept is not None:
-            state = ev.kept.by_action.get(keyed, {}).get(2)
-            seen.append(None if state is None else set(state.waiting))
+        state = ev.caches.kept.get(keyed, {}).get(2)
+        seen.append(None if state is None else set(state.waiting))
         updates = keyed_updates(ev, keyed)
-        if updates is not None and handed is not None and ev.kept is not None:
+        if updates is not None and handed is not None:
             handed.append((updates["a"], dict(updates["a"])))
         return updates
 
@@ -458,10 +456,13 @@ def run_keyed_copy(script, selections, calls, seen, handed=None, observers=(),
     trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=selections),
                 len(selections) + 1, observers=observers)
     assert trace.terminated
+    recorded = [(log, len(log)) for log in (calls, seen, handed) if log is not None]
     replay = cfg0
     for rec in trace.steps:
         replay = step(replay, set(rec.selected), alg, g)
     assert trace.final == replay
+    for log, n in recorded:  # drop what the uncached replay recorded
+        del log[n:]
     return trace
 
 
