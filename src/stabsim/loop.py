@@ -8,6 +8,11 @@ every process shifts outputs into the copies and a fresh execution starts.
 Reset flags force the wave back to the root whenever any process still makes
 progress, and a table of illegal parent/child color pairs scrubs incoherent
 initial colorings.
+
+Each wave action's guard is its `when`, what it needs of the owner's own
+color, mode and reset flag, and its body, which tests the rest: the
+neighbors, the tree and the payload.  A scan asks a body only where `when`
+holds (runtime.Action), so no body restates it.
 """
 
 from __future__ import annotations
@@ -164,29 +169,13 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
             return False
         return all(ev.nbr(u)[COLOR] == child_color for u in ev.children())
 
-    def in_base_off4(ev: Eval) -> bool:
-        # Where L5 and L6 may hand the process over to the initializer.
-        s = ev.store
-        return s[MODE] == MODE_BASE and s[COLOR] != 4
-
-    def done_below(ev: Eval, mode) -> bool:
-        # Color 3 in `mode` with no child still at color 2.
-        s = ev.store
-        if s[COLOR] != 3 or s[MODE] != mode:
-            return False
+    def done_below(ev: Eval) -> bool:
+        # No child still at color 2.
         return not any(ev.nbr(u)[COLOR] == 2 for u in ev.children())
 
-    def color_reset(ev: Eval):
-        s = ev.store
-        if s[COLOR] not in (0, 3, 4) and s[RESET] == 1:
-            return {COLOR: 0}
-        return None
-
-    def restart_below(colors, updates):
-        # The parent went back to color 0: so does a process at `colors`.
+    def restart_below(updates):
+        # The parent went back to color 0: so does the process.
         def evaluate(ev: Eval):
-            if ev.store[COLOR] not in colors:
-                return None
             p = ev.parent()
             if p is not BOT and ev.nbr(p)[COLOR] == 0:
                 return dict(updates)
@@ -195,8 +184,6 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return evaluate
 
     def error_to_init(ev: Eval):
-        if not in_base_off4(ev):
-            return None
         if any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
             return None
         if ev.cached(error_check):
@@ -204,18 +191,17 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return None
 
     def follow_to_init(ev: Eval):
-        if not in_base_off4(ev):
-            return None
         if any(ev.nbr(u)[MODE] == MODE_INIT for u in ev.nbr_ids):
             return {MODE: MODE_INIT, RESET: 1}
         return None
 
     def run_module(alg: AlgorithmSpec, mode):
-        # Where the closed neighborhood is in `mode` and off color 4, fire
-        # the first enabled action of `alg` and raise the reset flag.
+        # Where every neighbor is, like the owner (`when`), in `mode` and
+        # off color 4, fire the first enabled action of `alg` and raise the
+        # reset flag.
         def evaluate(ev: Eval):
             cfg = ev.cfg
-            for u in (ev.pid, *ev.nbr_ids):
+            for u in ev.nbr_ids:
                 s = cfg[u]
                 if s[MODE] != mode or s[COLOR] == 4:
                     return None
@@ -235,15 +221,11 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return None
 
     def propagate_reset(ev: Eval):
-        if ev.store[RESET] != 0:
-            return None
         if any(ev.nbr(u)[RESET] == 1 for u in ev.children()):
             return {RESET: 1}
         return None
 
     def del_reset(ev: Eval):
-        if ev.store[RESET] != 1:
-            return None
         p = ev.parent()
         if p is not BOT and ev.nbr(p)[RESET] != 1:
             return None
@@ -252,19 +234,18 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return {RESET: 0}
 
     def down(ev: Eval):
-        s = ev.store
-        cl = s[COLOR]
-        if cl in (0, 2) and s[RESET] == 0 and wave_ok(ev, cl + 1, cl):
+        cl = ev.store[COLOR]
+        if wave_ok(ev, cl + 1, cl):
             return {COLOR: cl + 1}
         return None
 
     def to2(ev: Eval):
-        if ev.store[COLOR] == 1 and wave_ok(ev, 1, 2):
+        if wave_ok(ev, 1, 2):
             return {COLOR: 2}
         return None
 
     def to4_base(ev: Eval):
-        if not done_below(ev, MODE_BASE):
+        if not done_below(ev):
             return None
         in_sync = ev.cached(sync_check)
         if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
@@ -274,12 +255,12 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         return updates
 
     def to4_init(ev: Eval):
-        if not done_below(ev, MODE_INIT):
+        if not done_below(ev):
             return None
         return {COLOR: 4, MODE: MODE_BASE}
 
     def to0(ev: Eval):
-        if ev.store[COLOR] != 4 or not wave_ok(ev, 4, 0):
+        if not wave_ok(ev, 4, 0):
             return None
         if any(ev.nbr(u)[COLOR] not in (0, 4) for u in ev.nbr_ids):
             return None
@@ -298,32 +279,43 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     # Each action declares only what it reads: `reads` in the closed
     # neighborhood, `nbr_reads` in the neighbors' stores.  A walk reads the
     # parent's and the children's `x`, finding them by the parent pointers.
+    # `when` states what the action needs of the owner's own color, mode and
+    # reset flag, and its evaluate tests the rest.
     color, mode, reset = frozenset((COLOR,)), frozenset((MODE,)), frozenset((RESET,))
     color_walk, reset_walk = color | {PARENT}, reset | {PARENT}
     in_mode = color | mode  # run_module's test of the closed neighborhood
 
+    # In base (initializer) mode and off color 4: where L5-L7 (L8) may act.
+    base_off4 = {MODE: (MODE_BASE,), COLOR: (0, 1, 2, 3)}
+    init_off4 = {MODE: (MODE_INIT,), COLOR: (0, 1, 2, 3)}
+
     actions = (
         Action("L1", tree.evaluate, tree.reads, tree.writes, tree.nbr_reads),
-        Action("L2", color_reset, color | reset, color, frozenset()),
-        Action("L3", restart_below((1, 2), {COLOR: 0}), color_walk, color, color),
-        Action("L4", restart_below((3, 4), {COLOR: 0, RESET: 1}), color_walk,
-               color | reset, color),
+        Action("L2", lambda ev: {COLOR: 0}, color | reset, color, frozenset(),
+               when={COLOR: (1, 2), RESET: (1,)}),
+        Action("L3", restart_below({COLOR: 0}), color_walk, color, color,
+               when={COLOR: (1, 2)}),
+        Action("L4", restart_below({COLOR: 0, RESET: 1}), color_walk,
+               color | reset, color, when={COLOR: (3, 4)}),
         Action("L5", error_to_init, in_mode | error_check.reads, mode | reset,
-               color | error_check.nbr_reads),
-        Action("L6", follow_to_init, in_mode, mode | reset, mode),
+               color | error_check.nbr_reads, when=base_off4),
+        Action("L6", follow_to_init, in_mode, mode | reset, mode, when=base_off4),
         Action("L7", run_module(base, MODE_BASE), in_mode | base.reads,
-               base.writes | reset, in_mode | base.nbr_reads),
+               base.writes | reset, in_mode | base.nbr_reads, when=base_off4),
         Action("L8", run_module(init, MODE_INIT), in_mode | init.reads,
-               init.writes | reset, in_mode | init.nbr_reads),
-        Action("L9", illegal, color_walk, color | reset, color_walk),
-        Action("L10", propagate_reset, reset_walk, reset, reset_walk),
-        Action("L11", del_reset, reset_walk, reset, reset_walk),
-        Action("L12", down, color_walk | reset, color, color_walk),
-        Action("L13", to2, color_walk, color, color_walk),
+               init.writes | reset, in_mode | init.nbr_reads, when=init_off4),
+        Action("L9", illegal, color_walk, color | reset, color_walk,
+               when={COLOR: tuple(sorted({cl for cl, _ in ILLEGAL_PAIRS}))}),
+        Action("L10", propagate_reset, reset_walk, reset, reset_walk, when={RESET: (0,)}),
+        Action("L11", del_reset, reset_walk, reset, reset_walk, when={RESET: (1,)}),
+        Action("L12", down, color_walk | reset, color, color_walk,
+               when={COLOR: (0, 2), RESET: (0,)}),
+        Action("L13", to2, color_walk, color, color_walk, when={COLOR: (1,)}),
         Action(SHIFT, to4_base, color_walk | mode | sync_check.reads,
-               copy_names | color, color_walk),
-        Action(HANDOFF, to4_init, color_walk | mode, color | mode, color_walk),
-        Action("L16", to0, color_walk, color, color_walk),
+               copy_names | color, color_walk, when={COLOR: (3,), MODE: (MODE_BASE,)}),
+        Action(HANDOFF, to4_init, color_walk | mode, color | mode, color_walk,
+               when={COLOR: (3,), MODE: (MODE_INIT,)}),
+        Action("L16", to0, color_walk, color, color_walk, when={COLOR: (4,)}),
     )
     return AlgorithmSpec(f"loop({base.name},{init.name})", actions,
                          domain_var=binding.domain_var)
@@ -339,8 +331,10 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 # from what the run has already evaluated there.
 
 def disabled_everywhere(evals: Sequence[Eval], alg: AlgorithmSpec) -> bool:
-    """No action of `alg` is enabled at any process."""
-    return all(all(ev.cached(a) is None for a in alg.actions) for ev in evals)
+    """No action of `alg` is enabled at any process: at each, every action
+    whose `when` admits the owner returns None."""
+    return all(all(ev.cached(a) is None for a in alg.actions if a.admits(ev.store))
+               for ev in evals)
 
 
 def error_nowhere(evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:

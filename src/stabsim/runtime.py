@@ -8,9 +8,10 @@ are ever written; guards may read the 1-neighborhood.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional
 
 from .graphs import Graph
@@ -142,9 +143,16 @@ class Var:
 class Action:
     """One labeled guarded action.
 
-    `evaluate` returns the update map if the action is enabled at the process,
-    otherwise None.  Substitution-style actions (guard "current != computed")
-    fall out naturally: compute, compare, return None on equality.
+    The guard is `when` and the body, `evaluate`, both holding.  `when`
+    maps some of the owner's scalars to the values they may hold (L12's is
+    `{color: (0, 2), reset: (0,)}`); without one it always holds.  Where it
+    fails, the action is disabled, and no path that asks a table calls
+    `evaluate` (AlgorithmSpec.first_enabled and loop.disabled_everywhere ask
+    `admits` first), so the body need not restate it.  Where it holds,
+    `evaluate` returns the update map if the action is enabled at the
+    process, otherwise None.  Substitution-style actions (guard "current !=
+    computed") fall out naturally: compute, compare, return None on
+    equality.
 
     `reads` declares every variable of the 1-neighborhood that `evaluate` may
     depend on, and `nbr_reads` (a subset, `reads` by default) those it may
@@ -160,7 +168,8 @@ class Action:
 
     `keyed`, for an array substitution, declares its row (see Keyed); the
     row is kept across steps (RunCaches.kept) and `evaluate` patches it
-    (keyed_updates).
+    (keyed_updates).  `when` names only variables of `reads`, so a change
+    that can turn it also resumes the scan at or before the action.
     """
 
     label: str
@@ -169,6 +178,7 @@ class Action:
     writes: frozenset = frozenset()
     nbr_reads: Optional[frozenset] = None
     keyed: Optional[Keyed] = None
+    when: Optional[dict] = None
 
     def __post_init__(self):
         if self.nbr_reads is None:
@@ -186,6 +196,19 @@ class Action:
             if outside:
                 raise ValueError(
                     f"{self.label}: keyed row declares {sorted(outside)} outside reads")
+        if self.when is not None:
+            outside = self.when.keys() - self.reads
+            if outside:
+                raise ValueError(
+                    f"{self.label}: when names {sorted(outside)} outside reads")
+            empty = [x for x, values in self.when.items() if not values]
+            if empty:
+                raise ValueError(f"{self.label}: when allows no value of {empty}")
+
+    def admits(self, store: Store) -> bool:
+        """Whether the owner's `store` meets `when`."""
+        when = self.when
+        return when is None or all(store[x] in values for x, values in when.items())
 
 
 @dataclass(frozen=True)
@@ -450,15 +473,44 @@ class AlgorithmSpec:
     def writes(self) -> frozenset:
         return frozenset().union(*(a.writes for a in self.actions))
 
+    @cached_property
+    def _dispatch(self) -> tuple:
+        # (key, scans): `key(store)` reads the owner's values of the names
+        # some `when` declares, and scans[key(store)][start] holds the
+        # (position, evaluate) pairs at or after `start` whose `when` admits
+        # such an owner.  Built per instance, so a copy made with
+        # dataclasses.replace dispatches to its own actions; an owner state
+        # gets its entry when first met.
+        names = sorted({x for a in self.actions if a.when is not None for x in a.when})
+        key = operator.itemgetter(*names) if names else _no_names
+        return key, {}
+
+    def _scans(self, store: Store) -> tuple:
+        key, scans = self._dispatch
+        admitted = [(i, a.evaluate) for i, a in enumerate(self.actions) if a.admits(store)]
+        entry = scans[key(store)] = tuple(
+            tuple(p for p in admitted if p[0] >= start)
+            for start in range(len(self.actions) + 1))
+        return entry
+
     def first_enabled(self, ev: Eval, start: int = 0) -> Optional[tuple[int, dict]]:
         """(position, updates) of the first enabled action at or after
-        position `start` of the table, or None."""
-        actions = self.actions
-        for i in range(start, len(actions)):
-            updates = actions[i].evaluate(ev)
+        position `start` of the table, or None.  An action is enabled where
+        its `when` admits the owner and its `evaluate` returns updates; the
+        scan asks only the actions whose `when` admits the owner's state."""
+        key, scans = self._dispatch
+        entry = scans.get(key(ev.store))
+        if entry is None:
+            entry = self._scans(ev.store)
+        for i, evaluate in entry[start]:
+            updates = evaluate(ev)
             if updates is not None:
                 return i, updates
         return None
+
+
+def _no_names(store: Store) -> tuple:
+    return ()
 
 
 def plain_evals(cfg: Configuration, graph: Graph) -> list[Eval]:
@@ -469,7 +521,8 @@ def plain_evals(cfg: Configuration, graph: Graph) -> list[Eval]:
 
 
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
-    """Labels of all actions whose guard holds at v, in label order."""
+    """Labels of all actions whose guard (`when` and the body) holds at v,
+    in label order."""
     ev = Eval(cfg, v, graph.neighbors_of(v))
     labels = []
     hit = alg.first_enabled(ev)
@@ -680,9 +733,10 @@ def run(
     tie-breaking is over sorted process ids.
 
     Each process's first enabled action, found by one guard scan, is kept
-    across steps while no change reaches it.  A step's changes are the
-    variables whose value a fired process changed (a domain write also
-    changes the arrays it prunes).  Every Eval of the run shares one
+    across steps while no change reaches it.  A scan asks only the actions
+    whose `when` admits the process's own state (AlgorithmSpec.first_enabled).
+    A step's changes are the variables whose value a fired process changed
+    (a domain write also changes the arrays it prunes).  Every Eval of the run shares one
     RunCaches, and each changed process makes one call of its `changed`:
     it drops the cached results and kept rows that read the changes (or
     queues their changed keys), and says where the reached processes

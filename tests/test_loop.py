@@ -1,9 +1,13 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 from stabsim.bfs import LEVEL, PARENT, ROOT
-from stabsim.graphs import make_graph, path_graph, random_connected_graph
+from stabsim.configs import random_config
+from stabsim.graphs import grid_graph, make_graph, path_graph, random_connected_graph
+from stabsim.kgrouping import kgrouping_binding
 from stabsim.loop import (
     COLOR,
     ILLEGAL_PAIRS,
@@ -13,6 +17,8 @@ from stabsim.loop import (
     RESET,
     BaseAlgorithmBinding,
     CompositionError,
+    _copies_match,
+    _copy_updates,
     check_Cfin,
     check_Cgoal,
     compose,
@@ -85,6 +91,10 @@ def test_illegal_pairs_membership():
     assert (0, 0) not in ILLEGAL_PAIRS
     assert ILLEGAL_PAIRS == {(1, 3), (1, 4), (2, 0), (2, 1), (2, 3),
                              (2, 4), (3, 0), (3, 1), (4, 1), (4, 2)}
+    # L9 admits exactly the parent colors of some illegal pair.
+    (l9,) = (a for a in compose(toy_binding(), path_graph(3)).actions if a.label == "L9")
+    assert l9.when.keys() == {COLOR}
+    assert set(l9.when[COLOR]) == {parent for parent, _ in ILLEGAL_PAIRS}
 
 
 def test_binding_validation():
@@ -308,3 +318,244 @@ def test_repair_reaches_root_zero_or_final_within_c_diameter_rounds():
     c = max(m / b for _, b, m in half)
     for _, b, m in sorted(samples)[len(samples) // 2:]:
         assert m <= 2 * max(c, 1.0) * b, (samples, c)
+
+
+# ---------------------------------------------------------------------------
+# owner preconditions (`when`) of the wave actions
+
+def reference_guards(binding):
+    """Differential oracle: the guards of L2-L16 written out in full, each
+    testing the owner's own color, mode and reset flag in its body, as
+    before the wave actions declared those tests once, in `when`.  Keep
+    this copy as it is: the tests below hold the actions to it."""
+
+    def wave_ok(ev, parent_color, child_color):
+        p = ev.parent()
+        if p is not BOT and ev.nbr(p)[COLOR] != parent_color:
+            return False
+        return all(ev.nbr(u)[COLOR] == child_color for u in ev.children())
+
+    def in_base_off4(ev):
+        s = ev.store
+        return s[MODE] == MODE_BASE and s[COLOR] != 4
+
+    def done_below(ev, mode):
+        s = ev.store
+        if s[COLOR] != 3 or s[MODE] != mode:
+            return False
+        return not any(ev.nbr(u)[COLOR] == 2 for u in ev.children())
+
+    def color_reset(ev):
+        s = ev.store
+        if s[COLOR] not in (0, 3, 4) and s[RESET] == 1:
+            return {COLOR: 0}
+        return None
+
+    def restart_below(colors, updates):
+        def evaluate(ev):
+            if ev.store[COLOR] not in colors:
+                return None
+            p = ev.parent()
+            if p is not BOT and ev.nbr(p)[COLOR] == 0:
+                return dict(updates)
+            return None
+
+        return evaluate
+
+    def error_to_init(ev):
+        if not in_base_off4(ev):
+            return None
+        if any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
+            return None
+        if ev.cached(binding.error_check):
+            return {MODE: MODE_INIT, RESET: 1}
+        return None
+
+    def follow_to_init(ev):
+        if not in_base_off4(ev):
+            return None
+        if any(ev.nbr(u)[MODE] == MODE_INIT for u in ev.nbr_ids):
+            return {MODE: MODE_INIT, RESET: 1}
+        return None
+
+    def run_module(alg, mode):
+        def evaluate(ev):
+            for u in (ev.pid, *ev.nbr_ids):
+                s = ev.cfg[u]
+                if s[MODE] != mode or s[COLOR] == 4:
+                    return None
+            for action in alg.actions:
+                updates = ev.cached(action)
+                if updates is not None:
+                    return {**updates, RESET: 1}
+            return None
+
+        return evaluate
+
+    def illegal(ev):
+        cl = ev.store[COLOR]
+        for u in ev.children():
+            if (cl, ev.nbr(u)[COLOR]) in ILLEGAL_PAIRS:
+                return {COLOR: 0, RESET: 1}
+        return None
+
+    def propagate_reset(ev):
+        if ev.store[RESET] != 0:
+            return None
+        if any(ev.nbr(u)[RESET] == 1 for u in ev.children()):
+            return {RESET: 1}
+        return None
+
+    def del_reset(ev):
+        if ev.store[RESET] != 1:
+            return None
+        p = ev.parent()
+        if p is not BOT and ev.nbr(p)[RESET] != 1:
+            return None
+        if any(ev.nbr(u)[RESET] != 0 for u in ev.children()):
+            return None
+        return {RESET: 0}
+
+    def down(ev):
+        s = ev.store
+        cl = s[COLOR]
+        if cl in (0, 2) and s[RESET] == 0 and wave_ok(ev, cl + 1, cl):
+            return {COLOR: cl + 1}
+        return None
+
+    def to2(ev):
+        if ev.store[COLOR] == 1 and wave_ok(ev, 1, 2):
+            return {COLOR: 2}
+        return None
+
+    def to4_base(ev):
+        if not done_below(ev, MODE_BASE):
+            return None
+        in_sync = _copies_match(binding, ev.store)
+        if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
+            return None
+        updates = _copy_updates(binding, ev.store)
+        updates[COLOR] = 4
+        return updates
+
+    def to4_init(ev):
+        if not done_below(ev, MODE_INIT):
+            return None
+        return {COLOR: 4, MODE: MODE_BASE}
+
+    def to0(ev):
+        if ev.store[COLOR] != 4 or not wave_ok(ev, 4, 0):
+            return None
+        if any(ev.nbr(u)[COLOR] not in (0, 4) for u in ev.nbr_ids):
+            return None
+        return {COLOR: 0}
+
+    return {
+        "L2": color_reset,
+        "L3": restart_below((1, 2), {COLOR: 0}),
+        "L4": restart_below((3, 4), {COLOR: 0, RESET: 1}),
+        "L5": error_to_init,
+        "L6": follow_to_init,
+        "L7": run_module(binding.base, MODE_BASE),
+        "L8": run_module(binding.init, MODE_INIT),
+        "L9": illegal,
+        "L10": propagate_reset,
+        "L11": del_reset,
+        "L12": down,
+        "L13": to2,
+        "L14": to4_base,
+        "L15": to4_init,
+        "L16": to0,
+    }
+
+
+OWNER_STATES = [(c, m, r) for c in range(5) for m in (MODE_BASE, MODE_INIT) for r in (0, 1)]
+
+
+def assert_wave_matches_reference(alg, reference, cfg, graph, evaluate=None):
+    # At every process of cfg: where `when` holds, the action's evaluate
+    # equals the full guard; where it fails, the full guard is disabled.
+    # `evaluate(v)` gives the Evals the actions are asked through; the
+    # reference always asks plain Evals.
+    plain = {ev.pid: ev for ev in plain_evals(cfg, graph)}
+    evals = plain_evals(cfg, graph) if evaluate is None else map(evaluate, graph.vertices)
+    for ev in evals:
+        for action in alg.actions[1:]:
+            expected = reference[action.label](plain[ev.pid])
+            if action.admits(ev.store):
+                assert action.evaluate(ev) == expected, (action.label, ev.pid)
+            else:
+                assert expected is None, (action.label, ev.pid, ev.store)
+
+
+@pytest.mark.parametrize("graph, k", [(grid_graph(3, 3), 2),
+                                      (random_connected_graph(10, 0.3, 0), 3)],
+                         ids=["grid3x3-k2", "gnp10-k3"])
+def test_when_and_body_equal_the_full_guards_in_every_owner_state(graph, k):
+    binding = kgrouping_binding(k)
+    alg = compose(binding, graph)
+    reference = reference_guards(binding)
+    assert {a.label for a in alg.actions[1:]} == reference.keys()
+    for seed in range(2):
+        cfg = random_config(graph, k, seed=seed)
+        for v in graph.vertices:
+            for cl, mode, reset in OWNER_STATES:
+                one = dict(cfg)
+                one[v] = {**cfg[v], COLOR: cl, MODE: mode, RESET: reset}
+                assert_wave_matches_reference(alg, reference, one, graph)
+
+
+@pytest.mark.parametrize("daemon", [DaemonPolicy(kind="random", p=0.5, seed=4),
+                                    DaemonPolicy(kind="synchronous"),
+                                    DaemonPolicy(kind="central", seed=4)],
+                         ids=["random", "synchronous", "central"])
+def test_when_and_body_equal_the_full_guards_along_runs(daemon):
+    # Every configuration of a run, each step's asked through the run's own
+    # caches (StepEvent.evaluate) and the last one through plain Evals.
+    g, k = grid_graph(3, 3), 2
+    binding = kgrouping_binding(k)
+    alg = compose(binding, g)
+    reference = reference_guards(binding)
+
+    def observe(event):
+        assert_wave_matches_reference(alg, reference, event.pre_cfg, g, event.evaluate)
+
+    trace = run(g, alg, random_config(g, k, seed=1), daemon, max_steps=100_000,
+                observers=(observe,))
+    assert trace.terminated
+    assert_wave_matches_reference(alg, reference, trace.final, g)
+
+
+def test_run_asks_no_wave_action_its_when_rules_out():
+    # A copy of the composed table with counting evaluates, made with
+    # dataclasses.replace after the original has run (as perfbench's tracer
+    # copies it): the copy dispatches to its own evaluates, asks none at a
+    # process whose owner state fails its `when`, and runs the same trace.
+    g, k = grid_graph(4, 4), 2
+    alg = compose(kgrouping_binding(k), g)
+    cfg0 = random_config(g, k, seed=3)
+    daemon = DaemonPolicy(kind="random", p=0.5, seed=3)
+    original = run(g, alg, cfg0, daemon, max_steps=200_000)
+    assert original.terminated
+    calls, ruled_out = Counter(), []
+
+    def counting(action):
+        def evaluate(ev):
+            calls[action.label] += 1
+            if not action.admits(ev.store):
+                ruled_out.append((action.label, ev.pid))
+            return action.evaluate(ev)
+
+        return evaluate
+
+    copy = dataclasses.replace(alg, actions=tuple(
+        dataclasses.replace(a, evaluate=counting(a)) for a in alg.actions))
+    counted = run(g, copy, cfg0, daemon, max_steps=200_000)
+    assert not ruled_out
+    assert all(calls[a.label] for a in alg.actions)
+    assert counted.steps == original.steps and counted.final == original.final
+
+    def fires(trace):
+        return Counter(label for rec in trace.steps for label in rec.fired.values())
+
+    assert fires(counted) == fires(original)

@@ -324,6 +324,24 @@ def test_action_rejects_neighbor_reads_outside_reads():
         Action("A", lambda ev: None, frozenset("xy"), nbr_reads=frozenset("xz"))
 
 
+def test_action_rejects_when_outside_reads_or_without_values(p3):
+    with pytest.raises(ValueError, match="z"):
+        Action("A", lambda ev: None, frozenset("xy"), when={"z": (0,)})
+    with pytest.raises(ValueError, match="x"):
+        Action("A", lambda ev: None, frozenset("xy"), when={"x": ()})
+    # The guard is `when` and the body: where `when` fails, a scan skips the
+    # action even though its body would fire.
+    names = frozenset("xy")
+    alg = AlgorithmSpec("when", (
+        Action("W1", lambda ev: {"x": 0}, names, frozenset("x"), when={"y": (1,)}),
+        Action("W2", lambda ev: {"x": 1}, names, frozenset("x")),
+    ))
+    cfg = {v: {"x": 5, "y": v % 2} for v in p3.vertices}
+    assert [enabled_actions(cfg, v, alg, p3) for v in (1, 2)] == [["W1", "W2"], ["W2"]]
+    assert step(cfg, {1, 2}, alg, p3)[1]["x"] == 0
+    assert step(cfg, {1, 2}, alg, p3)[2]["x"] == 1
+
+
 def test_cache_drops_entries_by_owner_and_neighbor_reads():
     # Each process caches `own`, which reads its own x and nothing of its
     # neighbors.  A neighbor's write of x keeps the entry; the owner's own
