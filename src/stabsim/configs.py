@@ -7,6 +7,15 @@ drawn from a pool that mixes in false identifiers (ids matching no process,
 including ids below the real minimum, which stress root election).  The
 same declarations drive mid-run corruption, the validation of adversarial
 configuration files and the zeroed configuration.
+
+Draw stream: a seed fixes every generated configuration, and the recorded
+traces and digests depend on it.  Each array entry and scalar takes the same
+value that `random.Random.randrange` would draw at that point of the stream,
+and leaves the generator in the same state.  `_draw` gets it through
+`getrandbits` directly, as `randrange` does on CPython 3.10-3.13:
+`getrandbits(top.bit_length())` until the result is below `top`
+(tests/test_configs.py checks this draw for draw).  Each domain keeps each
+identifier of the pool on one `rng.random() < 0.5`.
 """
 
 from __future__ import annotations
@@ -66,15 +75,28 @@ def _in_range(var: Var, value, values: Sequence) -> bool:
 
 
 def _draw(rng: random.Random, var: Var, values: Sequence, store: dict):
+    """A value of `var`: a domain set, an array keyed by the owner's domain
+    in sorted order, or a scalar (drawn as an array of one entry).  Each
+    entry runs `randrange(top)`'s own loop inline, one call into C per draw
+    instead of three Python frames around it."""
     if var.kind == "set":
-        return frozenset(x for x in values if rng.random() < 0.5)
+        flip = rng.random
+        return frozenset([x for x in values if flip() < 0.5])
     n = len(values)
     top = n + var.bot  # BOT, when in range, is drawn as one more value
-    if var.kind == "array":
-        keys = sorted(store.get(_DOMAIN) or ())
-        return {u: values[i] if (i := rng.randrange(top)) < n else BOT for u in keys}
-    i = rng.randrange(top)
-    return values[i] if i < n else BOT
+    array = var.kind == "array"
+    keys = sorted(store.get(_DOMAIN) or ()) if array else (None,)  # a scalar: one entry
+    if keys and not top:
+        raise ValueError("empty range for randrange()")
+    getrandbits = rng.getrandbits
+    bits = top.bit_length()
+    out = {}
+    for u in keys:
+        i = getrandbits(bits)
+        while i >= top:
+            i = getrandbits(bits)
+        out[u] = values[i] if i < n else BOT
+    return out if array else out[None]
 
 
 def _fresh(var: Var, graph: Graph, k: int, pid: int):

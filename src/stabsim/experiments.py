@@ -475,7 +475,8 @@ def summary_record(result: RunResult) -> dict:
     groups = {str(g): sorted(m) for g, m in sorted(result.report.groups.items())}
     step_digest = hashlib.sha256()
     for rec in result.trace.steps:
-        step_digest.update(repr((rec.selected, sorted(rec.fired.items()))).encode())
+        fired = sorted(rec.fired.items())  # by process: selected is its keys
+        step_digest.update(repr((tuple([v for v, _ in fired]), fired)).encode())
     return {
         "summary": True,
         "verdict": result.verdict,

@@ -30,6 +30,9 @@ class Graph:
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]  # normalized (u, v) with u < v
     adj: dict[int, tuple[int, ...]] = field(compare=False, repr=False, default=None)
+    # hop distances from each source `dist` was asked about, one BFS each
+    _rows: dict[int, dict[int, int]] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -122,8 +125,10 @@ def dist(g: Graph, u: int, v: int) -> int | float:
         raise GraphError(f"unknown vertex {v}")
     if u == v:
         return 0
-    levels = _bfs_levels(g.adj, u)
-    return levels.get(v, INF)
+    row = g._rows.get(u)
+    if row is None:
+        row = g._rows[u] = _bfs_levels(g.adj, u)
+    return row.get(v, INF)
 
 
 def induced_diameter(g: Graph, s: Iterable[int]) -> int | float:

@@ -466,13 +466,21 @@ def run_fuzzed(name, index, value):
                 with open(file, "w", encoding="utf-8") as f:
                     f.write(texts[n])
         if name == "corrupt":
-            argv = ["inject", paths["descriptor"], "--corrupt", texts["corrupt"]]
-        else:
-            argv = ["run", paths["descriptor"]]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+            return main_captured(["inject", paths["descriptor"], "--corrupt", texts["corrupt"]])
+        return main_captured(["run", paths["descriptor"]])
+
+
+def main_captured(argv):
+    """The exit code and standard error of the CLI on `argv`."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, err.getvalue()
+
+
+def assert_one_error_line_last(err):
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and err.endswith(errors[0] + "\n"), err
 
 
 @pytest.mark.parametrize("name", FUZZ_INPUTS)
@@ -486,5 +494,57 @@ def test_fuzzed_input_gets_a_verdict_or_one_error_line(name, index, value):
     code, err = run_fuzzed(name, index, value)
     assert code in (EXIT_OK, EXIT_INVALID, EXIT_BUDGET, EXIT_INPUT)
     if code == EXIT_INPUT:
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and err.endswith(errors[0] + "\n"), err
+        assert_one_error_line_last(err)
+
+
+# An edge-list graph file (`u v` per line) is mutated line by line, starting
+# from the 3-vertex path: lines that are edges (self-loops, duplicates and
+# vertices off the path among them), blank or comment lines, bad tokens and
+# arbitrary text are inserted, or replace or delete a line.
+EDGE_LINES = (
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda e: b"%d %d" % e)
+    | st.sampled_from([b"", b"  ", b"# comment", b"1", b"1 2 3", b"a b", b"1 2.0",
+                       b"-1 2", b"4294967296 1", b"\xff\xfe 1"])
+    | st.text(max_size=6).map(str.encode))
+EDITS = st.lists(st.tuples(st.integers(0, 8), st.sampled_from(["insert", "replace", "delete"]),
+                           EDGE_LINES), max_size=4)
+
+
+def edit_lines(lines, edits):
+    lines = list(lines)
+    for at, op, line in edits:
+        at %= len(lines) + 1
+        if op == "insert":
+            lines.insert(at, line)
+        elif op == "replace":
+            lines[at:at + 1] = [line]
+        else:
+            del lines[at:at + 1]
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=EDITS)
+@example(edits=[(0, "delete", b""), (0, "delete", b"")])  # an empty file
+@example(edits=[(0, "replace", b"1 x")])  # a bad token
+@example(edits=[(1, "insert", b""), (0, "insert", b"# c"), (3, "insert", b"  ")])
+@example(edits=[(2, "insert", b"3 3")])  # a self-loop
+@example(edits=[(2, "insert", b"2 1")])  # a duplicate edge
+@example(edits=[(2, "insert", b"5 6")])  # a disconnected graph
+def test_fuzzed_edge_list_gets_a_verdict_or_one_error_line(edits):
+    data = b"\n".join(edit_lines([b"1 2", b"2 3"], edits))
+    with tempfile.TemporaryDirectory() as directory:
+        gpath = os.path.join(directory, "graph.txt")
+        with open(gpath, "wb") as f:
+            f.write(data)
+        dpath = os.path.join(directory, "run.json")
+        with open(dpath, "w", encoding="utf-8") as f:
+            json.dump({"graph": gpath, "k": 1,
+                       "daemon": {"kind": "random", "p": 0.5, "seed": 1},
+                       "init": {"mode": "random", "seed": 0, "n_false": 3}}, f)
+        code, err = main_captured(["run", dpath])
+    assert code in (EXIT_OK, EXIT_INPUT), (data, err)
+    if code == EXIT_INPUT:
+        assert_one_error_line_last(err)
+    else:
+        assert err == ""

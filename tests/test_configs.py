@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 
 from stabsim.bfs import PARENT
 from stabsim.configs import (
     ConfigError,
+    _draw,
     config_from_json,
     config_to_json,
     corrupt_config,
@@ -18,7 +20,7 @@ from stabsim.configs import (
 )
 from stabsim.graphs import MAX_ID, grid_graph, path_graph, random_connected_graph
 from stabsim.kgrouping import DIST, DOMAIN, GROUP
-from stabsim.runtime import BOT
+from stabsim.runtime import BOT, Var
 
 
 def test_false_ids_avoid_real_ones(p5):
@@ -185,3 +187,36 @@ def test_false_identifiers_fit_the_identifier_space():
     assert len(false_ids(g, 5)) == 5
     with pytest.raises(ConfigError, match="only 4294967293 identifiers match no process"):
         random_config(g, 1, seed=1, n_false=MAX_ID - 1)
+
+
+# _draw runs randrange's loop inline; every pinned digest above rests on it
+# drawing what randrange draws.  1..130 covers each power of two up to 128
+# and its neighbors, where getrandbits's width changes.
+def _draws(rng, kind, top, bot, count=40):
+    """`count` array entries (or one scalar) over `top` indices, BOT last."""
+    var = Var("x", kind, None, bot)
+    drawn = _draw(rng, var, range(top - bot), {DOMAIN: frozenset(range(count))})
+    return [drawn[u] for u in range(count)] if kind == "array" else [drawn]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 11, 12345))
+def test_draws_equal_randrange_draw_for_draw(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for top in range(1, 131):
+        for kind, count in (("array", 40), ("scalar", 1)):
+            for bot in (False, True):
+                want = [ref.randrange(top) for _ in range(count)]
+                if bot:
+                    want = [BOT if i == top - 1 else i for i in want]
+                assert _draws(rng, kind, top, bot, count) == want, (top, kind, bot)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_draw_over_an_empty_range_raises_like_randrange():
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(0)
+    for kind in ("array", "scalar"):
+        with pytest.raises(ValueError):
+            _draws(random.Random(0), kind, 0, False)
+    # no entry to draw, no draw
+    assert _draw(random.Random(0), Var("x", "array", None), (), {DOMAIN: frozenset()}) == {}

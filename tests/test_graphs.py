@@ -85,6 +85,22 @@ def test_k_neighborhood_c6(c6):
     assert k_neighborhood(c6, 1, 2) == {1, 2, 3, 5, 6}
 
 
+def test_dist_runs_one_bfs_per_source_asked(monkeypatch):
+    # Verdicts ask the same pairs thousands of times; each source's row is
+    # computed once and only for the sources asked, not for all n.
+    from stabsim import graphs
+
+    sources = []
+    bfs = graphs._bfs_levels
+    monkeypatch.setattr(graphs, "_bfs_levels",
+                        lambda adj, source, *a: sources.append(source) or bfs(adj, source, *a))
+    g = path_graph(6)
+    for _ in range(3):
+        assert [dist(g, 2, v) for v in range(1, 7)] == [1, 0, 1, 2, 3, 4]
+        assert dist(g, 6, 1) == 5
+    assert sources == [2, 6]
+    assert g == path_graph(6) and hash(g) == hash(path_graph(6))
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 14),
        p=st.floats(0.0, 0.6))
