@@ -210,11 +210,11 @@ def load_graph_edgelist(path: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphError(f"{path}:{lineno}: expected 'u v'")
+            raise _malformed(path, f"line {lineno}: expected 'u v': {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise GraphError(f"{path}:{lineno}: non-integer endpoint") from exc
+            raise _malformed(path, f"line {lineno}: non-integer endpoint: {line!r}") from exc
         edges.append((u, v))
     vertices = {u for e in edges for u in e}
     try:

@@ -26,23 +26,23 @@ M6's kept rows, so each stamp row is computed once for all its readers.
 
 Every array substitution declares its row on its action (runtime.Keyed),
 and each row form takes the domain keys to compute: a run keeps each row
-and patches it per key, and computes the full row only first and after a
-change the whole row depends on.  By default that is any change of the
-row's reads, as for the constant rows of I8 and I9 and M12's stamp_on row.
-The share, min, distance and stamp rows are key-local in the array they
-gather and write, so fewer reads drop them (the domain, the group view,
-the gradient), and the others reach only some keys.  The keys
-to patch are found three ways.  A neighbor's write of the row's array
-reaches the keys it changed.  So does the owner's write of an array the
-row reads at its key: for M5 the owner's `target`, `in_stamp_on` and
-`in_stamp1`.  Everything else a row reads at a key is a mark, derived at
-each evaluation and compared with the last one: a share row's own value at
-the owner's key; M5's elected target and the groups with a member at merge
-distance k+1; M6's keys where the stamp1 row names the owner, and per
-neighboring group the least stamp distance it claims toward ours (a
-neighbor's stamp_dist at our group id reaches the key of its group); M7's
-keys where the stamp_dist row reads k+1.  An Eval built outside `run` has
-fresh caches, so it computes each row in full, once per cache.
+and patches it per key.  A change reaches a row three ways.  A change of
+a read the whole row depends on drops it, and the next evaluation
+computes it in full: by default any read but the row's array (I8, I9),
+else the domain, the group view or the gradient (M12: the domain alone).
+Any write of the row's array, by a neighbor or by the owner with anything
+but the row (the copy shift), reaches the keys it changed: no row reads
+its owner's own array.  Everything else a row reads at a key is a mark,
+derived at each evaluation and compared with the last one: a share row's
+own value at the owner's key; M5's witnessed groups (with a member at
+merge distance k+1), elected target, keys whose `target` entry names our
+group, and kept stamps; M6's keys where the stamp1 row names the owner,
+and per neighboring group the least stamp distance it claims toward ours
+(a neighbor's stamp_dist at our group id reaches the key of its group);
+M7's keys where the stamp_dist row reads k+1; M12's merging flags at the
+keys with a known stamp distance, the owner's among them.  An Eval built
+outside `run` has fresh caches: it computes each row in full, once per
+cache, and no marks.
 
 Each action declares `reads`, every name it reads in the closed
 neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
@@ -50,7 +50,8 @@ stores; a run drops a cached result only when the owner changes a name of
 the first or a neighbor one of the second.
 
 The error predicate asks I1-I4 and I6 whether they are enabled, through
-Eval.cached and within error_check.reads, instead of restating their guards.
+Eval.cached and within error_check.reads, and reads I7's kept row at its
+group's members, instead of restating their rules.
 """
 
 from __future__ import annotations
@@ -665,24 +666,22 @@ def _scalar_sub(label, name, value_fn, reads, nbr_reads):
                   frozenset(nbr_reads))
 
 
-def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, key_reads=(),
-           marks=None):
+def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, marks=None):
     """The substitution of the array `name` by the row row_of(ev, None),
     declared on the action (runtime.Keyed) so that a run keeps the row
     across steps; row_of(ev, keys) gives the row at the domain keys `keys`.
     The row is dropped when a `fixed` variable changes (by default every
-    read but `name` and `key_reads`), patched at the changed keys of the
-    `key_reads` arrays, and reads anything else through `marks`."""
-    reads, key_reads = frozenset(reads), frozenset(key_reads)
-    fixed = reads - key_reads - {name} if fixed is None else frozenset(fixed)
+    read but `name`), patched at the changed keys of `name`, and reads
+    anything else through `marks`."""
+    fixed = frozenset(reads) - {name} if fixed is None else frozenset(fixed)
 
     def evaluate(ev: Eval):
         if not ev.store.get(DOMAIN):
             return None
         return keyed_updates(ev, action)
 
-    action = Action(label, evaluate, reads, frozenset((name,)), frozenset(nbr_reads),
-                    keyed=Keyed(name, row_of, fixed, key_reads, marks))
+    action = Action(label, evaluate, frozenset(reads), frozenset((name,)), frozenset(nbr_reads),
+                    keyed=Keyed(name, row_of, fixed, marks))
     return action
 
 
@@ -754,7 +753,7 @@ def merge_actions(k: int) -> AlgorithmSpec:
 
     # The stamp rows read one another as kept rows: M6 reads M5's row and
     # M7 reads M6's.  Their marks are what a row reads at a key besides the
-    # arrays it reads there key by key.
+    # neighbors' arrays it reads there key by key.
     def stamp1(ev):
         return kept_row(ev, m5).row
 
@@ -763,11 +762,20 @@ def merge_actions(k: int) -> AlgorithmSpec:
 
     def stamp1_marks(ev):
         # Bit 1 at the groups with a member at merge distance k+1, bit 2
-        # at the elected target.
+        # at the elected target, bit 4 where the target entry names our
+        # group; paired with the kept stamp where the key is stamped.
+        s, lv = ev.store, _lv(ev)
         marks = dict.fromkeys(_witnessed_groups(ev, k), 1)
         target = _target(ev)
         if target is not BOT:
             marks[target] = marks.get(target, 0) | 2
+        for u, t in (s.get(TARGET) or _EMPTY).items():
+            if t == lv and lv is not BOT:
+                marks[u] = marks.get(u, 0) | 4
+        in_s1 = s.get(IN_STAMP1) or _EMPTY
+        for u, on in (s.get(IN_STAMP_ON) or _EMPTY).items():
+            if on:
+                marks[u] = (marks.get(u, 0), in_s1.get(u, BOT))
         return marks
 
     def stamp_dist_marks(ev):
@@ -794,12 +802,16 @@ def merge_actions(k: int) -> AlgorithmSpec:
         sd = ev.store.get(STAMP_DIST) or _EMPTY
         mg = ev.store.get(MERGING) or _EMPTY
         merging_self = _merging(ev)
-        return {
-            u: (sd.get(u, BOT) is not BOT
-                and not merging_self
-                and not mg.get(u, False))
-            for u in _domain_keys(ev, keys)
-        }
+        return {u: sd.get(u, BOT) is not BOT and not merging_self and not mg.get(u, False)
+                for u in _domain_keys(ev, keys)}
+
+    def stamp_on_marks(ev):
+        # At each key where a stamp distance is known (the row is False
+        # elsewhere): its merging flag and the owner's, which all read.
+        mg = ev.store.get(MERGING) or _EMPTY
+        merging_self = _merging(ev)
+        return {u: (mg.get(u, False), merging_self)
+                for u, d in (ev.store.get(STAMP_DIST) or _EMPTY).items() if d is not BOT}
 
     shared = frozenset((DOMAIN, DIST, IN_GROUP, IN_GROUP_OF, IN_GROUP_DIST,
                         IN_STAMP_ON, IN_PRIOR))
@@ -808,8 +820,7 @@ def merge_actions(k: int) -> AlgorithmSpec:
     stamp1_reads = cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1}
     m5 = _keyed(
         "M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys), stamp1_reads,
-        _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR,
-        key_reads=(TARGET, IN_STAMP_ON, IN_STAMP1), marks=stamp1_marks)
+        _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR, marks=stamp1_marks)
     m6 = _keyed(
         "M6", STAMP_DIST, lambda ev, keys: _stamp_dist_row(ev, k, stamp1(ev), keys),
         stamp1_reads | {STAMP_DIST}, _GROUP_NBR | {STAMP1, STAMP_DIST},
@@ -836,7 +847,8 @@ def merge_actions(k: int) -> AlgorithmSpec:
         _share_sub("M11", MERGING, _merging, cand_reads | {TARGET, STAMP_DIST, MERGING},
                    _SHARE_NBR | {MERGING}),
         _keyed("M12", STAMP_ON, stamp_on_row,
-               cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, ()),
+               cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, (), fixed=(DOMAIN,),
+               marks=stamp_on_marks),
         _share_sub("M13", PRIOR, _prior, cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
                    _SHARE_NBR | {PRIOR}),
     )
@@ -851,17 +863,6 @@ def _grp_ok(ev: Eval) -> bool:
     own_lv = _lv(ev)
     for _, ws in _all_nbrs(ev):
         if ws.get(INIT_GROUP, BOT) == own_ig and ws.get(IN_GROUP, BOT) != own_lv:
-            return False
-    return True
-
-
-def _grp_dist_ok(ev: Eval, k: int) -> bool:
-    arr = ev.store.get(IN_GROUP_DIST) or _EMPTY
-    members = members_of(ev, _lv(ev))
-    want = _distance_row(ev, IN_GROUP_DIST, same_group_nbrs(ev), members, k)
-    for u in members:
-        got = arr.get(u, BOT)
-        if got != want[u] or got == k + 1:
             return False
     return True
 
@@ -915,9 +916,10 @@ def _prior_agreement(ev: Eval) -> bool:
 def error_predicate(ev: Eval, k: int, init: AlgorithmSpec) -> bool:
     """E(v): true when any local consistency condition fails.  E holds
     where I1-I4 or I6 of `init`, the table init_actions(k) built, is enabled
-    (asked through ev.cached: a run answers from its caches).  It does not
-    ask I5, I7, I8 or I9, which rewrite copies a merge shift changes."""
-    i1, i2, i3, i4, _, i6, *_ = init.actions
+    (asked through ev.cached: a run answers from its caches), or where I7's
+    kept row differs from the stored array, or reads k+1, at a group member.
+    It does not ask I5, I8 or I9, which rewrite copies a merge shift changes."""
+    i1, i2, i3, i4, _, i6, i7, *_ = init.actions
     if any(ev.cached(action) is not None for action in (i1, i2, i3, i4)):
         return True
     lv = _lv(ev)
@@ -925,7 +927,10 @@ def error_predicate(ev: Eval, k: int, init: AlgorithmSpec) -> bool:
         return True
     if not _grp_ok(ev) or ev.cached(i6) is not None:
         return True
-    if not _grp_dist_ok(ev, k):
+    group_dist = kept_row(ev, i7).row
+    stored = ev.store.get(IN_GROUP_DIST) or _EMPTY
+    if any(stored.get(u, BOT) != group_dist[u] or group_dist[u] == k + 1
+           for u in members_of(ev, lv)):
         return True
     stamped = ev.store.get(IN_STAMP_ON) or _EMPTY
     for u in ev.store.get(DOMAIN) or ():

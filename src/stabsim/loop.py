@@ -247,8 +247,8 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     def to4_base(ev: Eval):
         if not done_below(ev):
             return None
-        in_sync = ev.cached(sync_check)
-        if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
+        if (not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids)
+                and _copies_match(binding, ev.store)):
             return None
         updates = _copy_updates(binding, ev.store)
         updates[COLOR] = 4
@@ -270,11 +270,6 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     copy_names = frozenset(c for _, c in binding.outputs)
     out_names = frozenset(x for x, _ in binding.outputs)
     domain = frozenset((binding.domain_var,)) - {None}
-    # The check L14 caches, as an action whose evaluate returns a verdict
-    # instead of updates (like L5's error check): whether the outputs equal
-    # their copies (the owner's store alone).
-    sync_check = Action("sync", lambda ev: _copies_match(binding, ev.store),
-                        out_names | copy_names | domain, nbr_reads=frozenset())
 
     # Each action declares only what it reads: `reads` in the closed
     # neighborhood, `nbr_reads` in the neighbors' stores.  A walk reads the
@@ -311,7 +306,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
         Action("L12", down, color_walk | reset, color, color_walk,
                when={COLOR: (0, 2), RESET: (0,)}),
         Action("L13", to2, color_walk, color, color_walk, when={COLOR: (1,)}),
-        Action(SHIFT, to4_base, color_walk | mode | sync_check.reads,
+        Action(SHIFT, to4_base, color_walk | mode | out_names | copy_names | domain,
                copy_names | color, color_walk, when={COLOR: (3,), MODE: (MODE_BASE,)}),
         Action(HANDOFF, to4_init, color_walk | mode, color | mode, color_walk,
                when={COLOR: (3,), MODE: (MODE_INIT,)}),

@@ -192,7 +192,7 @@ class Action:
             if keyed.array not in self.writes:
                 raise ValueError(
                     f"{self.label}: keyed array {keyed.array!r} is not written")
-            outside = (keyed.fixed | keyed.key_reads) - self.reads
+            outside = keyed.fixed - self.reads
             if outside:
                 raise ValueError(
                     f"{self.label}: keyed row declares {sorted(outside)} outside reads")
@@ -218,24 +218,23 @@ class Keyed:
     `array` is the array the action writes, whose whole new value is the
     row: one entry per key of the owner's domain.  `row(ev, keys)` computes
     the row at exactly the domain keys `keys`, or at all of them for None.
-    The row is kept across steps (kept_row), and each read reaches it in one
+    The row is kept across steps (kept_row), and a change reaches it in one
     of three ways.  A change of a `fixed` variable, which the whole row
     depends on, drops it; `fixed` includes the domain variable
     (AlgorithmSpec checks this), so every domain write drops the owner's
-    row.  A change of a `key_reads` array, or of a neighbor's `array` when
-    the action reads it from neighbors, queues the keys whose value changed:
-    the row's entry at key u reads those arrays only at u.  Any other read
-    reaches the row through `marks(ev)`, a dict from keys to the derived
-    values the row reads at those keys (a predicate that holds there, or a
-    value read at one key), whose difference from the last marks names the
-    keys to recompute.  The owner's write of `array` with anything but the
-    row itself drops the row too.
+    row.  A write of `array`, by a neighbor the action reads it from or by
+    the owner with anything but the row itself, queues the keys whose
+    value changed: the row's entry at key u reads neighbors' arrays only
+    at u, and never reads the owner's.  Any other read reaches the row
+    through `marks(ev)`, a dict from keys to the derived values the row
+    reads at those keys (a predicate that holds there, a value read at one
+    key, or one value every key reads), whose difference from the last
+    marks names the keys to recompute.
     """
 
     array: str
     row: Callable[[Eval, Optional[Iterable]], dict]
     fixed: frozenset
-    key_reads: frozenset = frozenset()
     marks: Optional[Callable[[Eval], dict]] = None
 
 
@@ -244,7 +243,8 @@ class Kept:
 
     `diff` holds the keys where `row` disagrees with the stored array,
     `waiting` the keys whose inputs changed since the row was last patched,
-    and `marks` the row's derived per-key inputs as they were then.
+    and `marks` the row's derived per-key inputs as they were then (None
+    on caches that drive no table, whose rows no change reaches).
     `current` holds while no read of the action has changed since.  Once
     the row is handed out as updates (`handed`) it may be stored in a
     configuration, so it is copied before it is patched again.
@@ -282,23 +282,20 @@ class RunCaches:
         # (cache size, owner's resume position, neighbors' resume position,
         # owner's results to drop, neighbors' results to drop, and per kept
         # action that `names` reach: its rows and array; whether they reach
-        # the owner's row, drop it, include the array; the owner's arrays
-        # among them whose changed keys wait; whether they reach the
-        # neighbors' rows, drop them; the neighbors' arrays whose changed
-        # keys wait).  An entry made before an action was first cached is
-        # made again.
+        # the owner's row, drop it, include the array; whether they reach
+        # the neighbors' rows, drop them, include the array).  An entry made
+        # before an action was first cached is made again.
         actions = self.actions
         end = len(actions)
         kept = []
         for action, rows in self.kept.items():
             keyed = action.keyed
             nbr = names & action.nbr_reads
-            entry = (rows, keyed.array, not names.isdisjoint(action.reads),
+            entry = (rows, keyed.array,
+                     keyed.array in names or not names.isdisjoint(action.reads),
                      not names.isdisjoint(keyed.fixed), keyed.array in names,
-                     tuple(names & keyed.key_reads), bool(nbr),
-                     not nbr.isdisjoint(keyed.fixed),
-                     tuple(nbr & (keyed.key_reads | {keyed.array})))
-            if entry[2] or entry[4] or entry[6]:
+                     bool(nbr), not nbr.isdisjoint(keyed.fixed), keyed.array in nbr)
+            if entry[2] or entry[5]:
                 kept.append(entry)
         return (
             size,
@@ -320,17 +317,16 @@ class RunCaches:
 
         It drops v's results of the actions whose `reads` meet `names`
         and the neighbors' results of those whose `nbr_reads` do.  A kept
-        row such a change reaches is no longer current.  A change of a
-        fixed variable drops v's row and, if the row reads it from
-        neighbors, the neighbors' rows.  A change of a key-read array (for
-        neighbors, the keyed array too) adds its changed keys to the
-        waiting keys of those rows.  A row of v whose keyed array v
-        overwrote with that very row now agrees with it everywhere, and
-        the keys that write changed are the row's disagreement set (keys
-        outside v's domain, which no row reads from v, are not counted);
-        v's storing anything else there drops the row.  Any other read
-        reaches a row only through its marks.  A domain write is a change
-        of a fixed variable, since every row is fixed on the domain."""
+        row such a change reaches is no longer current, and learns of it
+        in one of three ways (see Keyed).  A change of a fixed variable,
+        a domain write among them, drops v's row and, if the row reads it
+        from neighbors, the neighbors' rows.  A write of the keyed array
+        adds its changed keys to the waiting keys of the neighbors' rows
+        that read it, and of v's row unless v stored that very row: then
+        the row agrees with the array everywhere, and the keys the write
+        changed are the row's disagreement set (keys outside v's domain,
+        which no row reads from v, are not counted).  Any other read
+        reaches a row only through its marks."""
         size = len(self.results) + len(self.kept)
         reach = self._reach.get(names)
         if reach is None or reach[0] != size:
@@ -356,21 +352,20 @@ class RunCaches:
                 keys = diffs[name] = changed_keys(old.get(name), new.get(name))
             return keys
 
-        for (rows, array, reached, drop, stored, own_keyed, nbr_reached, nbr_drop,
-             nbr_keyed) in kept:
+        for rows, array, reached, drop, stored, nbr_reached, nbr_drop, nbr_stored in kept:
             state = rows.get(v)
-            if state is not None and (reached or stored):
-                if drop or stored and new.get(array) is not state.row:
+            if state is not None and reached:
+                if drop:
                     del rows[v]
                 else:
                     state.current = False
-                    for name in own_keyed:
-                        state.waiting |= keys_of(name)
+                    if stored and new.get(array) is not state.row:
+                        state.waiting |= keys_of(array)
             if nbr_drop:
                 for w in nbrs:
                     rows.pop(w, None)
             elif nbr_reached:
-                keys = set().union(*map(keys_of, nbr_keyed))
+                keys = keys_of(array) if nbr_stored else set()
                 for w in nbrs:
                     state = rows.get(w)
                     if state is not None:
@@ -384,10 +379,11 @@ def kept_row(ev: Eval, action: Action) -> Kept:
     Kept with its disagreement set, kept in ev's caches.
 
     The first evaluation computes the full row, whose keys are the owner's
-    domain; later ones recompute the waiting keys and the keys whose marks
-    differ from the last ones (added, removed or changed), and update the
-    disagreement set at those keys only.  A row still current met no
-    change since it was last patched, and is returned as it is.
+    domain, and its marks where the caches drive a table; later ones
+    recompute the waiting keys and the keys whose marks differ from the
+    last ones (added, removed or changed), and update the disagreement set
+    at those keys only.  A row still current met no change since it was
+    last patched, and is returned as it is.
     """
     keyed = action.keyed
     kept = ev.caches.kept
@@ -400,7 +396,7 @@ def kept_row(ev: Eval, action: Action) -> Kept:
         row = keyed.row(ev, None)
         state = rows[ev.pid] = Kept(
             row, {u for u, x in row.items() if stored.get(u, BOT) != x},
-            None if keyed.marks is None else keyed.marks(ev))
+            keyed.marks(ev) if keyed.marks and ev.caches.actions else None)
     elif not state.current:
         todo = state.waiting
         if keyed.marks is not None:

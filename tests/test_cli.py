@@ -546,5 +546,6 @@ def test_fuzzed_edge_list_gets_a_verdict_or_one_error_line(edits):
     assert code in (EXIT_OK, EXIT_INPUT), (data, err)
     if code == EXIT_INPUT:
         assert_one_error_line_last(err)
+        assert f"error: malformed graph file {gpath}: " in err, (data, err)
     else:
         assert err == ""

@@ -163,6 +163,14 @@ def test_json_roundtrip(tmp_path, c6):
     assert load_graph(str(path)).edges == c6.edges
 
 
+def assert_malformed(load, path, text, fault):
+    path.write_text(text)
+    with pytest.raises(GraphError) as info:
+        load(str(path))
+    message = str(info.value)
+    assert message.startswith(f"malformed graph file {path}: ") and fault in message
+
+
 @pytest.mark.parametrize("text,fault", [
     ('{"vertices": [1, 2], "edges": [[1]]}', "edge [1] is not a pair of integers"),
     ('{"vertices": [1, 2], "edges": [[1, 2, 2]]}', "edge [1, 2, 2] is not a pair"),
@@ -178,12 +186,19 @@ def test_json_roundtrip(tmp_path, c6):
     ('{"vertices": [1, 2, 3], "edges": [[1, 2]]}', "graph is not connected"),
 ])
 def test_malformed_json_graph_file_names_the_file_and_the_fault(tmp_path, text, fault):
-    path = tmp_path / "g.json"
-    path.write_text(text)
-    with pytest.raises(GraphError) as info:
-        load_graph_json(str(path))
-    message = str(info.value)
-    assert message.startswith(f"malformed graph file {path}: ") and fault in message
+    assert_malformed(load_graph_json, tmp_path / "g.json", text, fault)
+
+
+@pytest.mark.parametrize("text,fault", [
+    ("1 x\n", "line 1: non-integer endpoint: '1 x'"),
+    ("1 2\n1 2 3\n", "line 2: expected 'u v': '1 2 3'"),
+    ("# c\n\n  1  \n", "line 3: expected 'u v': '1'"),
+    ("1 2\n2 1\n", "duplicate edge (1, 2)"),
+    ("1 2\n-1 2\n", "identifier -1 is not"),
+    ("1 2\n3 4\n", "graph is not connected"),
+])
+def test_malformed_edge_list_names_the_file_and_the_fault(tmp_path, text, fault):
+    assert_malformed(load_graph_edgelist, tmp_path / "g.txt", text, fault)
 
 
 def test_edgelist_loader(tmp_path):

@@ -422,9 +422,9 @@ def test_closure_check_evaluates_the_error_predicate_once_per_process(monkeypatc
 
 
 def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
-    # Inside run(), E asks I2 and I6 through the run's kept rows, so it
-    # computes a full dist or group-map row (keys=None) only when it creates
-    # the process's kept row: at most once per process while the row is kept.
+    # Inside run(), E asks I2 and I6 through the run's kept rows, which the
+    # initializer's scans create first and the copy shift no longer drops,
+    # so E never computes a full dist or group-map row (keys=None).
     from stabsim.graphs import grid_graph
 
     g, k = grid_graph(3, 3), 2
@@ -464,7 +464,7 @@ def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
                     record_steps=False)
         assert trace.terminated
     assert sum(kept_before) > len(g.vertices)  # E mostly finds the rows kept
-    assert full and not any(existed for _, _, existed in full), full
+    assert not full, full
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +620,7 @@ def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
     # the originals.
     counts = Counter()
 
-    def counting_keyed(array, row, fixed, key_reads=frozenset(), marks=None):
+    def counting_keyed(array, row, fixed, marks=None):
         def counted_row(ev, keys):
             counts["full" if keys is None else "patched"] += 1
             return row(ev, keys)
@@ -629,7 +629,7 @@ def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
             counts["marks"] += 1
             return marks(ev)
 
-        return runtime.Keyed(array, counted_row, fixed, key_reads,
+        return runtime.Keyed(array, counted_row, fixed,
                              None if marks is None else counted_marks)
 
     monkeypatch.setattr(kgrouping, "Keyed", counting_keyed)
@@ -661,7 +661,7 @@ def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5
     k = 2
     cfg = init_silent_cfg(p5, k)
     m5, m6 = merge_actions(k).actions[4:6]
-    caches, computed = RunCaches(), []
+    caches, computed = RunCaches((m5, m6)), []  # a table's caches keep marks
     for name in ("_stamp1_row", "_stamp_dist_row"):
         def counted(ev, *args, real=getattr(kgrouping, name), name=name):
             if ev.caches is caches:  # not the fresh full recompute

@@ -208,9 +208,10 @@ def _audit(action, ev):
 def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # Read and write audit of every action of the composed, merge and init
     # tables, on random configurations and on the configurations each
-    # execution of a run starts from.  The checks that compose caches privately (error predicate,
-    # copies in sync) and the payload's cached views (the dist gradient, the
-    # target) are reached by auditing every cache miss of the runs.  M6 and
+    # execution of a run starts from.  The check that compose caches
+    # privately (the error predicate) and the payload's cached views (the
+    # dist gradient, the target) are reached by auditing every cache miss
+    # of the runs.  M6 and
     # M7 read the stamp1 and stamp_dist rows as M5's and M6's rows, so their
     # audits include those reads.
     make, k = INSTANCES[instance]
@@ -238,7 +239,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
                 for table in tables:
                     for action in table.actions:
                         _audit(action, ev)
-    assert {"E", "sync", "gradient", "target", "M1", "M5", "M6", "M7", "I1"} <= audited
+    assert {"E", "gradient", "target", "M1", "M5", "M6", "M7", "I1"} <= audited
 
 
 def test_round_recount_matches_engine():

@@ -425,11 +425,11 @@ def test_guard_scan_resumes_at_the_first_action_a_change_reaches():
 FULL_DOMAIN = frozenset({1, 2, 3})
 
 
-def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=None):
+def keyed_copy(script, calls, seen, handed=None, marks=None):
     """Process 2 keeps the row u -> process 1's a[u] + its own t[u], plus 1
     at its own m (action K, keyed on `a`; the whole row depends on `domain`
-    and `b`, `t` reaches it key by key if `key_reads` says so, and `m`
-    through `marks`); W applies script[pid], one write per step.  `calls`
+    and `b`, and `t` and `m` reach it through `marks` where a test declares
+    them); W applies script[pid], one write per step.  `calls`
     records the keys of every row computation (None for a full row),
     `seen` the waiting keys of the kept row at the start of each evaluation
     at 2 (None when no row is kept), `handed` each row handed out as
@@ -458,7 +458,7 @@ def keyed_copy(script, calls, seen, handed=None, key_reads=frozenset(), marks=No
 
     keyed = Action("K", evaluate_k, frozenset({"domain", "a", "b", "t", "m"}),
                    frozenset({"a"}),
-                   keyed=Keyed("a", row_of, frozenset({"domain", "b"}), key_reads, marks))
+                   keyed=Keyed("a", row_of, frozenset({"domain", "b"}), marks))
     write = Action("W", evaluate_w, frozenset({"i"}),
                    frozenset({"domain", "a", "b", "c", "t", "m", "i"}), frozenset())
     return AlgorithmSpec("keyed", (keyed, write), domain_var="domain")
@@ -488,17 +488,14 @@ def test_keyed_row_declaration_is_checked():
     def row(ev, keys):
         return {}
 
-    def keyed_action(writes, fixed, key_reads=frozenset()):
+    def keyed_action(writes, fixed):
         return Action("K", lambda ev: None, frozenset({"domain", "a", "b"}),
-                      frozenset(writes), keyed=Keyed("a", row, frozenset(fixed),
-                                                     frozenset(key_reads)))
+                      frozenset(writes), keyed=Keyed("a", row, frozenset(fixed)))
 
     with pytest.raises(ValueError, match="keyed array 'a' is not written"):
         keyed_action("b", {"domain"})
     with pytest.raises(ValueError, match=r"\['c'\] outside reads"):
         keyed_action("a", {"domain", "c"})
-    with pytest.raises(ValueError, match=r"\['t'\] outside reads"):
-        keyed_action("a", {"domain"}, key_reads={"b", "t"})
     # An array the action does not read from neighbors is accepted.
     local = Action("K", lambda ev: None, frozenset({"domain", "a"}), frozenset("a"),
                    frozenset(), keyed=Keyed("a", row, frozenset({"domain"})))
@@ -577,14 +574,27 @@ def test_row_handed_out_as_updates_is_never_mutated():
 
 
 def test_owner_write_of_a_key_read_array_patches_its_changed_keys():
-    # Process 2 changes its own t at key 3: the kept row waits for that key
-    # alone, and the next evaluation recomputes only it.
+    # Process 2 changes its own t at key 3, which the row reads through the
+    # marks {u: t[u]}: they differ at that key alone, and the next
+    # evaluation recomputes only it.  Marks are compared at the evaluation,
+    # so no key waits.
     calls, seen = [], []
     trace = run_keyed_copy({2: [{"t": {1: 0, 2: 0, 3: 4}}]}, [{2}, {2}], calls, seen,
-                           key_reads=frozenset({"t"}))
+                           marks=lambda ev: dict(ev.store["t"]))
     assert calls == [None, [3]]
-    assert seen == [None, {3}, set()]
+    assert seen == [None, set(), set()]
     assert trace.final[2]["a"] == {1: 5, 2: 5, 3: 9}
+
+
+def test_owner_write_of_its_array_patches_the_changed_keys():
+    # Process 2 stores a new `a` that differs from its kept row at key 2:
+    # the row is kept and waits for that key alone, the next evaluation
+    # recomputes only it, and K then writes the row back.
+    calls, seen = [], []
+    trace = run_keyed_copy({2: [{"a": {1: 5, 2: 9, 3: 5}}]}, [{2}, {2}], calls, seen)
+    assert calls == [None, [2]]
+    assert seen == [None, {2}, set()]
+    assert trace.final[2]["a"] == {1: 5, 2: 5, 3: 5}
 
 
 def test_changed_marks_patch_the_keys_they_differ_at():
