@@ -6,7 +6,7 @@ configuration.  Qualifying boundaries feed the per-execution verdicts
 (error-freedom, stamp soundness, potential accounting) and the isolated round
 measurements.  Whether a boundary qualifies is read from the run's own
 caches at the step that starts it (`qualifies`, through
-StepEvent.evaluate, before the step's changes reach them); the verdicts
+StepEvent.evaluate, before the step is applied); the verdicts
 (`boundary_checks`, `closure_check`) are still computed from scratch, an
 independent referee of what the run's caches hold.  `judge` is the one place
 that decides whether a run met the paper's claims; the CLI, the sweeps and

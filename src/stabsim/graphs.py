@@ -76,22 +76,9 @@ def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Gra
         adj_sets[v].add(u)
     adj = {v: tuple(sorted(adj_sets[v])) for v in vset}
     g = Graph(vset, frozenset(norm), adj)
-    if not _connected(g):
+    if len(_bfs_levels(g.adj, next(iter(g.vertices)))) != g.n:
         raise GraphError("graph is not connected")
     return g
-
-
-def _connected(g: Graph) -> bool:
-    start = next(iter(g.vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(g.vertices)
 
 
 def neighbors(g: Graph, v: int) -> set[int]:

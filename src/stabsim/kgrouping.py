@@ -24,25 +24,21 @@ cached view the same way (TARGET_VIEW), dropped only when its own reads
 change.  M6 reads the stamp1 row and M7 the stamp_dist row as M5's and
 M6's kept rows, so each stamp row is computed once for all its readers.
 
-Every array substitution declares its row on its action (runtime.Keyed),
-and each row form takes the domain keys to compute: a run keeps each row
-and patches it per key.  A change reaches a row three ways.  A change of
-a read the whole row depends on drops it, and the next evaluation
-computes it in full: by default any read but the row's array (I8, I9),
-else the domain, the group view or the gradient (M12: the domain alone).
-Any write of the row's array, by a neighbor or by the owner with anything
-but the row (the copy shift), reaches the keys it changed: no row reads
-its owner's own array.  Everything else a row reads at a key is a mark,
-derived at each evaluation and compared with the last one: a share row's
-own value at the owner's key; M5's witnessed groups (with a member at
-merge distance k+1), elected target, keys whose `target` entry names our
-group, and kept stamps; M6's keys where the stamp1 row names the owner,
-and per neighboring group the least stamp distance it claims toward ours
-(a neighbor's stamp_dist at our group id reaches the key of its group);
-M7's keys where the stamp_dist row reads k+1; M12's merging flags at the
-keys with a known stamp distance, the owner's among them.  An Eval built
-outside `run` has fresh caches: it computes each row in full, once per
-cache, and no marks.
+Every array substitution declares its row on its action (runtime.Keyed,
+which says how a change reaches a kept row), and each row form takes the
+domain keys to compute: a run keeps each row and patches it per key.  The
+reads the whole row depends on (`fixed`) are by default every read but
+the row's array (I8, I9), else the domain, the group view or the gradient
+(M12: the domain alone).  No row reads its owner's own array.  The marks
+are a share row's own value at the owner's key; M5's witnessed groups
+(with a member at merge distance k+1), elected target, keys whose
+`target` entry names our group, and kept stamps; M6's keys where the
+stamp1 row names the owner, and per neighboring group the least stamp
+distance it claims toward ours (a neighbor's stamp_dist at our group id
+reaches the key of its group); M7's keys where the stamp_dist row reads
+k+1; M12's merging flags at the keys with a known stamp distance, the
+owner's among them.  An Eval built outside `run` has fresh caches: it
+computes each row in full, once per cache, and no marks.
 
 Each action declares `reads`, every name it reads in the closed
 neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
@@ -685,19 +681,18 @@ def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, marks=None):
     return action
 
 
-def _share_sub(label, name, own, reads, nbr_reads):
+def _share_sub(label, name, own, reads):
     """The keyed share(name) row with the owner's value own(ev).  It reads
-    the owner's other variables only at its own key, through the mark
-    {pid: own(ev)}, and is dropped when the gradient's reads change."""
+    neighbors' `name` and the gradient's reads, the owner's other variables
+    only at its own key, through the mark {pid: own(ev)}, and is dropped
+    when the gradient's reads change."""
     return _keyed(label, name, lambda ev, keys: _share_row(ev, name, own(ev), keys),
-                  reads, nbr_reads, fixed=GRADIENT.reads,
+                  reads, GRADIENT.reads | {name}, fixed=GRADIENT.reads,
                   marks=lambda ev: {ev.pid: own(ev)})
 
 
-# What the share rows read from neighbors besides the shared array (the
-# gradient's reads), and what the min rows and group distances read besides
-# theirs (the group view).
-_SHARE_NBR = GRADIENT.reads
+# What the min rows and group distances read from neighbors besides their
+# array (the group view).
 _GROUP_NBR = frozenset((DOMAIN, IN_GROUP, IN_GROUP_DIST))
 
 
@@ -725,8 +720,7 @@ def init_actions(k: int) -> AlgorithmSpec:
                     (INIT_GROUP,)),
         _scalar_sub("I5", IN_GROUP, lambda ev: _init_group_value(ev, k),
                     (*tree_reads, IN_GROUP), (INIT_GROUP,)),
-        _share_sub("I6", IN_GROUP_OF, _lv, _SHARE_NBR | {IN_GROUP, IN_GROUP_OF},
-                   _SHARE_NBR | {IN_GROUP_OF}),
+        _share_sub("I6", IN_GROUP_OF, _lv, GRADIENT.reads | {IN_GROUP, IN_GROUP_OF}),
         _keyed("I7", IN_GROUP_DIST, group_dist_row, _GROUP_NBR, _GROUP_NBR),
         _keyed("I8", IN_STAMP_ON, const_false_row, (DOMAIN, IN_STAMP_ON), ()),
         _keyed("I9", IN_PRIOR, const_false_row, (DOMAIN, IN_PRIOR), ()),
@@ -830,7 +824,7 @@ def merge_actions(k: int) -> AlgorithmSpec:
         _keyed("M1", BORDER, border_row, _GROUP_NBR | {BORDER}, _GROUP_NBR | {BORDER}),
         _keyed("M2", FAR, far_row, _GROUP_NBR | {DIST, IN_GROUP_OF, FAR},
                _GROUP_NBR | {FAR}),
-        _share_sub("M3", TARGET, _target, cand_reads | {TARGET}, _SHARE_NBR | {TARGET}),
+        _share_sub("M3", TARGET, _target, cand_reads | {TARGET}),
         _keyed("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
                cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
         m5,
@@ -841,16 +835,15 @@ def merge_actions(k: int) -> AlgorithmSpec:
         _scalar_sub("M8", GROUP, _group_value,
                     cand_reads | {TARGET, STAMP_DIST, GROUP}, ()),
         _share_sub("M9", GROUP_OF, lambda ev: ev.store.get(GROUP, BOT),
-                   shared | {GROUP, GROUP_OF}, _SHARE_NBR | {GROUP_OF}),
+                   shared | {GROUP, GROUP_OF}),
         _keyed("M10", GROUP_DIST, group_dist_row, (DOMAIN, DIST, GROUP, GROUP_DIST),
                (DOMAIN, GROUP, GROUP_DIST)),
-        _share_sub("M11", MERGING, _merging, cand_reads | {TARGET, STAMP_DIST, MERGING},
-                   _SHARE_NBR | {MERGING}),
+        _share_sub("M11", MERGING, _merging, cand_reads | {TARGET, STAMP_DIST, MERGING}),
         _keyed("M12", STAMP_ON, stamp_on_row,
                cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, (), fixed=(DOMAIN,),
                marks=stamp_on_marks),
-        _share_sub("M13", PRIOR, _prior, cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR},
-                   _SHARE_NBR | {PRIOR}),
+        _share_sub("M13", PRIOR, _prior,
+                   cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR}),
     )
     return AlgorithmSpec("merge", actions, domain_var=DOMAIN)
 

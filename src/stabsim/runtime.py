@@ -168,8 +168,10 @@ class Action:
 
     `keyed`, for an array substitution, declares its row (see Keyed); the
     row is kept across steps (RunCaches.kept) and `evaluate` patches it
-    (keyed_updates).  `when` names only variables of `reads`, so a change
-    that can turn it also resumes the scan at or before the action.
+    (keyed_updates).  Its array is in `reads` as well as `writes`, since
+    the guard compares the row with the stored array.  `when` names only
+    variables of `reads`, so a change that can turn it also resumes the
+    scan at or before the action.
     """
 
     label: str
@@ -192,6 +194,9 @@ class Action:
             if keyed.array not in self.writes:
                 raise ValueError(
                     f"{self.label}: keyed array {keyed.array!r} is not written")
+            if keyed.array not in self.reads:
+                raise ValueError(
+                    f"{self.label}: keyed array {keyed.array!r} is not declared in reads")
             outside = keyed.fixed - self.reads
             if outside:
                 raise ValueError(
@@ -278,34 +283,26 @@ class RunCaches:
         self.kept: dict[Action, dict[int, Kept]] = {}
         self._reach: dict[frozenset, tuple] = {}  # changed names -> what they reach
 
-    def _reach_of(self, names: frozenset, size: int) -> tuple:
-        # (cache size, owner's resume position, neighbors' resume position,
-        # owner's results to drop, neighbors' results to drop, and per kept
-        # action that `names` reach: its rows and array; whether they reach
-        # the owner's row, drop it, include the array; whether they reach
-        # the neighbors' rows, drop them, include the array).  An entry made
-        # before an action was first cached is made again.
+    def _reach_of(self, names: frozenset, reads: Callable[[Action], frozenset]) -> tuple:
+        # What `names` reach at the processes that read them through
+        # `reads`: the first action of the table whose reads meet them, the
+        # per-process dicts to drop (results, and kept rows whose fixed
+        # reads they meet), and the kept rows to patch, each with its array
+        # and whether `names` include that array.
         actions = self.actions
-        end = len(actions)
-        kept = []
-        for action, rows in self.kept.items():
-            keyed = action.keyed
-            nbr = names & action.nbr_reads
-            entry = (rows, keyed.array,
-                     keyed.array in names or not names.isdisjoint(action.reads),
-                     not names.isdisjoint(keyed.fixed), keyed.array in names,
-                     bool(nbr), not nbr.isdisjoint(keyed.fixed), keyed.array in nbr)
-            if entry[2] or entry[5]:
-                kept.append(entry)
+        drop = [rows for a, rows in self.results.items() if not names.isdisjoint(reads(a))]
+        patch = []
+        for a, rows in self.kept.items():
+            met = names & reads(a)
+            if not met.isdisjoint(a.keyed.fixed):
+                drop.append(rows)
+            elif met:
+                patch.append((rows, a.keyed.array, a.keyed.array in met))
         return (
-            size,
-            next((i for i, a in enumerate(actions) if not names.isdisjoint(a.reads)), end),
-            next((i for i, a in enumerate(actions) if not names.isdisjoint(a.nbr_reads)),
-                 end),
-            tuple(rows for a, rows in self.results.items() if not names.isdisjoint(a.reads)),
-            tuple(rows for a, rows in self.results.items()
-                  if not names.isdisjoint(a.nbr_reads)),
-            tuple(kept),
+            next((i for i, a in enumerate(actions) if not names.isdisjoint(reads(a))),
+                 len(actions)),
+            tuple(drop),
+            tuple(patch),
         )
 
     def changed(self, v: int, names: frozenset, old: Store, new: Store,
@@ -315,63 +312,60 @@ class RunCaches:
         which v's and its neighbors' guard scans resume: the first action
         whose `reads` meet `names`, and the first whose `nbr_reads` do.
 
-        It drops v's results of the actions whose `reads` meet `names`
-        and the neighbors' results of those whose `nbr_reads` do.  A kept
-        row such a change reaches is no longer current, and learns of it
-        in one of three ways (see Keyed).  A change of a fixed variable,
-        a domain write among them, drops v's row and, if the row reads it
-        from neighbors, the neighbors' rows.  A write of the keyed array
-        adds its changed keys to the waiting keys of the neighbors' rows
-        that read it, and of v's row unless v stored that very row: then
-        the row agrees with the array everywhere, and the keys the write
-        changed are the row's disagreement set (keys outside v's domain,
-        which no row reads from v, are not counted).  Any other read
-        reaches a row only through its marks."""
+        The change reaches v's entries of the actions whose `reads` meet
+        `names` and the neighbors' entries of those whose `nbr_reads` do:
+        it drops the results and the kept rows whose `fixed` reads it
+        meets.  Every other kept row it reaches is patched: it is no longer
+        current, and a write of its array queues the keys that changed
+        (see Keyed)."""
         size = len(self.results) + len(self.kept)
         reach = self._reach.get(names)
         if reach is None or reach[0] != size:
-            reach = self._reach[names] = self._reach_of(names, size)
-        _, own, nbr, own_results, nbr_results, kept = reach
-        for rows in own_results:
+            reach = self._reach[names] = (
+                size, *self._reach_of(names, _reads), *self._reach_of(names, _nbr_reads))
+        _, own, own_drop, own_patch, nbr, nbr_drop, nbr_patch = reach
+        for rows in own_drop:
             rows.pop(v, None)
-        for rows in nbr_results:
+        for rows in nbr_drop:
             for w in nbrs:
                 rows.pop(w, None)
-        if not kept:
+        if not own_patch and not nbr_patch:
             return own, nbr
 
-        diffs = {}  # array -> its changed keys, computed once
-        for rows, array, _, drop, stored, *_ in kept:
-            state = rows.get(v) if stored and not drop else None
-            if state is not None and new.get(array) is state.row:
-                diffs[array], state.diff = state.diff, set()
-
-        def keys_of(name):
-            keys = diffs.get(name)
-            if keys is None:
-                keys = diffs[name] = changed_keys(old.get(name), new.get(name))
-            return keys
-
-        for rows, array, reached, drop, stored, nbr_reached, nbr_drop, nbr_stored in kept:
+        written = {}  # array -> the keys v's write changed, computed once
+        for rows, array, writes in own_patch:
             state = rows.get(v)
-            if state is not None and reached:
-                if drop:
-                    del rows[v]
+            if state is not None:
+                state.current = False
+                if not writes:
+                    continue
+                if new[array] is state.row:
+                    # v stored the row: the keys it changed are where the
+                    # row disagreed (keys outside v's domain, which no row
+                    # reads from v, are not counted)
+                    written[array], state.diff = state.diff, set()
                 else:
+                    state.waiting |= _written(written, array, old, new)
+        for rows, array, writes in nbr_patch:
+            keys = _written(written, array, old, new) if writes else _NO_KEYS
+            for w in nbrs:
+                state = rows.get(w)
+                if state is not None:
                     state.current = False
-                    if stored and new.get(array) is not state.row:
-                        state.waiting |= keys_of(array)
-            if nbr_drop:
-                for w in nbrs:
-                    rows.pop(w, None)
-            elif nbr_reached:
-                keys = keys_of(array) if nbr_stored else set()
-                for w in nbrs:
-                    state = rows.get(w)
-                    if state is not None:
-                        state.current = False
-                        state.waiting |= keys
+                    state.waiting |= keys
         return own, nbr
+
+
+_reads = operator.attrgetter("reads")
+_nbr_reads = operator.attrgetter("nbr_reads")
+_NO_KEYS = frozenset()
+
+
+def _written(written: dict, array: str, old: Store, new: Store) -> set:
+    keys = written.get(array)
+    if keys is None:
+        keys = written[array] = changed_keys(old.get(array), new[array])
+    return keys
 
 
 def kept_row(ev: Eval, action: Action) -> Kept:
@@ -528,26 +522,26 @@ def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph
     return labels
 
 
-def apply_updates(store: Store, updates: dict, domain_var: Optional[str]) -> Store:
+def apply_updates(store: Store, updates: dict,
+                  domain_var: Optional[str]) -> tuple[Store, frozenset]:
+    """The store after `updates`, and the names whose value changed: a
+    write of an equal value changes nothing, and a domain write also
+    changes the arrays it prunes to the new domain."""
     new = dict(store)
     new.update(updates)
+    names = list(updates)
     if domain_var is not None and domain_var in updates:
         dom = new.get(domain_var) or frozenset()
         for name, value in new.items():
             if type(value) is dict and not value.keys() <= dom:
                 new[name] = {u: x for u, x in value.items() if u in dom}
-    return new
-
-
-def changed_names(old: Store, new: Store, names: Iterable[str]) -> frozenset:
-    """The variables among `names` whose value differs from `old` to `new`;
-    a variable missing from `old` differs from any value."""
+                names.append(name)
     changed = []
     for x in names:
-        value, was = new[x], old.get(x, _ABSENT)
+        value, was = new[x], store.get(x, _ABSENT)
         if value is not was and value != was:
             changed.append(x)
-    return frozenset(changed)
+    return new, frozenset(changed)
 
 
 def changed_keys(old: Optional[dict], new: Optional[dict]) -> set:
@@ -578,7 +572,7 @@ def step(
         if hit is None:
             raise DaemonContractError(f"process {v} selected while not enabled")
         _, updates = hit
-        new_cfg[v] = apply_updates(cfg[v], updates, alg.domain_var)
+        new_cfg[v], _ = apply_updates(cfg[v], updates, alg.domain_var)
     return new_cfg
 
 
@@ -668,8 +662,7 @@ class StepRecord:
 
 @dataclass
 class StepEvent:
-    """Passed to observers at each step, once its new configuration
-    `post_cfg` is computed and before its changes reach the run's caches.
+    """Passed to observers at each step, before the step is applied.
 
     `enabled` is the set the daemon selected from, the processes enabled at
     `pre_cfg`.  During the observer call, `evaluate(v)` is an Eval of
@@ -684,7 +677,6 @@ class StepEvent:
 
     index: int
     pre_cfg: Configuration
-    post_cfg: Configuration
     fired: dict[int, str]
     enabled: set[int]
     evaluate: Callable[[int], Eval] = field(repr=False)
@@ -732,19 +724,18 @@ def run(
     across steps while no change reaches it.  A scan asks only the actions
     whose `when` admits the process's own state (AlgorithmSpec.first_enabled).
     A step's changes are the variables whose value a fired process changed
-    (a domain write also changes the arrays it prunes).  Every Eval of the run shares one
-    RunCaches, and each changed process makes one call of its `changed`:
-    it drops the cached results and kept rows that read the changes (or
-    queues their changed keys), and says where the reached processes
+    (apply_updates).  Every Eval of the run shares one RunCaches, and each
+    fired process that changed something makes one call of its `changed`
+    as its updates are applied: it drops or patches the cached results and
+    kept rows the change reaches, and says where the reached processes
     resume.  A process re-evaluates its table only from the first action
     whose `reads` (its own changes) or `nbr_reads` (a neighbor's) meet
     them: the actions before that position read none of them, so they keep
     their verdicts.  Each kept row is computed in full once per RunCaches,
     and again only after a change drops it.
 
-    Observers are called at each step before its changes drop anything
-    (see StepEvent), so they can ask the run's caches at the step's
-    pre-step configuration.
+    Observers see each step before it is applied (see StepEvent), so they
+    can ask the run's caches at the step's pre-step configuration.
     """
     if max_steps <= 0:
         raise ScheduleError("max_steps must be positive")
@@ -787,28 +778,23 @@ def run(
                 f"daemon selected non-enabled processes {sorted(selected - enabled)}"
             )
 
-        fired: dict[int, str] = {}
-        new_cfg = dict(cfg)
-        changed: dict[int, frozenset] = {}
-        for v in sorted(selected):
-            pos, updates = cache[v]
-            fired[v] = labels[pos]
-            old = cfg[v]
-            new = new_cfg[v] = apply_updates(old, updates, domain_var)
-            # a domain write prunes arrays besides the updated names
-            names = changed_names(old, new, new if domain_var in updates else updates)
-            if names:
-                changed[v] = names
+        order = sorted(selected)
+        fired = {v: labels[cache[v][0]] for v in order}
         if observers:
-            event = StepEvent(i, cfg, new_cfg, fired, enabled,
-                              partial(fresh_eval, cfg))
+            event = StepEvent(i, cfg, fired, enabled, partial(fresh_eval, cfg))
             for obs in observers:
                 obs(event)
 
+        new_cfg = dict(cfg)
         start: dict[int, int] = {}  # where each reached process resumes its scan
-        for v, names in changed.items():
+        for v in order:
+            old = cfg[v]
+            new, names = apply_updates(old, cache[v][1], domain_var)
+            new_cfg[v] = new
+            if not names:
+                continue
             nbrs = adj[v]
-            own, nbr = caches.changed(v, names, cfg[v], new_cfg[v], nbrs)
+            own, nbr = caches.changed(v, names, old, new, nbrs)
             if own < start.get(v, end):
                 start[v] = own
             if nbr < end:

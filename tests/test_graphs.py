@@ -90,11 +90,11 @@ def test_dist_runs_one_bfs_per_source_asked(monkeypatch):
     # computed once and only for the sources asked, not for all n.
     from stabsim import graphs
 
+    g = path_graph(6)  # before counting: make_graph runs a BFS of its own
     sources = []
     bfs = graphs._bfs_levels
     monkeypatch.setattr(graphs, "_bfs_levels",
                         lambda adj, source, *a: sources.append(source) or bfs(adj, source, *a))
-    g = path_graph(6)
     for _ in range(3):
         assert [dist(g, 2, v) for v in range(1, 7)] == [1, 0, 1, 2, 3, 4]
         assert dist(g, 6, 1) == 5

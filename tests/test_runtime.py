@@ -263,13 +263,17 @@ def test_domain_write_prunes_all_arrays():
         "flags": {9: True},
         "x": 5,
     }
-    new = apply_updates(store, {"domain": frozenset({1, 2})}, "domain")
+    new, names = apply_updates(store, {"domain": frozenset({1, 2})}, "domain")
     assert new["dist"] == {1: 0, 2: 1}
     assert new["flags"] == {}
     assert new["x"] == 5
+    assert names == {"domain", "dist", "flags"}  # the pruned arrays changed too
     # non-domain writes leave other arrays alone
-    same = apply_updates(store, {"x": 6}, "domain")
+    same, names = apply_updates(store, {"x": 6}, "domain")
     assert same["dist"] == {1: 0, 2: 1, 9: 3}
+    assert names == {"x"}
+    # a write of an equal value changes nothing
+    assert apply_updates(store, {"x": 5}, "domain")[1] == frozenset()
 
 
 def test_cached_action_sees_arrays_pruned_by_a_domain_write():
@@ -496,6 +500,10 @@ def test_keyed_row_declaration_is_checked():
         keyed_action("b", {"domain"})
     with pytest.raises(ValueError, match=r"\['c'\] outside reads"):
         keyed_action("a", {"domain", "c"})
+    # The guard compares the row with the stored array, so it reads it.
+    with pytest.raises(ValueError, match="keyed array 'a' is not declared in reads"):
+        Action("K", lambda ev: None, frozenset({"domain"}), frozenset("a"),
+               keyed=Keyed("a", row, frozenset({"domain"})))
     # An array the action does not read from neighbors is accepted.
     local = Action("K", lambda ev: None, frozenset({"domain", "a"}), frozenset("a"),
                    frozenset(), keyed=Keyed("a", row, frozenset({"domain"})))
@@ -556,13 +564,15 @@ def test_row_handed_out_as_updates_is_never_mutated():
     # kept row is patched after each was handed out.
     calls, seen, handed, stored = [], [], [], []
 
-    def snapshot(event):
-        for s in event.post_cfg.values():
+    def snapshot(cfg):
+        for s in cfg.values():
             stored.append((s["a"], dict(s["a"])))
 
     trace = run_keyed_copy(
         {1: [{"a": {1: 5, 2: 7, 3: 5}}, {"a": {1: 5, 2: 7, 3: 9}}]},
-        [{1}, {2}, {1}, {2}], calls, seen, handed, observers=(snapshot,))
+        [{1}, {2}, {1}, {2}], calls, seen, handed,
+        observers=(lambda event: snapshot(event.pre_cfg),))
+    snapshot(trace.final)
     assert calls == [None, [2], [3]]
     assert len(handed) == 2
     (first, first_copy), (second, second_copy) = handed
