@@ -13,7 +13,6 @@ from .graphs import (
     k_neighborhood,
     load_graph,
     make_graph,
-    neighbors,
     path_graph,
     random_connected_graph,
 )
@@ -29,7 +28,7 @@ from .runtime import (
     run,
     step,
 )
-from .bfs import bfs_actions, chi, par
+from .bfs import bfs_actions
 from .loop import (
     BaseAlgorithmBinding,
     CompositionError,

@@ -1,12 +1,13 @@
 """Silent self-stabilizing BFS spanning tree with min-identifier root.
 
-Provides the `parent` backbone (and the derived Par/Chi views) that the
-composition layer and the grouping payload build on.  The construction fuses
-root election, level computation, and fake-root flushing into one corrective
-action: each process computes the state it ought to have from its neighbors'
-claims and rewrites itself whenever it differs.  Claims of a root smaller
-than the process's own id are only adoptable up to level n-1, which starves
-fabricated root identifiers out of the network.
+Provides the `parent` backbone (read through Eval.parent and
+Eval.children) that the composition layer and the grouping payload build
+on.  The construction fuses root election, level computation, and fake-root
+flushing into one corrective action: each process computes the state it
+ought to have from its neighbors' claims and rewrites itself whenever it
+differs.  Claims of a root smaller than the process's own id are only
+adoptable up to level n-1, which starves fabricated root identifiers out of
+the network.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def bfs_actions(graph: Graph) -> AlgorithmSpec:
     names = frozenset(var.name for var in VARS)
     action = Action(label="B1", evaluate=correct, reads=names, writes=names,
                     nbr_reads=frozenset((ROOT, LEVEL)))
-    return AlgorithmSpec("bfs", (action,))
+    return AlgorithmSpec((action,))
 
 
 def _desired_state(ev: Eval, n: int):
@@ -66,17 +67,6 @@ def _desired_state(ev: Eval, n: int):
     if best is not None and (best[0], best[1]) < (pid, 0):
         return best
     return (pid, 0, BOT)
-
-
-def par(cfg: Configuration, v: int) -> set[int]:
-    """Par(v): singleton parent set; the null pointer reads as the empty set."""
-    p = cfg[v].get(PARENT, BOT)
-    return set() if p is BOT else {p}
-
-
-def chi(cfg: Configuration, v: int, graph: Graph) -> set[int]:
-    """Chi(v): neighbors whose parent pointer designates v."""
-    return {u for u in graph.neighbors_of(v) if cfg[u].get(PARENT) == v}
 
 
 def check_tree(cfg: Configuration, graph: Graph) -> list[str]:

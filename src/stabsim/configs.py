@@ -161,10 +161,6 @@ def corrupt_config(
     return out
 
 
-def total_variable_slots(graph: Graph) -> int:
-    return graph.n * len(MODEL)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -54,7 +54,6 @@ from .loop import (
 )
 from .oracle import GroupingReport, check_Lk, potential, stamp_soundness_violations
 from .runtime import (
-    AlgorithmSpec,
     Configuration,
     DaemonPolicy,
     Eval,
@@ -86,7 +85,6 @@ class RunResult:
     graph: Graph
     k: int
     binding: BaseAlgorithmBinding = field(repr=False)
-    algorithm: AlgorithmSpec = field(repr=False)
     trace: ExecutionTrace = field(repr=False)
     report: GroupingReport
     boundaries: list[Boundary] = field(repr=False)
@@ -159,7 +157,7 @@ def run_grouping(
     ]
 
     report = check_Lk(trace.final, graph, k)
-    return RunResult(graph, k, binding, alg, trace, report, boundaries)
+    return RunResult(graph, k, binding, trace, report, boundaries)
 
 
 @dataclass
@@ -219,7 +217,7 @@ def closure_check(result: RunResult) -> bool:
     evals = plain_evals(result.trace.final, result.graph)
     return (
         result.trace.terminated
-        and disabled_everywhere(evals, result.algorithm)
+        and disabled_everywhere(evals, result.trace.algorithm)
         and check_Cfin(evals, result.binding)
     )
 

@@ -81,11 +81,6 @@ def make_graph(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> Gra
     return g
 
 
-def neighbors(g: Graph, v: int) -> set[int]:
-    """Adjacency set of v."""
-    return set(g.neighbors_of(v))
-
-
 def _bfs_levels(adj, source, allowed=None, cutoff=None):
     levels = {source: 0}
     queue = deque([source])

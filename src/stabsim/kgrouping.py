@@ -11,43 +11,10 @@ already-refuted pairs out of later rounds until one side merges away.
 Array assignments follow the shared convention: the action is enabled when
 some domain key disagrees with the computed value, the statement rewrites all
 domain keys at once, results outside the declared range store as BOT, and
-keys that left the domain are dropped on write.
-
-The macros share/min_macro/distance_macro are the reference semantics, kept
-as test oracles; the action tables use row-at-a-time equivalents (one pass
-per array instead of one per key) that must and do agree with them.  The
-share rows gather along the `dist` gradient: per domain key, the neighbors
-one hop closer to it.  It depends on `domain` and `dist` alone, which the
-initializer fixes for good, so it is the cached action GRADIENT and a run
-computes it once per process per settled ball.  The elected target is a
-cached view the same way (TARGET_VIEW), dropped only when its own reads
-change.  M6 reads the stamp1 row and M7 the stamp_dist row as M5's and
-M6's kept rows, so each stamp row is computed once for all its readers.
-
-Every array substitution declares its row on its action (runtime.Keyed,
-which says how a change reaches a kept row), and each row form takes the
-domain keys to compute: a run keeps each row and patches it per key.  The
-reads the whole row depends on (`fixed`) are by default every read but
-the row's array (I8, I9), else the domain, the group view or the gradient
-(M12: the domain alone).  No row reads its owner's own array.  The marks
-are a share row's own value at the owner's key; M5's witnessed groups
-(with a member at merge distance k+1), elected target, keys whose
-`target` entry names our group, and kept stamps; M6's keys where the
-stamp1 row names the owner, and per neighboring group the least stamp
-distance it claims toward ours (a neighbor's stamp_dist at our group id
-reaches the key of its group); M7's keys where the stamp_dist row reads
-k+1; M12's merging flags at the keys with a known stamp distance, the
-owner's among them.  An Eval built outside `run` has fresh caches: it
-computes each row in full, once per cache, and no marks.
-
-Each action declares `reads`, every name it reads in the closed
-neighborhood, and `nbr_reads`, the part of them it reads from neighbors'
-stores; a run drops a cached result only when the owner changes a name of
-the first or a neighbor one of the second.
-
-The error predicate asks I1-I4 and I6 whether they are enabled, through
-Eval.cached and within error_check.reads, and reads I7's kept row at its
-group's members, instead of restating their rules.
+keys that left the domain are dropped on write.  Each declares its row on
+its action (runtime.Keyed), computed one pass per array by row forms that
+agree with the per-key macros share/min_macro/distance_macro, which are kept
+as test oracles.  README's rule table lists every action's declarations.
 """
 
 from __future__ import annotations
@@ -324,6 +291,8 @@ def _gradient(ev: Eval) -> MappingProxyType:
     return MappingProxyType(rows)
 
 
+# A cached view: the initializer fixes `domain` and `dist` for good, so a
+# run computes the gradient once per process per settled ball.
 GRADIENT = Action("gradient", _gradient, frozenset((DOMAIN, DIST)))
 
 
@@ -666,9 +635,7 @@ def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, marks=None):
     """The substitution of the array `name` by the row row_of(ev, None),
     declared on the action (runtime.Keyed) so that a run keeps the row
     across steps; row_of(ev, keys) gives the row at the domain keys `keys`.
-    The row is dropped when a `fixed` variable changes (by default every
-    read but `name`), patched at the changed keys of `name`, and reads
-    anything else through `marks`."""
+    `fixed` is by default every read but `name`."""
     fixed = frozenset(reads) - {name} if fixed is None else frozenset(fixed)
 
     def evaluate(ev: Eval):
@@ -681,14 +648,16 @@ def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, marks=None):
     return action
 
 
-def _share_sub(label, name, own, reads):
-    """The keyed share(name) row with the owner's value own(ev).  It reads
-    neighbors' `name` and the gradient's reads, the owner's other variables
-    only at its own key, through the mark {pid: own(ev)}, and is dropped
-    when the gradient's reads change."""
+def _share_sub(label, name, own, own_reads):
+    """The keyed share(name) row with the owner's value own(ev), which reads
+    `own_reads` of the owner's store."""
+    def own_mark(ev):
+        """The owner's own value at its own key."""
+        return {ev.pid: own(ev)}
+
     return _keyed(label, name, lambda ev, keys: _share_row(ev, name, own(ev), keys),
-                  reads, GRADIENT.reads | {name}, fixed=GRADIENT.reads,
-                  marks=lambda ev: {ev.pid: own(ev)})
+                  GRADIENT.reads | own_reads | {name}, GRADIENT.reads | {name},
+                  fixed=GRADIENT.reads, marks=own_mark)
 
 
 # What the min rows and group distances read from neighbors besides their
@@ -720,12 +689,12 @@ def init_actions(k: int) -> AlgorithmSpec:
                     (INIT_GROUP,)),
         _scalar_sub("I5", IN_GROUP, lambda ev: _init_group_value(ev, k),
                     (*tree_reads, IN_GROUP), (INIT_GROUP,)),
-        _share_sub("I6", IN_GROUP_OF, _lv, GRADIENT.reads | {IN_GROUP, IN_GROUP_OF}),
+        _share_sub("I6", IN_GROUP_OF, _lv, {IN_GROUP}),
         _keyed("I7", IN_GROUP_DIST, group_dist_row, _GROUP_NBR, _GROUP_NBR),
         _keyed("I8", IN_STAMP_ON, const_false_row, (DOMAIN, IN_STAMP_ON), ()),
         _keyed("I9", IN_PRIOR, const_false_row, (DOMAIN, IN_PRIOR), ()),
     )
-    return AlgorithmSpec("init", actions, domain_var=DOMAIN)
+    return AlgorithmSpec(actions, domain_var=DOMAIN)
 
 
 def merge_actions(k: int) -> AlgorithmSpec:
@@ -745,9 +714,9 @@ def merge_actions(k: int) -> AlgorithmSpec:
         }
         return _min_row(ev, FAR, q_keys, keys)
 
-    # The stamp rows read one another as kept rows: M6 reads M5's row and
-    # M7 reads M6's.  Their marks are what a row reads at a key besides the
-    # neighbors' arrays it reads there key by key.
+    # The stamp rows read one another as kept rows, so each is computed once
+    # for all its readers: M6 reads M5's row and M7 reads M6's, and each
+    # reads what the row it reads does.
     def stamp1(ev):
         return kept_row(ev, m5).row
 
@@ -755,9 +724,11 @@ def merge_actions(k: int) -> AlgorithmSpec:
         return kept_row(ev, m6).row
 
     def stamp1_marks(ev):
-        # Bit 1 at the groups with a member at merge distance k+1, bit 2
-        # at the elected target, bit 4 where the target entry names our
-        # group; paired with the kept stamp where the key is stamped.
+        """Witnessed groups, the elected target, keys targeting us, kept stamps.
+
+        Bit 1 at the groups with a member at merge distance k+1, bit 2 at
+        the elected target, bit 4 where the `target` entry names our group;
+        paired with the kept stamp where the key is stamped."""
         s, lv = ev.store, _lv(ev)
         marks = dict.fromkeys(_witnessed_groups(ev, k), 1)
         target = _target(ev)
@@ -773,13 +744,17 @@ def merge_actions(k: int) -> AlgorithmSpec:
         return marks
 
     def stamp_dist_marks(ev):
-        # -1 where the stamp1 row names us (the row is 0 there), else what
-        # the key's group claims toward ours; no distance is negative.
+        """Keys where the stamp1 row names us; each group's claim toward us.
+
+        -1 where M5's row names the owner (this row is 0 there), else the
+        least stamp distance the key's group claims toward ours, so a
+        neighbor's `stamp_dist` write at our group id reaches the key of its
+        group; no distance is negative."""
         pid = ev.pid
         return {**_toward(ev), **{u: -1 for u, s1 in stamp1(ev).items() if s1 == pid}}
 
     def stamp2_marks(ev):
-        # The keys where the stamp_dist row witnesses distance k+1.
+        """The keys where the stamp_dist row reads k+1."""
         return dict.fromkeys(u for u, d in stamp_dist(ev).items() if d == k + 1)
 
     def stamp2_row(ev, keys):
@@ -800,52 +775,51 @@ def merge_actions(k: int) -> AlgorithmSpec:
                 for u in _domain_keys(ev, keys)}
 
     def stamp_on_marks(ev):
-        # At each key where a stamp distance is known (the row is False
-        # elsewhere): its merging flag and the owner's, which all read.
+        """Merging flags, the owner's too, at keys with a known stamp distance.
+
+        The row is False elsewhere; the owner's flag is one mark repeated at
+        every key, since every key reads it."""
         mg = ev.store.get(MERGING) or _EMPTY
         merging_self = _merging(ev)
         return {u: (mg.get(u, False), merging_self)
                 for u, d in (ev.store.get(STAMP_DIST) or _EMPTY).items() if d is not BOT}
 
-    shared = frozenset((DOMAIN, DIST, IN_GROUP, IN_GROUP_OF, IN_GROUP_DIST,
-                        IN_STAMP_ON, IN_PRIOR))
-    cand_reads = shared | {BORDER, FAR}
+    # What the merge rules read of the owner's store besides their own
+    # names: the elected target's reads, and for _merging the target entry
+    # and the stamp distances.
+    target_reads = TARGET_VIEW.reads
+    merging_reads = target_reads | {TARGET, STAMP_DIST}
 
-    stamp1_reads = cand_reads | {TARGET, MERGE_DIST, STAMP1, IN_STAMP1}
     m5 = _keyed(
-        "M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys), stamp1_reads,
+        "M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys),
+        target_reads | {IN_GROUP_DIST, TARGET, MERGE_DIST, STAMP1, IN_STAMP1},
         _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR, marks=stamp1_marks)
     m6 = _keyed(
         "M6", STAMP_DIST, lambda ev, keys: _stamp_dist_row(ev, k, stamp1(ev), keys),
-        stamp1_reads | {STAMP_DIST}, _GROUP_NBR | {STAMP1, STAMP_DIST},
+        m5.reads | {STAMP_DIST}, m5.nbr_reads | {STAMP_DIST},
         fixed=frozenset((DOMAIN, IN_GROUP)), marks=stamp_dist_marks)
 
     actions = (
         _keyed("M1", BORDER, border_row, _GROUP_NBR | {BORDER}, _GROUP_NBR | {BORDER}),
         _keyed("M2", FAR, far_row, _GROUP_NBR | {DIST, IN_GROUP_OF, FAR},
                _GROUP_NBR | {FAR}),
-        _share_sub("M3", TARGET, _target, cand_reads | {TARGET}),
+        _share_sub("M3", TARGET, _target, target_reads),
         _keyed("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
-               cand_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
+               target_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
         m5,
         m6,
-        _keyed("M7", STAMP2, stamp2_row, stamp1_reads | {STAMP_DIST, STAMP2},
-               _GROUP_NBR | {STAMP1, STAMP_DIST, STAMP2}, fixed=_GROUP_NBR,
-               marks=stamp2_marks),
-        _scalar_sub("M8", GROUP, _group_value,
-                    cand_reads | {TARGET, STAMP_DIST, GROUP}, ()),
-        _share_sub("M9", GROUP_OF, lambda ev: ev.store.get(GROUP, BOT),
-                   shared | {GROUP, GROUP_OF}),
-        _keyed("M10", GROUP_DIST, group_dist_row, (DOMAIN, DIST, GROUP, GROUP_DIST),
+        _keyed("M7", STAMP2, stamp2_row, m6.reads | {STAMP2}, m6.nbr_reads | {STAMP2},
+               fixed=_GROUP_NBR, marks=stamp2_marks),
+        _scalar_sub("M8", GROUP, _group_value, merging_reads | {GROUP}, ()),
+        _share_sub("M9", GROUP_OF, lambda ev: ev.store.get(GROUP, BOT), {GROUP}),
+        _keyed("M10", GROUP_DIST, group_dist_row, (DOMAIN, GROUP, GROUP_DIST),
                (DOMAIN, GROUP, GROUP_DIST)),
-        _share_sub("M11", MERGING, _merging, cand_reads | {TARGET, STAMP_DIST, MERGING}),
-        _keyed("M12", STAMP_ON, stamp_on_row,
-               cand_reads | {TARGET, STAMP_DIST, MERGING, STAMP_ON}, (), fixed=(DOMAIN,),
-               marks=stamp_on_marks),
-        _share_sub("M13", PRIOR, _prior,
-                   cand_reads | {TARGET, STAMP_DIST, STAMP_ON, PRIOR}),
+        _share_sub("M11", MERGING, _merging, merging_reads),
+        _keyed("M12", STAMP_ON, stamp_on_row, merging_reads | {MERGING, STAMP_ON}, (),
+               fixed=(DOMAIN,), marks=stamp_on_marks),
+        _share_sub("M13", PRIOR, _prior, merging_reads | {STAMP_ON}),
     )
-    return AlgorithmSpec("merge", actions, domain_var=DOMAIN)
+    return AlgorithmSpec(actions, domain_var=DOMAIN)
 
 
 # ---------------------------------------------------------------------------

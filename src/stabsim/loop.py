@@ -271,11 +271,8 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     out_names = frozenset(x for x, _ in binding.outputs)
     domain = frozenset((binding.domain_var,)) - {None}
 
-    # Each action declares only what it reads: `reads` in the closed
-    # neighborhood, `nbr_reads` in the neighbors' stores.  A walk reads the
-    # parent's and the children's `x`, finding them by the parent pointers.
-    # `when` states what the action needs of the owner's own color, mode and
-    # reset flag, and its evaluate tests the rest.
+    # A walk reads the parent's and the children's `x`, finding them by the
+    # parent pointers.
     color, mode, reset = frozenset((COLOR,)), frozenset((MODE,)), frozenset((RESET,))
     color_walk, reset_walk = color | {PARENT}, reset | {PARENT}
     in_mode = color | mode  # run_module's test of the closed neighborhood
@@ -312,8 +309,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
                when={COLOR: (3,), MODE: (MODE_INIT,)}),
         Action("L16", to0, color_walk, color, color_walk, when={COLOR: (4,)}),
     )
-    return AlgorithmSpec(f"loop({base.name},{init.name})", actions,
-                         domain_var=binding.domain_var)
+    return AlgorithmSpec(actions, domain_var=binding.domain_var)
 
 
 # ---------------------------------------------------------------------------

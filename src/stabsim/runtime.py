@@ -63,16 +63,12 @@ class Eval:
 
     `memo` is scratch space shared by all guard/statement evaluations of this
     process in this step, so derived quantities are computed at most once.
-    `caches` holds what survives across steps (RunCaches): the layer cache,
-    per Action, per process, the last result of `cached`, and the kept rows
-    of keyed actions (kept_row).  `run` evaluates through its own, and each
-    change reaches the entries that read it (RunCaches.changed), so cached
-    results stay snapshot-accurate.  Payload layers cache derived views this
-    way too, such as the grouping payload's `dist` gradient, an Action whose
-    evaluate returns a value (never a dict, which reads as updates) instead
-    of updates.  An Eval built without caches gets fresh ones: whatever is
-    asked through it is evaluated from scratch, and each row is computed in
-    full once per cache.
+    `caches` holds what survives across steps (RunCaches): `run` evaluates
+    through its own, so cached results stay snapshot-accurate.  A payload
+    caches a derived view as an Action whose evaluate returns the view
+    (never a dict, which reads as updates).  An Eval built without caches
+    gets fresh ones, and whatever is asked through it is evaluated from
+    scratch.
     """
 
     __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "caches", "_children")
@@ -439,7 +435,6 @@ class AlgorithmSpec:
     instead of resurrecting a value from an earlier epoch.
     """
 
-    name: str
     actions: tuple[Action, ...]
     domain_var: Optional[str] = None
 
@@ -721,18 +716,10 @@ def run(
     tie-breaking is over sorted process ids.
 
     Each process's first enabled action, found by one guard scan, is kept
-    across steps while no change reaches it.  A scan asks only the actions
-    whose `when` admits the process's own state (AlgorithmSpec.first_enabled).
-    A step's changes are the variables whose value a fired process changed
-    (apply_updates).  Every Eval of the run shares one RunCaches, and each
-    fired process that changed something makes one call of its `changed`
-    as its updates are applied: it drops or patches the cached results and
-    kept rows the change reaches, and says where the reached processes
-    resume.  A process re-evaluates its table only from the first action
-    whose `reads` (its own changes) or `nbr_reads` (a neighbor's) meet
-    them: the actions before that position read none of them, so they keep
-    their verdicts.  Each kept row is computed in full once per RunCaches,
-    and again only after a change drops it.
+    across steps while no change reaches it.  Every Eval of the run shares
+    one RunCaches, and each fired process that changed something makes one
+    call of its `changed` as its updates are applied, which says where the
+    reached processes resume their scans (see Action).
 
     Observers see each step before it is applied (see StepEvent), so they
     can ask the run's caches at the step's pre-step configuration.
@@ -827,8 +814,6 @@ def run(
         cfg = new_cfg
         enabled = new_enabled
         steps_done = i + 1
-    else:
-        verdict = "budget_exhausted"
 
     return ExecutionTrace(
         graph=graph,

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsim.bfs import LEVEL, PARENT, ROOT, bfs_actions, check_tree, chi, par
+from stabsim.bfs import LEVEL, PARENT, ROOT, bfs_actions, check_tree
 from stabsim.graphs import dist, make_graph, random_connected_graph
-from stabsim.runtime import BOT, DaemonPolicy, run
+from stabsim.runtime import BOT, DaemonPolicy, Eval, run
 
 
 def zero_bfs_cfg(graph):
@@ -78,10 +78,12 @@ def test_par_and_chi(p3):
         2: {ROOT: 1, LEVEL: 1, PARENT: 1},
         3: {ROOT: 1, LEVEL: 2, PARENT: 2},
     }
-    assert par(cfg, 1) == set()
-    assert par(cfg, 2) == {1}
-    assert chi(cfg, 2, p3) == {3}
-    assert chi(cfg, 3, p3) == set()
+    # Par(v) and Chi(v) of the paper: the parent pointer and the children
+    ev = {v: Eval(cfg, v, p3.neighbors_of(v)) for v in p3.vertices}
+    assert ev[1].parent() is BOT
+    assert ev[2].parent() == 1
+    assert ev[2].children() == (3,)
+    assert ev[3].children() == ()
 
 
 def test_silence_and_closure(c6):

@@ -6,6 +6,7 @@ import pytest
 
 from stabsim.bfs import PARENT
 from stabsim.configs import (
+    MODEL,
     ConfigError,
     _draw,
     config_from_json,
@@ -14,7 +15,6 @@ from stabsim.configs import (
     false_ids,
     random_config,
     stored_keys,
-    total_variable_slots,
     validate_config,
     zeroed_config,
 )
@@ -124,7 +124,7 @@ def test_corruption_rejects_unknown_variable(p5):
 def test_memory_proxy_counts(p5):
     cfg = random_config(p5, 2, seed=1)
     keys = stored_keys(cfg)
-    n_slots = total_variable_slots(p5)
+    n_slots = p5.n * len(MODEL)
     assert n_slots == p5.n * 31
     # every array is keyed by the domain: 20 arrays + the domain itself
     for v, count in keys.items():

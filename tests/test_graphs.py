@@ -17,7 +17,6 @@ from stabsim.graphs import (
     load_graph_edgelist,
     load_graph_json,
     make_graph,
-    neighbors,
     path_graph,
     random_connected_graph,
 )
@@ -26,17 +25,17 @@ from conftest import floyd_warshall, fw_induced_diameter
 
 
 def test_neighbors_on_path(p3):
-    assert neighbors(p3, 2) == {1, 3}
-    assert neighbors(p3, 1) == {2}
+    assert p3.neighbors_of(2) == (1, 3)
+    assert p3.neighbors_of(1) == (2,)
 
 
 def test_neighbors_on_cycle(c4):
-    assert neighbors(c4, 1) == {2, 4}
+    assert c4.neighbors_of(1) == (2, 4)
 
 
 def test_neighbors_unknown_vertex(p3):
     with pytest.raises(GraphError):
-        neighbors(p3, 99)
+        p3.neighbors_of(99)
 
 
 def test_dist_path_ends(p4):

@@ -53,14 +53,11 @@ def min_flood_base():
                 best = ev.nbr(u)["m"]
         return {"m": best} if best != ev.store["m"] else None
 
-    return AlgorithmSpec(
-        "minflood",
-        (Action("F1", evaluate, frozenset(("m", "in_m")), frozenset(("m",))),),
-    )
+    return AlgorithmSpec((Action("F1", evaluate, frozenset(("m", "in_m")), frozenset(("m",))),))
 
 
 def empty_init():
-    return AlgorithmSpec("noinit", ())
+    return AlgorithmSpec(())
 
 
 def toy_binding():
@@ -104,9 +101,7 @@ def test_binding_validation():
             base=min_flood_base(), init=empty_init(), error=lambda ev: False,
             outputs=(("m", "m"),),
         ).validate()
-    init_writing_m = AlgorithmSpec(
-        "init_m", (Action("P1", lambda ev: None, writes=frozenset(("m",))),)
-    )
+    init_writing_m = AlgorithmSpec((Action("P1", lambda ev: None, writes=frozenset(("m",))),))
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
             base=min_flood_base(), init=init_writing_m, error=lambda ev: False,

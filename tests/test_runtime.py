@@ -26,7 +26,7 @@ def clear_to_zero():
     def evaluate(ev):
         return {"x": 0} if ev.store["x"] != 0 else None
 
-    return AlgorithmSpec("clear", (Action("Z1", evaluate, frozenset("x"), frozenset("x")),))
+    return AlgorithmSpec((Action("Z1", evaluate, frozenset("x"), frozenset("x")),))
 
 
 def copy_nbr_plus_one():
@@ -36,7 +36,7 @@ def copy_nbr_plus_one():
         target = max(ev.nbr(u)["x"] for u in ev.nbr_ids) + 1
         return {"x": target} if ev.store["x"] < target else None
 
-    return AlgorithmSpec("chase", (Action("C1", evaluate, frozenset("x"), frozenset("x")),))
+    return AlgorithmSpec((Action("C1", evaluate, frozenset("x"), frozenset("x")),))
 
 
 def two_actions():
@@ -46,13 +46,10 @@ def two_actions():
     def high(ev):
         return {"x": ev.store["x"] + 10} if ev.store["x"] > 0 else None
 
-    return AlgorithmSpec(
-        "two",
-        (
-            Action("A1", low, frozenset("x"), frozenset("x")),
-            Action("A2", high, frozenset("x"), frozenset("x")),
-        ),
-    )
+    return AlgorithmSpec((
+        Action("A1", low, frozenset("x"), frozenset("x")),
+        Action("A2", high, frozenset("x"), frozenset("x")),
+    ))
 
 
 def cfg_of(graph, values):
@@ -171,7 +168,7 @@ def test_rounds_neutralization():
             return {"x": 0}
         return None
 
-    alg = AlgorithmSpec("n", (Action("N1", evaluate, frozenset("x"), frozenset("x")),))
+    alg = AlgorithmSpec((Action("N1", evaluate, frozenset("x"), frozenset("x")),))
     cfg = cfg_of(g, {1: 1, 2: 0, 3: 1})
     daemon = DaemonPolicy(kind="scripted", script=[{1, 3}])
     trace = run(g, alg, cfg, daemon, max_steps=5)
@@ -302,7 +299,6 @@ def test_cached_action_sees_arrays_pruned_by_a_domain_write():
             return None
 
         alg = AlgorithmSpec(
-            "prune",
             (Action("D1", shrink, frozenset(("domain",)), frozenset(("domain",))),
              Action("D2", count, watch.reads | {"seen"}, frozenset(("seen",)))),
             domain_var="domain",
@@ -336,7 +332,7 @@ def test_action_rejects_when_outside_reads_or_without_values(p3):
     # The guard is `when` and the body: where `when` fails, a scan skips the
     # action even though its body would fire.
     names = frozenset("xy")
-    alg = AlgorithmSpec("when", (
+    alg = AlgorithmSpec((
         Action("W1", lambda ev: {"x": 0}, names, frozenset("x"), when={"y": (1,)}),
         Action("W2", lambda ev: {"x": 1}, names, frozenset("x")),
     ))
@@ -367,7 +363,7 @@ def test_cache_drops_entries_by_owner_and_neighbor_reads():
         s = ev.store
         return {"x": s["x"] + 1, "todo": 0} if s["todo"] else None
 
-    alg = AlgorithmSpec("bump", (
+    alg = AlgorithmSpec((
         Action("B1", note, frozenset(("x", "seen")), frozenset(("seen",)), frozenset()),
         Action("B2", bump, frozenset(("x", "todo")), frozenset(("x", "todo")), frozenset()),
     ))
@@ -408,7 +404,7 @@ def test_guard_scan_resumes_at_the_first_action_a_change_reaches():
         return {"x": s["x"] + 1, "todo": s["todo"] - 1, "y": s["y"]} if s["todo"] else None
 
     names = frozenset(("x", "todo", "y"))
-    alg = AlgorithmSpec("resume", (
+    alg = AlgorithmSpec((
         Action("G1", guard_y, frozenset("y"), frozenset("y"), frozenset()),
         Action("G2", bump, names, names, frozenset()),
     ))
@@ -465,7 +461,7 @@ def keyed_copy(script, calls, seen, handed=None, marks=None):
                    keyed=Keyed("a", row_of, frozenset({"domain", "b"}), marks))
     write = Action("W", evaluate_w, frozenset({"i"}),
                    frozenset({"domain", "a", "b", "c", "t", "m", "i"}), frozenset())
-    return AlgorithmSpec("keyed", (keyed, write), domain_var="domain")
+    return AlgorithmSpec((keyed, write), domain_var="domain")
 
 
 def run_keyed_copy(script, selections, calls, seen, handed=None, observers=(),
@@ -507,13 +503,13 @@ def test_keyed_row_declaration_is_checked():
     # An array the action does not read from neighbors is accepted.
     local = Action("K", lambda ev: None, frozenset({"domain", "a"}), frozenset("a"),
                    frozenset(), keyed=Keyed("a", row, frozenset({"domain"})))
-    assert AlgorithmSpec("local", (local,), domain_var="domain").actions == (local,)
+    assert AlgorithmSpec((local,), domain_var="domain").actions == (local,)
     # A row's keys are the domain, so a row not dropped by a domain write
     # is refused when the algorithm is declared.
     undomained = keyed_action("a", {"b"})
-    assert AlgorithmSpec("plain", (undomained,)).actions == (undomained,)
+    assert AlgorithmSpec((undomained,)).actions == (undomained,)
     with pytest.raises(ValueError, match="fixed on 'domain'"):
-        AlgorithmSpec("domained", (undomained,), domain_var="domain")
+        AlgorithmSpec((undomained,), domain_var="domain")
 
 
 def test_kept_row_patches_the_changed_keys_only():
