@@ -1,24 +1,22 @@
 """Silent self-stabilizing BFS spanning tree with min-identifier root.
 
-Provides the `parent` backbone (read through Eval.parent and
-Eval.children) that the composition layer and the grouping payload build
-on.  The construction fuses root election, level computation, and fake-root
-flushing into one corrective action: each process computes the state it
-ought to have from its neighbors' claims and rewrites itself whenever it
-differs.  Claims of a root smaller than the process's own id are only
-adoptable up to level n-1, which starves fabricated root identifiers out of
-the network.
+Provides the `parent` backbone (read through `parent` and `children`) that
+the composition layer and the grouping payload build on.  The construction
+fuses root election, level computation, and fake-root flushing into one
+corrective action: each process computes the state it ought to have from
+its neighbors' claims and rewrites itself whenever it differs.  Claims of a
+root smaller than the process's own id are only adoptable up to level n-1,
+which starves fabricated root identifiers out of the network.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph, dist
-from .runtime import (
-    BOT, ID, NEIGHBOR, PARENT, Action, AlgorithmSpec, Configuration, Eval, Var,
-)
+from .runtime import BOT, ID, NEIGHBOR, Action, AlgorithmSpec, Configuration, Eval, Var
 
 ROOT = "root"
 LEVEL = "level"
+PARENT = "parent"
 
 # Levels reach n-1 in a legal tree; random states also hold n and n+1.
 VARS = (
@@ -26,6 +24,25 @@ VARS = (
     Var(LEVEL, "scalar", lambda n, k: range(n + 2)),
     Var(PARENT, "scalar", NEIGHBOR, bot=True),
 )
+
+
+def parent(ev: Eval):
+    """The owner's parent pointer: a neighbor, or BOT at a root."""
+    return ev.store.get(PARENT, BOT)
+
+
+def _children(ev: Eval) -> tuple[int, ...]:
+    return tuple(u for u in ev.nbr_ids if ev.cfg[u].get(PARENT) == ev.pid)
+
+
+# The children relation, a cached view: the neighbors whose parent pointer
+# is the owner.  A run drops it only where a parent pointer of the closed
+# neighborhood changes.
+CHILDREN = Action("children", _children, frozenset((PARENT,)))
+
+
+def children(ev: Eval) -> tuple[int, ...]:
+    return ev.cached(CHILDREN)
 
 
 def bfs_actions(graph: Graph) -> AlgorithmSpec:
@@ -56,7 +73,7 @@ def _desired_state(ev: Eval, n: int):
     pid = ev.pid
     best = None  # (root, level, parent)
     for u in ev.nbr_ids:  # sorted, so first strict win is the min-id parent
-        s = ev.nbr(u)
+        s = ev.cfg[u]
         r, l = s.get(ROOT), s.get(LEVEL)
         if r is BOT or l is BOT:
             continue

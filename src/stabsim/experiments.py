@@ -429,25 +429,18 @@ def run_with_corruption(
 ) -> RunResult:
     """Run to `at_step`, corrupt, then continue to silence and re-verify.
 
+    Both parts are run_grouping runs, the second on the next daemon seed.
     With zero corruptions this is exactly the plain run; at step 0 the
     corruption hits the initial configuration itself.
     """
-    if count <= 0:
-        return run_descriptor(desc)
-    cfg = desc.initial_configuration()
-    budget = desc.max_steps
-    if budget is None:
-        budget = default_max_steps(desc.graph, diameter(desc.graph))
-    if at_step > 0:
-        alg = compose(kgrouping_binding(desc.k), desc.graph)
-        cfg = run(
-            desc.graph, alg, cfg, desc.daemon, max_steps=at_step, record_steps=False,
-        ).final
-    resume = corrupt_config(
-        cfg, desc.graph, desc.k, variables, count, seed, desc.n_false
-    )
-    daemon2 = replace(desc.daemon, seed=desc.daemon.seed + 1)
-    return run_grouping(desc.graph, desc.k, daemon2, resume, budget)
+    cfg, daemon = desc.initial_configuration(), desc.daemon
+    if count > 0:
+        if at_step > 0:
+            cfg = run_grouping(desc.graph, desc.k, daemon, cfg, at_step,
+                               record_steps=False).trace.final
+        cfg = corrupt_config(cfg, desc.graph, desc.k, variables, count, seed, desc.n_false)
+        daemon = replace(daemon, seed=daemon.seed + 1)
+    return run_grouping(desc.graph, desc.k, daemon, cfg, desc.max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +463,13 @@ def trace_jsonl(result: RunResult) -> str:
 
 
 def summary_record(result: RunResult) -> dict:
+    """The run's summary line, refused for a run recorded without its steps."""
+    trace = result.trace
+    if len(trace.steps) != trace.num_steps:
+        raise ValueError(f"cannot summarize {trace.num_steps} steps, {len(trace.steps)} recorded")
     groups = {str(g): sorted(m) for g, m in sorted(result.report.groups.items())}
     step_digest = hashlib.sha256()
-    for rec in result.trace.steps:
+    for rec in trace.steps:
         fired = sorted(rec.fired.items())  # by process: selected is its keys
         step_digest.update(repr((tuple([v for v, _ in fired]), fired)).encode())
     return {

@@ -22,12 +22,12 @@ from __future__ import annotations
 from functools import wraps
 from types import MappingProxyType
 
+from .bfs import PARENT, children, parent
 from .graphs import MAX_ID, Graph, dist as graph_dist, induced_diameter
 from .loop import BaseAlgorithmBinding
 from .runtime import (
     BOT,
     ID,
-    PARENT,
     Action,
     AlgorithmSpec,
     Configuration,
@@ -392,6 +392,9 @@ def _dist_mins(ev: Eval) -> dict:
 
 
 def _dist_row(ev: Eval, k: int, keys=None) -> dict:
+    """I2's row, kept beside `_distance_row` on purpose: I1 and I2 share
+    `_dist_mins`, and moving I2 onto `_distance_row` tripled I2's self time
+    (ROADMAP, "do not retry")."""
     mins = _dist_mins(ev)
     pid = ev.pid
     row = {}
@@ -412,18 +415,15 @@ def _domain_value(ev: Eval, k: int) -> frozenset:
 
 
 def _height_value(ev: Eval, k: int) -> int:
-    children = ev.children()
-    if not children:
-        return 0
     modulus = k // 2 + 1
-    return max((ev.nbr(u).get(HEIGHT, 0) + 1) % modulus for u in children)
+    return max(((ev.cfg[u].get(HEIGHT, 0) + 1) % modulus for u in children(ev)), default=0)
 
 
 def _init_group_value(ev: Eval, k: int):
-    p = ev.parent()
+    p = parent(ev)
     if p is BOT or ev.store.get(HEIGHT) == k // 2:
         return ev.pid
-    return ev.nbr(p).get(INIT_GROUP, BOT)
+    return ev.cfg[p].get(INIT_GROUP, BOT)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 from .graphs import Graph
 from .runtime import Action, AlgorithmSpec, BOT, Configuration, Eval, Var
-from .bfs import PARENT, bfs_actions
+from .bfs import PARENT, bfs_actions, children, parent
 
 COLOR = "color"
 MODE = "mode"
@@ -164,34 +164,34 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 
     def wave_ok(ev: Eval, parent_color, child_color) -> bool:
         # The parent (if any) shows parent_color, every child child_color.
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[COLOR] != parent_color:
+        p = parent(ev)
+        if p is not BOT and ev.cfg[p][COLOR] != parent_color:
             return False
-        return all(ev.nbr(u)[COLOR] == child_color for u in ev.children())
+        return all(ev.cfg[u][COLOR] == child_color for u in children(ev))
 
     def done_below(ev: Eval) -> bool:
         # No child still at color 2.
-        return not any(ev.nbr(u)[COLOR] == 2 for u in ev.children())
+        return not any(ev.cfg[u][COLOR] == 2 for u in children(ev))
 
     def restart_below(updates):
         # The parent went back to color 0: so does the process.
         def evaluate(ev: Eval):
-            p = ev.parent()
-            if p is not BOT and ev.nbr(p)[COLOR] == 0:
+            p = parent(ev)
+            if p is not BOT and ev.cfg[p][COLOR] == 0:
                 return dict(updates)
             return None
 
         return evaluate
 
     def error_to_init(ev: Eval):
-        if any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
+        if any(ev.cfg[u][COLOR] == 4 for u in ev.nbr_ids):
             return None
         if ev.cached(error_check):
             return {MODE: MODE_INIT, RESET: 1}
         return None
 
     def follow_to_init(ev: Eval):
-        if any(ev.nbr(u)[MODE] == MODE_INIT for u in ev.nbr_ids):
+        if any(ev.cfg[u][MODE] == MODE_INIT for u in ev.nbr_ids):
             return {MODE: MODE_INIT, RESET: 1}
         return None
 
@@ -215,21 +215,21 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 
     def illegal(ev: Eval):
         cl = ev.store[COLOR]
-        for u in ev.children():
-            if (cl, ev.nbr(u)[COLOR]) in ILLEGAL_PAIRS:
+        for u in children(ev):
+            if (cl, ev.cfg[u][COLOR]) in ILLEGAL_PAIRS:
                 return {COLOR: 0, RESET: 1}
         return None
 
     def propagate_reset(ev: Eval):
-        if any(ev.nbr(u)[RESET] == 1 for u in ev.children()):
+        if any(ev.cfg[u][RESET] == 1 for u in children(ev)):
             return {RESET: 1}
         return None
 
     def del_reset(ev: Eval):
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[RESET] != 1:
+        p = parent(ev)
+        if p is not BOT and ev.cfg[p][RESET] != 1:
             return None
-        if any(ev.nbr(u)[RESET] != 0 for u in ev.children()):
+        if any(ev.cfg[u][RESET] != 0 for u in children(ev)):
             return None
         return {RESET: 0}
 
@@ -247,7 +247,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     def to4_base(ev: Eval):
         if not done_below(ev):
             return None
-        if (not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids)
+        if (not any(ev.cfg[u][COLOR] == 4 for u in ev.nbr_ids)
                 and _copies_match(binding, ev.store)):
             return None
         updates = _copy_updates(binding, ev.store)
@@ -262,7 +262,7 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     def to0(ev: Eval):
         if not wave_ok(ev, 4, 0):
             return None
-        if any(ev.nbr(u)[COLOR] not in (0, 4) for u in ev.nbr_ids):
+        if any(ev.cfg[u][COLOR] not in (0, 4) for u in ev.nbr_ids):
             return None
         return {COLOR: 0}
 

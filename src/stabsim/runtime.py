@@ -26,9 +26,6 @@ Configuration = dict  # pid -> Store
 _EMPTY: dict = {}
 _ABSENT = object()  # no such entry or variable
 
-# The tree layer's parent pointer, read by Eval.parent and Eval.children.
-PARENT = "parent"
-
 # Value ranges that depend on more than the network size and k (see Var).
 ID = "id"  # any identifier, real or false
 NEIGHBOR = "neighbor"  # a neighbor of the owner
@@ -61,8 +58,9 @@ def bot_min(values) -> object:
 class Eval:
     """Snapshot view of one process and its 1-neighborhood.
 
-    `memo` is scratch space shared by all guard/statement evaluations of this
-    process in this step, so derived quantities are computed at most once.
+    The owner's store is `store` and a neighbor u's is `cfg[u]`.  `memo` is
+    scratch space shared by all guard/statement evaluations of this process
+    in this step, so derived quantities are computed at most once.
     `caches` holds what survives across steps (RunCaches): `run` evaluates
     through its own, so cached results stay snapshot-accurate.  A payload
     caches a derived view as an Action whose evaluate returns the view
@@ -71,7 +69,7 @@ class Eval:
     scratch.
     """
 
-    __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "caches", "_children")
+    __slots__ = ("cfg", "pid", "store", "nbr_ids", "memo", "caches")
 
     def __init__(
         self,
@@ -86,10 +84,6 @@ class Eval:
         self.nbr_ids = nbr_ids
         self.memo = {}
         self.caches = RunCaches() if caches is None else caches
-        self._children = None
-
-    def nbr(self, u: int) -> Store:
-        return self.cfg[u]
 
     def cached(self, action: Action):
         """action.evaluate(self), memoized until one of its reads changes."""
@@ -103,18 +97,6 @@ class Eval:
                 return value
         value = rows[self.pid] = action.evaluate(self)
         return value
-
-    def children(self) -> tuple[int, ...]:
-        # Children in the current tree: neighbors whose parent pointer is us.
-        if self._children is None:
-            pid = self.pid
-            self._children = tuple(
-                u for u in self.nbr_ids if self.cfg[u].get(PARENT) == pid
-            )
-        return self._children
-
-    def parent(self):
-        return self.store.get(PARENT, BOT)
 
 
 @dataclass(frozen=True)
@@ -507,7 +489,8 @@ def plain_evals(cfg: Configuration, graph: Graph) -> list[Eval]:
 
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
     """Labels of all actions whose guard (`when` and the body) holds at v,
-    in label order."""
+    in label order: the uncached reference that the differential tests
+    compare the guard scans `run` resumes and keeps against."""
     ev = Eval(cfg, v, graph.neighbors_of(v))
     labels = []
     hit = alg.first_enabled(ev)
@@ -559,7 +542,8 @@ def step(
     graph: Graph,
 ) -> Configuration:
     """Apply one atomic step: every selected process fires its smallest
-    enabled action, all reading the pre-step configuration."""
+    enabled action, all reading the pre-step configuration: the uncached
+    reference that the differential tests replay `run`'s traces through."""
     new_cfg = dict(cfg)
     for v in sorted(set(selected)):
         ev = Eval(cfg, v, graph.neighbors_of(v))
@@ -830,9 +814,10 @@ def run(
 def rounds(trace: ExecutionTrace) -> int:
     """Recount complete rounds from the recorded trace.
 
-    Replays the steps against the algorithm, independently of the counters
-    maintained by run(): the first round is the minimal prefix in which every
-    initially enabled process executes or is neutralized, and so on.
+    The uncached reference for run()'s round count: replays the steps
+    through `step` and fresh Evals, independently of run()'s counters and
+    caches.  The first round is the minimal prefix in which every initially
+    enabled process executes or is neutralized, and so on.
     """
     graph, alg = trace.graph, trace.algorithm
     adj = {v: graph.neighbors_of(v) for v in graph.vertices}

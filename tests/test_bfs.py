@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsim.bfs import LEVEL, PARENT, ROOT, bfs_actions, check_tree
+from stabsim.bfs import LEVEL, PARENT, ROOT, bfs_actions, check_tree, children, parent
 from stabsim.graphs import dist, make_graph, random_connected_graph
 from stabsim.runtime import BOT, DaemonPolicy, Eval, run
 
@@ -80,10 +80,10 @@ def test_par_and_chi(p3):
     }
     # Par(v) and Chi(v) of the paper: the parent pointer and the children
     ev = {v: Eval(cfg, v, p3.neighbors_of(v)) for v in p3.vertices}
-    assert ev[1].parent() is BOT
-    assert ev[2].parent() == 1
-    assert ev[2].children() == (3,)
-    assert ev[3].children() == ()
+    assert parent(ev[1]) is BOT
+    assert parent(ev[2]) == 1
+    assert children(ev[2]) == (3,)
+    assert children(ev[3]) == ()
 
 
 def test_silence_and_closure(c6):

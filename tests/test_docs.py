@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from stabsim.bfs import CHILDREN
 from stabsim.graphs import grid_graph, path_graph
 from stabsim.kgrouping import GRADIENT, TARGET_VIEW, kgrouping_binding
 from stabsim.loop import compose
@@ -55,7 +56,7 @@ def _tables(graph, k):
         ("composed", compose(binding, graph).actions),
         ("init", binding.init.actions),
         ("merge", binding.base.actions),
-        ("view", (binding.error_check, GRADIENT, TARGET_VIEW)),
+        ("view", (binding.error_check, CHILDREN, GRADIENT, TARGET_VIEW)),
     )
 
 

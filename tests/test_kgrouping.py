@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from stabsim import kgrouping, runtime
-from stabsim.bfs import LEVEL, PARENT, ROOT
+from stabsim.bfs import LEVEL, PARENT, ROOT, children
 from stabsim.configs import random_config, zeroed_config
 from stabsim.graphs import (
     cycle_graph,
@@ -261,7 +261,7 @@ def test_eval_E_holds_where_an_asked_initializer_action_is_enabled(p5, label):
     cfg = {v: dict(s) for v, s in init_silent_cfg(p5, 2).items()}
     s = cfg[2]
     if label == "I3":
-        (child,) = Eval(cfg, 2, p5.neighbors_of(2)).children()
+        (child,) = children(Eval(cfg, 2, p5.neighbors_of(2)))
         cfg[child][HEIGHT] = 1 - cfg[child][HEIGHT]
     elif label == "I4":
         s[INIT_GROUP] = 99
@@ -317,46 +317,6 @@ def test_staged_convergence_static_check():
             assert not overlap, (
                 f"{earlier.label} reads {sorted(overlap)} written by {later.label}"
             )
-
-
-def test_declared_reads_are_truthful(p5):
-    # Fuzz: changing a neighbor variable outside an action's read set must
-    # not change the action's verdict.
-    rng = random.Random(7)
-    merge = merge_actions(2)
-    cfg = init_silent_cfg(p5, 2)
-    all_vars = set(cfg[1]) - {ROOT, LEVEL}
-    for action in merge.actions:
-        for trial in range(6):
-            ev = Eval(cfg, 3, p5.neighbors_of(3))
-            before = action.evaluate(ev)
-            outside = sorted(all_vars - set(action.reads) - {PARENT})
-            var = outside[rng.randrange(len(outside))]
-            mutated = {v: dict(s) for v, s in cfg.items()}
-            victim = rng.choice((2, 3, 4))
-            if isinstance(mutated[victim].get(var), dict):
-                arr = dict(mutated[victim][var])
-                if arr:
-                    key = sorted(arr)[0]
-                    arr[key] = 1 if arr[key] != 1 else 2
-                    mutated[victim][var] = arr
-            elif isinstance(mutated[victim].get(var), frozenset):
-                continue  # domain is in every read set anyway
-            else:
-                mutated[victim][var] = 1 if mutated[victim].get(var) != 1 else 2
-            after = action.evaluate(Eval(mutated, 3, p5.neighbors_of(3)))
-            assert before == after, (action.label, var, victim)
-
-
-def test_merge_updates_stay_in_declared_writes(p5):
-    merge = merge_actions(2)
-    cfg = init_silent_cfg(p5, 2)
-    for v in p5.vertices:
-        ev = Eval(cfg, v, p5.neighbors_of(v))
-        for action in merge.actions:
-            updates = action.evaluate(ev)
-            if updates is not None:
-                assert set(updates) <= set(action.writes)
 
 
 def test_uncached_eval_computes_the_gradient_once(monkeypatch):
@@ -594,22 +554,19 @@ def _check_kept_rows(monkeypatch, daemon):
 @pytest.mark.parametrize("daemon", list(DAEMONS.values()), ids=list(DAEMONS))
 def test_kept_rows_match_full_recomputes(monkeypatch, daemon):
     # Under each daemon, every keyed action hands out kept rows, and each
-    # equals a full recompute.
+    # equals a full recompute.  Under the random daemon, the rows handed out
+    # without patching them (current: no read of their action changed since
+    # they were last patched) and the rows read by another row (M6 reads
+    # M5's, M7 M6's) are among those checked, like the patched ones.
     checks = _check_kept_rows(monkeypatch, daemon)
     assert {a.label for a in (*kgrouping_binding(1).base.actions,
                               *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
     assert {label for label, _ in checks} == KEYED_LABELS, sorted(
         KEYED_LABELS - {label for label, _ in checks})
-
-
-def test_every_kept_row_matches_a_full_recompute(monkeypatch):
-    # The rows a run hands out without patching them (current: no read of
-    # their action changed since they were last patched) and the rows read
-    # by another row (M6 reads M5's, M7 M6's) are among those checked, and
-    # equal a full recompute like the patched ones.
-    checks = _check_kept_rows(monkeypatch, DAEMONS["random"])
-    assert all(checks[label, kind] for label in ("M5", "M6") for kind in ("current", "patched"))
-    assert checks["M7", "patched"]
+    if daemon is DAEMONS["random"]:
+        assert all(checks[label, kind]
+                   for label in ("M5", "M6") for kind in ("current", "patched"))
+        assert checks["M7", "patched"]
 
 
 def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from stabsim.bfs import LEVEL, PARENT, ROOT
+from stabsim.bfs import LEVEL, PARENT, ROOT, children, parent
 from stabsim.configs import random_config
 from stabsim.graphs import grid_graph, make_graph, path_graph, random_connected_graph
 from stabsim.kgrouping import kgrouping_binding
@@ -49,8 +49,8 @@ def min_flood_base():
         if ev.store["in_m"] < best:
             best = ev.store["in_m"]
         for u in ev.nbr_ids:
-            if ev.nbr(u)["m"] < best:
-                best = ev.nbr(u)["m"]
+            if ev.cfg[u]["m"] < best:
+                best = ev.cfg[u]["m"]
         return {"m": best} if best != ev.store["m"] else None
 
     return AlgorithmSpec((Action("F1", evaluate, frozenset(("m", "in_m")), frozenset(("m",))),))
@@ -325,10 +325,10 @@ def reference_guards(binding):
     this copy as it is: the tests below hold the actions to it."""
 
     def wave_ok(ev, parent_color, child_color):
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[COLOR] != parent_color:
+        p = parent(ev)
+        if p is not BOT and ev.cfg[p][COLOR] != parent_color:
             return False
-        return all(ev.nbr(u)[COLOR] == child_color for u in ev.children())
+        return all(ev.cfg[u][COLOR] == child_color for u in children(ev))
 
     def in_base_off4(ev):
         s = ev.store
@@ -338,7 +338,7 @@ def reference_guards(binding):
         s = ev.store
         if s[COLOR] != 3 or s[MODE] != mode:
             return False
-        return not any(ev.nbr(u)[COLOR] == 2 for u in ev.children())
+        return not any(ev.cfg[u][COLOR] == 2 for u in children(ev))
 
     def color_reset(ev):
         s = ev.store
@@ -350,8 +350,8 @@ def reference_guards(binding):
         def evaluate(ev):
             if ev.store[COLOR] not in colors:
                 return None
-            p = ev.parent()
-            if p is not BOT and ev.nbr(p)[COLOR] == 0:
+            p = parent(ev)
+            if p is not BOT and ev.cfg[p][COLOR] == 0:
                 return dict(updates)
             return None
 
@@ -360,7 +360,7 @@ def reference_guards(binding):
     def error_to_init(ev):
         if not in_base_off4(ev):
             return None
-        if any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
+        if any(ev.cfg[u][COLOR] == 4 for u in ev.nbr_ids):
             return None
         if ev.cached(binding.error_check):
             return {MODE: MODE_INIT, RESET: 1}
@@ -369,7 +369,7 @@ def reference_guards(binding):
     def follow_to_init(ev):
         if not in_base_off4(ev):
             return None
-        if any(ev.nbr(u)[MODE] == MODE_INIT for u in ev.nbr_ids):
+        if any(ev.cfg[u][MODE] == MODE_INIT for u in ev.nbr_ids):
             return {MODE: MODE_INIT, RESET: 1}
         return None
 
@@ -389,25 +389,25 @@ def reference_guards(binding):
 
     def illegal(ev):
         cl = ev.store[COLOR]
-        for u in ev.children():
-            if (cl, ev.nbr(u)[COLOR]) in ILLEGAL_PAIRS:
+        for u in children(ev):
+            if (cl, ev.cfg[u][COLOR]) in ILLEGAL_PAIRS:
                 return {COLOR: 0, RESET: 1}
         return None
 
     def propagate_reset(ev):
         if ev.store[RESET] != 0:
             return None
-        if any(ev.nbr(u)[RESET] == 1 for u in ev.children()):
+        if any(ev.cfg[u][RESET] == 1 for u in children(ev)):
             return {RESET: 1}
         return None
 
     def del_reset(ev):
         if ev.store[RESET] != 1:
             return None
-        p = ev.parent()
-        if p is not BOT and ev.nbr(p)[RESET] != 1:
+        p = parent(ev)
+        if p is not BOT and ev.cfg[p][RESET] != 1:
             return None
-        if any(ev.nbr(u)[RESET] != 0 for u in ev.children()):
+        if any(ev.cfg[u][RESET] != 0 for u in children(ev)):
             return None
         return {RESET: 0}
 
@@ -427,7 +427,7 @@ def reference_guards(binding):
         if not done_below(ev, MODE_BASE):
             return None
         in_sync = _copies_match(binding, ev.store)
-        if in_sync and not any(ev.nbr(u)[COLOR] == 4 for u in ev.nbr_ids):
+        if in_sync and not any(ev.cfg[u][COLOR] == 4 for u in ev.nbr_ids):
             return None
         updates = _copy_updates(binding, ev.store)
         updates[COLOR] = 4
@@ -441,7 +441,7 @@ def reference_guards(binding):
     def to0(ev):
         if ev.store[COLOR] != 4 or not wave_ok(ev, 4, 0):
             return None
-        if any(ev.nbr(u)[COLOR] not in (0, 4) for u in ev.nbr_ids):
+        if any(ev.cfg[u][COLOR] not in (0, 4) for u in ev.nbr_ids):
             return None
         return {COLOR: 0}
 

@@ -21,6 +21,7 @@ from stabsim.experiments import (
     run_grouping,
     run_with_corruption,
     summary_bytes,
+    trace_jsonl,
 )
 from stabsim.graphs import (
     cycle_graph,
@@ -209,8 +210,8 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # Read and write audit of every action of the composed, merge and init
     # tables, on random configurations and on the configurations each
     # execution of a run starts from.  The check that compose caches
-    # privately (the error predicate) and the payload's cached views (the
-    # dist gradient, the target) are reached by auditing every cache miss
+    # privately (the error predicate) and the cached views (the children,
+    # the dist gradient, the target) are reached by auditing every cache miss
     # of the runs.  M6 and
     # M7 read the stamp1 and stamp_dist rows as M5's and M6's rows, so their
     # audits include those reads.
@@ -239,7 +240,7 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
                 for table in tables:
                     for action in table.actions:
                         _audit(action, ev)
-    assert {"E", "gradient", "target", "M1", "M5", "M6", "M7", "I1"} <= audited
+    assert {"E", "children", "gradient", "target", "M1", "M5", "M6", "M7", "I1"} <= audited
 
 
 def test_round_recount_matches_engine():
@@ -304,6 +305,21 @@ def test_run_summary_digest_pinned(name):
     result = make()
     assert judge(result).failures == ()
     assert hashlib.sha256(summary_bytes(result)).hexdigest() == digest
+
+
+def test_a_run_recorded_without_its_steps_is_not_summarized():
+    # Its trace sha256 would hash no steps and its trace file would hold
+    # only the summary line, while the summary still counts every step.
+    g, k = path_graph(6), 2
+    daemon, cfg0 = DaemonPolicy(kind="random", seed=1), random_config(g, k, seed=1)
+    unrecorded = run_grouping(g, k, daemon, cfg0, record_steps=False)
+    assert unrecorded.steps > 0
+    for summarize in (summary_bytes, trace_jsonl):
+        with pytest.raises(ValueError, match="recorded"):
+            summarize(unrecorded)
+    recorded = run_grouping(g, k, daemon, cfg0)
+    assert recorded.steps == unrecorded.steps
+    assert len(trace_jsonl(recorded).splitlines()) == recorded.steps + 1
 
 
 def test_corruption_at_step_0_hits_the_initial_configuration():
@@ -372,8 +388,6 @@ def _record_root_starts(monkeypatch):
     real_run = experiments.run
 
     def recording_run(graph, alg, cfg0, daemon, max_steps, observers=(), **kwargs):
-        if not observers:  # run_with_corruption's run up to the corruption
-            return real_run(graph, alg, cfg0, daemon, max_steps, **kwargs)
         root = min(graph.vertices)
         seen.clear()
         caches.clear()

@@ -33,7 +33,7 @@ def copy_nbr_plus_one():
     """x := max neighbor x + 1 whenever smaller (diverges; for snapshot tests)."""
 
     def evaluate(ev):
-        target = max(ev.nbr(u)["x"] for u in ev.nbr_ids) + 1
+        target = max(ev.cfg[u]["x"] for u in ev.nbr_ids) + 1
         return {"x": target} if ev.store["x"] < target else None
 
     return AlgorithmSpec((Action("C1", evaluate, frozenset("x"), frozenset("x")),))
@@ -164,7 +164,7 @@ def test_rounds_neutralization():
     def evaluate(ev):
         if ev.store["x"] != 0:
             return {"x": 0}
-        if any(ev.nbr(u)["x"] != 0 for u in ev.nbr_ids):
+        if any(ev.cfg[u]["x"] != 0 for u in ev.nbr_ids):
             return {"x": 0}
         return None
 
@@ -281,8 +281,8 @@ def test_cached_action_sees_arrays_pruned_by_a_domain_write():
     # the uncached replay through step() ends.
     g = make_graph([1, 2], [(1, 2)])
     watches = (
-        Action("W", lambda e: len(e.nbr(1)["a"]), frozenset(("a",))),
-        Action("W", lambda e: len(e.store["domain"]) + len(e.nbr(1)["a"]),
+        Action("W", lambda e: len(e.cfg[1]["a"]), frozenset(("a",))),
+        Action("W", lambda e: len(e.store["domain"]) + len(e.cfg[1]["a"]),
                frozenset(("domain", "a")), nbr_reads=frozenset(("a",))),
     )
 
@@ -437,7 +437,7 @@ def keyed_copy(script, calls, seen, handed=None, marks=None):
 
     def row_of(ev, keys):
         calls.append(None if keys is None else sorted(keys))
-        src, t, m = ev.nbr(1)["a"], ev.store["t"], ev.store["m"]
+        src, t, m = ev.cfg[1]["a"], ev.store["t"], ev.store["m"]
         return {u: None if src.get(u) is None else src[u] + t.get(u, 0) + (u == m)
                 for u in (ev.store["domain"] if keys is None else keys)}
 
