@@ -554,19 +554,22 @@ def _check_kept_rows(monkeypatch, daemon):
 @pytest.mark.parametrize("daemon", list(DAEMONS.values()), ids=list(DAEMONS))
 def test_kept_rows_match_full_recomputes(monkeypatch, daemon):
     # Under each daemon, every keyed action hands out kept rows, and each
-    # equals a full recompute.  Under the random daemon, the rows handed out
-    # without patching them (current: no read of their action changed since
-    # they were last patched) and the rows read by another row (M6 reads
-    # M5's, M7 M6's) are among those checked, like the patched ones.
+    # equals a full recompute.
     checks = _check_kept_rows(monkeypatch, daemon)
     assert {a.label for a in (*kgrouping_binding(1).base.actions,
                               *kgrouping_binding(1).init.actions) if a.keyed} == KEYED_LABELS
     assert {label for label, _ in checks} == KEYED_LABELS, sorted(
         KEYED_LABELS - {label for label, _ in checks})
-    if daemon is DAEMONS["random"]:
-        assert all(checks[label, kind]
-                   for label in ("M5", "M6") for kind in ("current", "patched"))
-        assert checks["M7", "patched"]
+
+
+def test_every_kept_row_matches_a_full_recompute(monkeypatch):
+    # The rows a run hands out without patching them (current: no read of
+    # their action changed since they were last patched) and the rows read
+    # by another row (M6 reads M5's, M7 M6's) are among those checked, and
+    # equal a full recompute like the patched ones.
+    checks = _check_kept_rows(monkeypatch, DAEMONS["random"])
+    assert all(checks[label, kind] for label in ("M5", "M6") for kind in ("current", "patched"))
+    assert checks["M7", "patched"]
 
 
 def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
