@@ -3,7 +3,8 @@
 Exit codes: 0 the run passed every per-run verdict of `experiments.judge`,
 1 some verdict failed (each printed to stderr as `criterion: message`),
 2 step budget exhausted, 3 input error (a malformed command line included),
-printed to stderr as one `error: message` line.
+printed to stderr as one `error: message` line.  A sweep exits 2 when a
+row exhausted its budget, else 1 when a row failed.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def cmd_sweep(args) -> int:
     failed = [r for r in rows if r["verdict"] != "ok"]
     for r in failed:
         log.error("failed: %s", r)
+    if any(r["verdict"] == "budget" for r in failed):
+        return EXIT_BUDGET
     return EXIT_INVALID if failed else EXIT_OK
 
 

@@ -52,7 +52,7 @@ def false_ids(graph: Graph, count: int) -> tuple[int, ...]:
 
 
 def _is_id(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_ID
 
 
 def _values(var: Var, graph: Graph, k: int, pool: tuple, pid: int) -> Sequence:

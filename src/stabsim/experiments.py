@@ -122,7 +122,6 @@ def run_grouping(
     daemon: DaemonPolicy,
     cfg0: Configuration,
     max_steps: Optional[int] = None,
-    record_steps: bool = True,
 ) -> RunResult:
     """One full composed run plus the oracle verdict on its final state.
 
@@ -146,10 +145,7 @@ def run_grouping(
             seen.append((event.index, label, event.pre_cfg,
                          qualifies(label, evals, binding)))
 
-    trace = run(
-        graph, alg, cfg0, daemon, max_steps,
-        observers=(observe,), record_steps=record_steps,
-    )
+    trace = run(graph, alg, cfg0, daemon, max_steps, observers=(observe,))
     boundaries = [
         Boundary(i, "shift", copy_shift(cfg, binding), qualifying) if label == SHIFT
         else Boundary(i, "handoff", cfg, qualifying)
@@ -202,8 +198,7 @@ def merge_segment_rounds(result: RunResult) -> list[int]:
     for b in result.boundaries:
         if not b.qualifying:
             continue
-        trace = run(result.graph, result.binding.base, b.start, sync, SEGMENT_MAX_STEPS,
-                    record_steps=False)
+        trace = run(result.graph, result.binding.base, b.start, sync, SEGMENT_MAX_STEPS)
         if not trace.terminated:
             raise RuntimeError("isolated merge execution did not terminate")
         out.append(trace.num_rounds)
@@ -436,8 +431,7 @@ def run_with_corruption(
     cfg, daemon = desc.initial_configuration(), desc.daemon
     if count > 0:
         if at_step > 0:
-            cfg = run_grouping(desc.graph, desc.k, daemon, cfg, at_step,
-                               record_steps=False).trace.final
+            cfg = run_grouping(desc.graph, desc.k, daemon, cfg, at_step).trace.final
         cfg = corrupt_config(cfg, desc.graph, desc.k, variables, count, seed, desc.n_false)
         daemon = replace(daemon, seed=daemon.seed + 1)
     return run_grouping(desc.graph, desc.k, daemon, cfg, desc.max_steps)
@@ -463,13 +457,10 @@ def trace_jsonl(result: RunResult) -> str:
 
 
 def summary_record(result: RunResult) -> dict:
-    """The run's summary line, refused for a run recorded without its steps."""
-    trace = result.trace
-    if len(trace.steps) != trace.num_steps:
-        raise ValueError(f"cannot summarize {trace.num_steps} steps, {len(trace.steps)} recorded")
+    """The run's summary line: its counts, groups and the sha256 of its steps."""
     groups = {str(g): sorted(m) for g, m in sorted(result.report.groups.items())}
     step_digest = hashlib.sha256()
-    for rec in trace.steps:
+    for rec in result.trace.steps:
         fired = sorted(rec.fired.items())  # by process: selected is its keys
         step_digest.update(repr((tuple([v for v, _ in fired]), fired)).encode())
     return {
@@ -508,9 +499,7 @@ def sweep_rows(family: str, ns, ks, seeds, max_steps=None) -> list[dict]:
                     graph = FAMILIES[family](n, seed)
                 daemon = DaemonPolicy(kind="random", p=0.5, seed=seed)
                 cfg0 = random_config(graph, k, seed=seed * 7919 + 13)
-                result = run_grouping(
-                    graph, k, daemon, cfg0, max_steps, record_steps=False
-                )
+                result = run_grouping(graph, k, daemon, cfg0, max_steps)
                 rows.append({
                     "family": family,
                     "n": graph.n,
@@ -520,7 +509,8 @@ def sweep_rows(family: str, ns, ks, seeds, max_steps=None) -> list[dict]:
                     "rounds": result.rounds,
                     "iterations": result.iterations,
                     "groups": result.report.group_count,
-                    "verdict": "FAIL" if judge(result).failures else "ok",
+                    "verdict": ("budget" if not result.trace.terminated
+                                else "FAIL" if judge(result).failures else "ok"),
                 })
     return rows
 
@@ -531,9 +521,12 @@ def write_sweep_csv(rows: list[dict], stream: TextIO) -> None:
     writer.writerows(rows)
 
 
-def fit_and_validate(samples: list[tuple[float, float, float]], headroom: float = 2.0):
+FIT_HEADROOM = 2.0  # how far past the fitted constant a held-out instance may go
+
+
+def fit_and_validate(samples: list[tuple[float, float, float]]):
     """Fit c = max(measure/bound) on the smaller half of the instances
-    (by size key), then check measure <= headroom * c * bound on the rest.
+    (by size key), then check measure <= FIT_HEADROOM * c * bound on the rest.
 
     Returns (c, ok, worst_ratio_on_validation).
     """
@@ -546,4 +539,4 @@ def fit_and_validate(samples: list[tuple[float, float, float]], headroom: float 
     if c == 0:
         c = 1.0
     worst = max(m / (c * b) for _, b, m in hold)
-    return c, worst <= headroom, worst
+    return c, worst <= FIT_HEADROOM, worst

@@ -393,8 +393,9 @@ def _dist_mins(ev: Eval) -> dict:
 
 def _dist_row(ev: Eval, k: int, keys=None) -> dict:
     """I2's row, kept beside `_distance_row` on purpose: I1 and I2 share
-    `_dist_mins`, and moving I2 onto `_distance_row` tripled I2's self time
-    (ROADMAP, "do not retry")."""
+    `_dist_mins`.  Moving I2 onto `_distance_row`, with or without I1 read
+    as a set over the neighbors' rows, was slower (ROADMAP, "do not
+    retry")."""
     mins = _dist_mins(ev)
     pid = ev.pid
     row = {}

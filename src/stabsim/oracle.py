@@ -98,7 +98,10 @@ def check_Lk(cfg: Configuration, graph: Graph, k: int) -> GroupingReport:
     )
 
 
-def exhaustive_min_groups(graph: Graph, k: int, limit: int = 10) -> int:
+EXHAUSTIVE_MAX_N = 10  # the largest graph exhaustive_min_groups enumerates
+
+
+def exhaustive_min_groups(graph: Graph, k: int) -> int:
     """Minimum part count over all diameter-k partitions, by enumeration.
 
     Branch-and-bound over set partitions.  While a partition is being built a
@@ -108,8 +111,8 @@ def exhaustive_min_groups(graph: Graph, k: int, limit: int = 10) -> int:
     real diameter condition is checked on complete partitions.
     """
     n = graph.n
-    if n > limit:
-        raise OracleError(f"exhaustive search limited to n <= {limit}, got {n}")
+    if n > EXHAUSTIVE_MAX_N:
+        raise OracleError(f"exhaustive search limited to n <= {EXHAUSTIVE_MAX_N}, got {n}")
     order = sorted(graph.vertices)
     gdist = {
         u: {v: dist(graph, u, v) for v in order} for u in order

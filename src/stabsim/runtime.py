@@ -667,10 +667,13 @@ class ExecutionTrace:
     algorithm: AlgorithmSpec = field(repr=False)
     initial: Configuration = field(repr=False)
     final: Configuration = field(repr=False)
-    steps: list[StepRecord]  # empty when the run was not recorded
+    steps: list[StepRecord]
     round_boundaries: list[int]  # step counts at which each complete round ends
     verdict: str  # "terminated" | "budget_exhausted"
-    num_steps: int = 0
+
+    @property
+    def num_steps(self) -> int:
+        return len(self.steps)
 
     @property
     def terminated(self) -> bool:
@@ -692,12 +695,11 @@ def run(
     daemon: DaemonPolicy,
     max_steps: int,
     observers: tuple = (),
-    record_steps: bool = True,
 ) -> ExecutionTrace:
     """Drive the daemon until no process is enabled or the budget is hit.
 
-    The trace is reproducible from (cfg0, alg, daemon kind + seed) alone; all
-    tie-breaking is over sorted process ids.
+    The trace records every step.  It is reproducible from (cfg0, alg,
+    daemon kind + seed) alone; all tie-breaking is over sorted process ids.
 
     Each process's first enabled action, found by one guard scan, is kept
     across steps while no change reaches it.  Every Eval of the run shares
@@ -735,7 +737,6 @@ def run(
     boundaries: list[int] = []
     pending = set(enabled)
     verdict = "budget_exhausted"
-    steps_done = 0
 
     for i in range(max_steps):
         if not enabled:
@@ -793,11 +794,9 @@ def run(
 
         sched.after_step(enabled, selected, new_enabled)
 
-        if record_steps:
-            steps.append(StepRecord(fired))
+        steps.append(StepRecord(fired))
         cfg = new_cfg
         enabled = new_enabled
-        steps_done = i + 1
 
     return ExecutionTrace(
         graph=graph,
@@ -807,7 +806,6 @@ def run(
         steps=steps,
         round_boundaries=boundaries,
         verdict=verdict,
-        num_steps=steps_done,
     )
 
 

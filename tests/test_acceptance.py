@@ -2,7 +2,8 @@
 
 The heavy batches (the 300 randomized runs, the path/cycle sweep, the
 exhaustive small-graph enumeration) are module-scoped fixtures shared by the
-criteria that consume them.  Every per-run verdict comes from
+criteria that consume them.  Each fixture keeps of a run only what its
+criteria read, never the run itself.  Every per-run verdict comes from
 `experiments.judge`; a criterion asserts over the failures carrying its tag
 and counts from the judgement's boundary checks that it is not vacuous.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from typing import NamedTuple
 
 import pytest
 
@@ -26,6 +28,7 @@ from stabsim.experiments import (
     RunDescriptor,
 )
 from stabsim.graphs import (
+    Graph,
     cycle_graph,
     diameter,
     make_graph,
@@ -48,6 +51,24 @@ def _random_instance(index: int):
     return g, k, rng.randrange(2**31)
 
 
+class SweepRun(NamedTuple):
+    n: int
+    d: int
+    k: int
+    failures: tuple
+    rounds: int
+    iterations: int
+    segment_rounds: list[int]  # empty outside criterion 4's subset
+
+
+class AtlasRun(NamedTuple):
+    index: int
+    k: int
+    graph: Graph
+    failures: tuple
+    group_count: int
+
+
 def _failed(judgements, criterion):
     """(index, message) of every failure tagged `criterion`."""
     return [(i, message) for i, j in enumerate(judgements)
@@ -62,14 +83,14 @@ def batch300():
         g, k, seed = _random_instance(i)
         cfg0 = random_config(g, k, seed=seed, n_false=N_FALSE)
         daemon = DaemonPolicy(kind="random", p=0.5, seed=seed ^ 0x5A5A)
-        judgements.append(judge(run_grouping(g, k, daemon, cfg0, record_steps=False)))
+        judgements.append(judge(run_grouping(g, k, daemon, cfg0)))
     return judgements
 
 
 @pytest.fixture(scope="module")
 def sweep_results():
     out = []
-    for family, build in (("path", path_graph), ("cycle", cycle_graph)):
+    for build in (path_graph, cycle_graph):
         for n in range(6, 49, 6):
             g = build(n)
             d = diameter(g)
@@ -77,8 +98,11 @@ def sweep_results():
                 for seed in range(5):
                     cfg0 = random_config(g, k, seed=seed * 31 + n)
                     daemon = DaemonPolicy(kind="random", p=0.5, seed=seed)
-                    res = run_grouping(g, k, daemon, cfg0, record_steps=False)
-                    out.append((family, n, d, k, seed, res))
+                    res = run_grouping(g, k, daemon, cfg0)
+                    # criterion 4 replays the merge executions of a subset
+                    segments = merge_segment_rounds(res) if n <= 24 and seed <= 1 else []
+                    out.append(SweepRun(n, d, k, judge(res).failures, res.rounds,
+                                        res.iterations, segments))
     return out
 
 
@@ -95,10 +119,9 @@ def atlas_runs():
         )
         for k in (1, 2):
             res = run_grouping(
-                g, k, DaemonPolicy(kind="random", p=0.5, seed=i),
-                zeroed_config(g, k), record_steps=False,
+                g, k, DaemonPolicy(kind="random", p=0.5, seed=i), zeroed_config(g, k)
             )
-            runs.append((i, k, g, res))
+            runs.append(AtlasRun(i, k, g, judge(res).failures, res.report.group_count))
     return runs
 
 
@@ -120,15 +143,14 @@ def test_criterion_1_memory_and_false_ids(batch300):
 def test_criterion_2_group_count_bounds(batch300, sweep_results, atlas_runs):
     failures = _failed(batch300, "2")
     assert not failures, failures[:10]
-    failures = _failed([judge(res) for *_, res in sweep_results], "2")
+    failures = _failed(sweep_results, "2")
     assert not failures, failures[:10]
     ratios = []
-    for i, k, g, res in atlas_runs:
-        failures = judge(res).failures
+    for i, k, g, failures, group_count in atlas_runs:
         assert not failures, f"atlas graph {i} k={k}: {failures[:2]}"
         best = exhaustive_min_groups(g, k)
-        assert res.report.group_count >= best, f"atlas {i} k={k}"
-        ratios.append(res.report.group_count / best)
+        assert group_count >= best, f"atlas {i} k={k}"
+        ratios.append(group_count / best)
     print(f"\n[criterion 2] PASS: group count <= 2n/k+1 on every run; "
           f"{len(ratios)} exhaustive small-graph comparisons (n <= 7, k in 1..2), "
           f"group_count/optimum highest {max(ratios):.2f}, "
@@ -136,31 +158,21 @@ def test_criterion_2_group_count_bounds(batch300, sweep_results, atlas_runs):
 
 
 def test_criterion_3_round_scaling(sweep_results):
-    samples = [
-        (n, n * d / k + n, res.rounds)
-        for family, n, d, k, seed, res in sweep_results
-    ]
-    c, ok, worst = fit_and_validate(samples, headroom=2.0)
+    samples = [(r.n, r.n * r.d / r.k + r.n, r.rounds) for r in sweep_results]
+    c, ok, worst = fit_and_validate(samples)
     assert ok, f"validation ratio {worst:.2f} with c={c:.2f}"
     print(f"\n[criterion 3] PASS: rounds <= c*(nD/k + n) with c={c:.2f} "
           f"fitted on the small half; worst validation ratio {worst:.2f} <= 2")
 
 
 def test_criterion_4_iteration_bounds(sweep_results):
-    samples = [
-        (n, n / k, res.iterations)
-        for family, n, d, k, seed, res in sweep_results
-    ]
-    c1, ok, worst = fit_and_validate(samples, headroom=2.0)
+    samples = [(r.n, r.n / r.k, r.iterations) for r in sweep_results]
+    c1, ok, worst = fit_and_validate(samples)
     assert ok, f"iteration validation ratio {worst:.2f} (c'={c1:.2f})"
 
-    segment_samples = []
-    for family, n, d, k, seed, res in sweep_results:
-        if n > 24 or seed > 1:
-            continue
-        for rounds in merge_segment_rounds(res):
-            segment_samples.append((n, k, rounds))
-    c2, ok2, worst2 = fit_and_validate(segment_samples, headroom=2.0)
+    segment_samples = [(r.n, r.k, rounds) for r in sweep_results
+                       for rounds in r.segment_rounds]
+    c2, ok2, worst2 = fit_and_validate(segment_samples)
     assert ok2, f"segment validation ratio {worst2:.2f} (c''={c2:.2f})"
     print(f"\n[criterion 4] PASS: iterations <= c'*n/k with c'={c1:.2f} "
           f"(worst ratio {worst:.2f}); isolated merge executions within "

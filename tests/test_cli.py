@@ -41,6 +41,7 @@ def test_cmd_run_p5(tmp_path, capsys):
     assert summary["group_count"] == 2
     assert summary["groups"]["1"] == [1, 2, 3]
     trace_lines = (tmp_path / "out" / "run.trace.jsonl").read_text().splitlines()
+    assert len(trace_lines) == summary["steps"] + 1  # every step, then the summary
     first = json.loads(trace_lines[0])
     assert first["step"] == 0 and "selected" in first and "fired" in first
     report = json.loads((tmp_path / "out" / "run.report.json").read_text())
@@ -82,6 +83,10 @@ def test_cmd_run_missing_descriptor(tmp_path):
     pytest.param("dist", [1, 2], "run", id="dist-value0"),
     pytest.param("domain", 5, "run", id="domain-5"),
     pytest.param("dist", [1, 2], "inject", id="inject-dist"),
+    # identifiers above 2^32 - 1, which the graph loader refuses too
+    pytest.param("root", 2**32, "run", id="root-above-32-bits"),
+    pytest.param("domain", [1, 2**32], "run", id="domain-above-32-bits"),
+    pytest.param("border", {str(2**32): 1}, "run", id="array-key-above-32-bits"),
 ])
 def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, value,
                                                       command):
@@ -99,6 +104,7 @@ def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, va
     assert main([command, str(dpath), *args]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: bad initial configuration: ") and name in err
+    assert_one_error_line_last(err)
 
 
 @pytest.mark.parametrize("override,named", [
@@ -216,6 +222,27 @@ def test_cmd_sweep_csv(tmp_path):
         assert int(row["groups"]) <= 2 * int(row["n"]) / int(row["k"]) + 1
         assert row["family"] == "path"
         assert int(row["D"]) == int(row["n"]) - 1
+
+
+def test_cmd_sweep_exhausted_budget_is_marked_and_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "path", "--n", "3", "--k", "1", "--seeds", "1",
+                 "--max-steps", "1", "--out", str(out)])
+    assert code == EXIT_BUDGET
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["verdict"] for row in rows] == ["budget"]
+
+
+def test_cmd_sweep_budget_exit_comes_before_a_failed_verdict(monkeypatch):
+    from stabsim import cli
+
+    rows = [{"verdict": "FAIL"}, {"verdict": "budget"}, {"verdict": "ok"}]
+    monkeypatch.setattr(cli, "sweep_rows", lambda *args: rows)
+    monkeypatch.setattr(cli, "write_sweep_csv", lambda rows, stream: None)
+    args = ["sweep", "--family", "path", "--n", "5", "--k", "2", "--seeds", "1"]
+    assert main(args) == EXIT_BUDGET
+    del rows[1]
+    assert main(args) == EXIT_INVALID
 
 
 def test_cmd_sweep_stdout_matches_out_file(tmp_path, capsys):

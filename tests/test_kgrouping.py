@@ -420,8 +420,7 @@ def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
     monkeypatch.setattr(kgrouping, "_share_row", share_row)
     alg = compose(dataclasses.replace(binding, error=error), g)
     for daemon in (DaemonPolicy(kind="random", seed=1), DaemonPolicy(kind="synchronous")):
-        trace = run(g, alg, random_config(g, k, seed=11), daemon, max_steps=100_000,
-                    record_steps=False)
+        trace = run(g, alg, random_config(g, k, seed=11), daemon, max_steps=100_000)
         assert trace.terminated
     assert sum(kept_before) > len(g.vertices)  # E mostly finds the rows kept
     assert not full, full
@@ -501,7 +500,7 @@ def test_synchronous_daemon_flushes_false_identifiers():
         res = run_grouping(
             g, k, DaemonPolicy(kind="synchronous", seed=i),
             random_config(g, k, seed=i * 7 + 1),
-            max_steps=200_000, record_steps=False,
+            max_steps=200_000,
         )
         failures = judge(res).failures
         assert not failures, (i, failures[:2])
@@ -546,7 +545,7 @@ def _check_kept_rows(monkeypatch, daemon):
                      (path_graph(7), 1)):
         binding = kgrouping_binding(k)
         trace = run(graph, compose(binding, graph), random_config(graph, k, seed=3, n_false=2),
-                    daemon, max_steps=200_000, record_steps=False)
+                    daemon, max_steps=200_000)
         assert trace.terminated and check_Cfin(plain_evals(trace.final, graph), binding)
     return checks
 
@@ -605,8 +604,7 @@ def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
                                            init=copied(binding.init))):
         counts.clear()
         trace = run(g, compose(b, g), random_config(g, k, seed=3),
-                    DaemonPolicy(kind="random", seed=1), max_steps=200_000,
-                    record_steps=False)
+                    DaemonPolicy(kind="random", seed=1), max_steps=200_000)
         assert trace.terminated
         totals.append(dict(counts))
     assert totals[0] == totals[1]

@@ -21,7 +21,6 @@ from stabsim.experiments import (
     run_grouping,
     run_with_corruption,
     summary_bytes,
-    trace_jsonl,
 )
 from stabsim.graphs import (
     cycle_graph,
@@ -31,6 +30,7 @@ from stabsim.graphs import (
 )
 from stabsim.kgrouping import (
     BORDER,
+    DIST,
     DOMAIN,
     GROUP_OF,
     IN_GROUP,
@@ -40,6 +40,7 @@ from stabsim.kgrouping import (
     _nbrs_by_group,
     _share_row,
     distance_macro,
+    init_actions,
     min_macro,
     same_group_nbrs,
     share,
@@ -79,6 +80,20 @@ def test_row_forms_match_reference_macros(case):
         raw = distance_macro(ev, u, IN_GROUP_DIST, sources)
         clamped = raw if (raw is BOT or 0 <= raw <= 2 * k) else BOT
         assert dist_row[u] == clamped
+
+    # The initializer's I1 and I2 against the macro over all neighbors on dist.
+    init = {a.label: a for a in init_actions(k).actions}
+    everyone = [(w, cfg[w]) for w in g.neighbors_of(v)]
+    i2_row = init["I2"].keyed.row(ev, None)
+    assert set(i2_row) == set(dom)
+    for u in dom:
+        raw = distance_macro(ev, u, DIST, everyone)
+        assert i2_row[u] == (raw if (raw is BOT or 0 <= raw <= 2 * k) else BOT)
+    heard = {u for _, ws in everyone for u in ws[DOMAIN]}
+    ball = {v} | {u for u in heard
+                  if (d := distance_macro(ev, u, DIST, everyone)) is not BOT and d <= k + 1}
+    proposed = (init["I1"].evaluate(ev) or {DOMAIN: dom})[DOMAIN]
+    assert proposed == ball
 
 
 # (network, k) per instance; the seed also draws the gnp network.
@@ -305,21 +320,6 @@ def test_run_summary_digest_pinned(name):
     result = make()
     assert judge(result).failures == ()
     assert hashlib.sha256(summary_bytes(result)).hexdigest() == digest
-
-
-def test_a_run_recorded_without_its_steps_is_not_summarized():
-    # Its trace sha256 would hash no steps and its trace file would hold
-    # only the summary line, while the summary still counts every step.
-    g, k = path_graph(6), 2
-    daemon, cfg0 = DaemonPolicy(kind="random", seed=1), random_config(g, k, seed=1)
-    unrecorded = run_grouping(g, k, daemon, cfg0, record_steps=False)
-    assert unrecorded.steps > 0
-    for summarize in (summary_bytes, trace_jsonl):
-        with pytest.raises(ValueError, match="recorded"):
-            summarize(unrecorded)
-    recorded = run_grouping(g, k, daemon, cfg0)
-    assert recorded.steps == unrecorded.steps
-    assert len(trace_jsonl(recorded).splitlines()) == recorded.steps + 1
 
 
 def test_corruption_at_step_0_hits_the_initial_configuration():
