@@ -2,15 +2,14 @@
 
 A boundary is where the root starts the next base execution, by the copy
 shift or by the initializer's hand-off; it records that execution's start
-configuration.  Qualifying boundaries feed the per-execution verdicts
-(error-freedom, stamp soundness, potential accounting) and the isolated round
-measurements.  Whether a boundary qualifies is read from the run's own
-caches at the step that starts it (`qualifies`, through
-StepEvent.evaluate, before the step is applied); the verdicts
-(`boundary_checks`, `closure_check`) are still computed from scratch, an
-independent referee of what the run's caches hold.  `judge` is the one place
-that decides whether a run met the paper's claims; the CLI, the sweeps and
-the acceptance suite all ask it.
+configuration.  Each process starts an execution from the copies it shifts
+in at its own L14, so a shift's start is the post-shift cut (Boundary).
+Judged boundaries feed the per-execution verdicts (error-freedom, stamp
+soundness, potential accounting) and the isolated round measurements.  The
+verdicts (`boundary_checks`, `closure_check`) are computed from scratch, an
+independent referee of what the run's caches hold.  `judge` is the one
+place that decides whether a run met the paper's claims; the CLI, the
+sweeps and the acceptance suite all ask it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
 from .configs import (
     ConfigError,
@@ -56,7 +55,6 @@ from .oracle import GroupingReport, check_Lk, potential, stamp_soundness_violati
 from .runtime import (
     Configuration,
     DaemonPolicy,
-    Eval,
     ExecutionTrace,
     default_max_steps,
     plain_evals,
@@ -67,17 +65,16 @@ from .runtime import (
 @dataclass(frozen=True)
 class Boundary:
     """Where the next base execution starts: `start` is its first
-    configuration.  It qualifies when the module that just ended is disabled
-    everywhere and, for a shift, the error predicate is false everywhere,
-    since a merge execution needs error-free inputs.  run_grouping decides
-    this once, at the step where the root fires, from the evaluations the
-    run has cached at its pre-step configuration (`qualifies`); the verdicts
-    on `start` are computed from scratch (`boundary_checks`)."""
+    configuration.  The root's hand-offs split a run into segments; root
+    shift j of one starts from the post-shift cut, copy_shift of every
+    process's store at its own j-th L14 there.  The cut is None where some
+    process shifted a different number of times in the segment than the
+    root.  A hand-off starts from the configuration the root's L15 fires
+    in."""
 
     step: int
     kind: str  # "shift" (next base execution) | "handoff" (initializer done)
-    start: Configuration = field(repr=False)
-    qualifying: bool
+    start: Optional[Configuration] = field(repr=False)
 
 
 @dataclass
@@ -106,16 +103,6 @@ class RunResult:
         return sum(1 for b in self.boundaries if b.kind == "shift")
 
 
-def qualifies(label: str, evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:
-    """Whether the boundary the root's `label` (SHIFT or HANDOFF) starts
-    qualifies, at the configuration `evals` read (see loop.disabled_everywhere):
-    the module that just ended is disabled everywhere and, after a merge
-    execution, the error predicate is false everywhere."""
-    if label == SHIFT:
-        return disabled_everywhere(evals, binding.base) and error_nowhere(evals, binding)
-    return disabled_everywhere(evals, binding.init)
-
-
 def run_grouping(
     graph: Graph,
     k: int,
@@ -125,10 +112,8 @@ def run_grouping(
 ) -> RunResult:
     """One full composed run plus the oracle verdict on its final state.
 
-    A boundary is qualified at the step that starts it: when the root fires
-    SHIFT or HANDOFF, the observer qualifies the pre-step configuration
-    through the run's own caches (StepEvent.evaluate), which are still valid
-    there, so the predicates reuse what the run has evaluated.
+    The observer records each process's stores at its L14 steps, anew at
+    each root hand-off, and the root's L14 and L15 steps (see Boundary).
     """
     binding = kgrouping_binding(k)
     alg = compose(binding, graph)
@@ -136,31 +121,48 @@ def run_grouping(
     if max_steps is None:
         max_steps = default_max_steps(graph, diameter(graph))
 
-    seen = []
+    segment = {v: [] for v in graph.vertices}  # each process's stores at its L14s
+    seen = []  # (step, segment, j) of root shift j; (step, None, pre_cfg) of a hand-off
 
     def observe(event):
+        nonlocal segment
+        for v, label in event.fired.items():
+            if label == SHIFT:
+                segment[v].append(event.pre_cfg[v])
         label = event.fired.get(root)
-        if label in (SHIFT, HANDOFF):
-            evals = [event.evaluate(v) for v in graph.vertices]
-            seen.append((event.index, label, event.pre_cfg,
-                         qualifies(label, evals, binding)))
+        if label == SHIFT:
+            seen.append((event.index, segment, len(segment[root]) - 1))
+        elif label == HANDOFF:
+            seen.append((event.index, None, event.pre_cfg))
+            segment = {v: [] for v in graph.vertices}
+
+    def cut(stores, j):
+        if any(len(s) != len(stores[root]) for s in stores.values()):
+            return None
+        return copy_shift({v: s[j] for v, s in stores.items()}, binding)
 
     trace = run(graph, alg, cfg0, daemon, max_steps, observers=(observe,))
-    boundaries = [
-        Boundary(i, "shift", copy_shift(cfg, binding), qualifying) if label == SHIFT
-        else Boundary(i, "handoff", cfg, qualifying)
-        for i, label, cfg, qualifying in seen
-    ]
+    boundaries = [Boundary(i, "handoff", x) if stores is None
+                  else Boundary(i, "shift", cut(stores, x)) for i, stores, x in seen]
 
     report = check_Lk(trace.final, graph, k)
     return RunResult(graph, k, binding, trace, report, boundaries)
+
+
+def judged(result: RunResult, b: Boundary) -> bool:
+    """Whether the execution `b` starts is judged: a shift whose cut is
+    defined, or a hand-off where the initializer is disabled everywhere at
+    the configuration before the root's step, evaluated from scratch."""
+    if b.kind == "shift":
+        return b.start is not None
+    return disabled_everywhere(plain_evals(b.start, result.graph), result.binding.init)
 
 
 @dataclass
 class BoundaryCheck:
     step: int
     kind: str
-    qualifying: bool
+    qualifying: bool  # judged (see `judged`)
     shift_error_free: Optional[bool] = None
     stamp_violations: list[str] = field(default_factory=list)
     potential: Optional[tuple[int, int, int, int]] = None
@@ -168,11 +170,11 @@ class BoundaryCheck:
 
 def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
     """Per-boundary verdicts: error-freedom across the shift, stamp
-    soundness, and the merge-progress potential, on qualifying boundaries."""
+    soundness, and the merge-progress potential, on judged boundaries."""
     out = []
     for b in result.boundaries:
-        check = BoundaryCheck(b.step, b.kind, b.qualifying)
-        if b.qualifying:
+        check = BoundaryCheck(b.step, b.kind, judged(result, b))
+        if check.qualifying:
             check.shift_error_free = error_nowhere(plain_evals(b.start, result.graph),
                                                    result.binding)
             check.stamp_violations = stamp_soundness_violations(
@@ -189,14 +191,15 @@ SEGMENT_MAX_STEPS = 200_000  # per isolated merge execution
 def merge_segment_rounds(result: RunResult) -> list[int]:
     """Rounds of each base execution, replayed in isolation.
 
-    Every qualifying boundary starts a maximal pure merge execution;
-    re-running it standalone with the run's own merge table under the
-    synchronous daemon measures that execution's round count directly.
+    Every judged boundary starts a maximal pure merge execution; re-running
+    it standalone from the boundary's start with the run's own merge table
+    under the synchronous daemon measures that execution's round count
+    directly.
     """
     sync = DaemonPolicy(kind="synchronous")
     out = []
     for b in result.boundaries:
-        if not b.qualifying:
+        if not judged(result, b):
             continue
         trace = run(result.graph, result.binding.base, b.start, sync, SEGMENT_MAX_STEPS)
         if not trace.terminated:
@@ -218,7 +221,7 @@ def closure_check(result: RunResult) -> bool:
 
 
 def potential_sequences(checks: tuple[BoundaryCheck, ...]) -> list[list[int]]:
-    """The potential (2g + p + b) at successive qualifying shift boundaries,
+    """The potential (2g + p + b) at successive judged shift boundaries,
     one sequence per initializer hand-off: re-initialization resets the
     accounting."""
     sequences: list[list[int]] = [[]]
@@ -247,10 +250,11 @@ def judge(result: RunResult) -> Judgement:
     each final domain is the process's (k+1)-ball (so no false identifier
     survived) and holds at most 21 keys per domain entry (the domain plus
     20 arrays keyed by it); "2" at most 2n/k+1 groups; "5" the error
-    predicate false where every qualifying execution starts; "6" sound
-    stamps there; "potential" non-increasing at successive qualifying shifts
-    and strictly lower after two; "8" the final configuration is terminal
-    and no action is enabled in it.
+    predicate false at every post-shift cut and at every hand-off where the
+    initializer is disabled everywhere; "6" sound stamps there; "potential"
+    non-increasing at successive post-shift cuts and strictly lower after
+    two; "8" the final configuration is terminal and no action is enabled
+    in it.
     """
     graph, k, final = result.graph, result.k, result.trace.final
     checks = tuple(boundary_checks(result))

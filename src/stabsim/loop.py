@@ -87,8 +87,8 @@ class BaseAlgorithmBinding:
     @cached_property
     def error_check(self) -> Action:
         """The error predicate as an action whose evaluate returns the
-        verdict (label E): one object, so L5's cache entries and the ones
-        the boundary qualification reads are the same entries.  It reads the
+        verdict (label E): L5 asks it through the run's caches, and the
+        verdicts (loop.error_nowhere) through plain Evals.  It reads the
         copies and the initializer's inputs and outputs."""
         copies = frozenset(c for _, c in self.outputs)
         return Action("E", self.error, self.init.reads | copies | self.init.writes)
@@ -146,8 +146,9 @@ def _copy_updates(binding: BaseAlgorithmBinding, store: dict) -> dict:
 def copy_shift(cfg: Configuration, binding: BaseAlgorithmBinding) -> Configuration:
     """Overwrite every input-side copy with its output, everywhere at once.
 
-    Test/verdict utility mirroring what the color-4 wave achieves process by
-    process during a run.
+    What the color-4 wave achieves process by process during a run: given
+    each process's store at its own L14, the result is the post-shift cut,
+    every process's input to the next base execution.
     """
     out = {}
     for v, store in cfg.items():
@@ -316,10 +317,9 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 # configuration-level predicates
 
 # Each predicate reads a configuration through `evals`, one Eval per
-# process, and asks every action through Eval.cached.  Plain Evals
-# (runtime.plain_evals) decide from scratch; Evals on a run's own caches at
-# a step's pre-step configuration (StepEvent.evaluate) give the same verdict
-# from what the run has already evaluated there.
+# process, and asks every action through Eval.cached, so evals that share
+# one set of caches (runtime.plain_evals) evaluate each action once per
+# process, from scratch.
 
 def disabled_everywhere(evals: Sequence[Eval], alg: AlgorithmSpec) -> bool:
     """No action of `alg` is enabled at any process: at each, every action

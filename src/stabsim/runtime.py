@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .graphs import Graph
@@ -644,21 +644,14 @@ class StepEvent:
     """Passed to observers at each step, before the step is applied.
 
     `enabled` is the set the daemon selected from, the processes enabled at
-    `pre_cfg`.  During the observer call, `evaluate(v)` is an Eval of
-    process v at `pre_cfg` on the run's own RunCaches (its layer cache and
-    kept rows), which are still valid there.  Evaluating through it is pure:
-    it can only add or patch entries valid at `pre_cfg`, which the step's
-    changes then reach like those of the guard scans.  It reads the run's
-    state as it is when called, so it is meaningless once the observer has
-    returned.  An Eval built outside `run` gets fresh caches instead and
-    evaluates from scratch.
+    `pre_cfg`; `fired` maps each selected process to the label it fires.
+    No store of `pre_cfg` is changed later, so an observer may keep them.
     """
 
     index: int
     pre_cfg: Configuration
     fired: dict[int, str]
     enabled: set[int]
-    evaluate: Callable[[int], Eval] = field(repr=False)
 
 
 @dataclass
@@ -707,8 +700,8 @@ def run(
     call of its `changed` as its updates are applied, which says where the
     reached processes resume their scans (see Action).
 
-    Observers see each step before it is applied (see StepEvent), so they
-    can ask the run's caches at the step's pre-step configuration.
+    Observers see each step before it is applied (see StepEvent): its
+    pre-step configuration and what each selected process fires.
     """
     if max_steps <= 0:
         raise ScheduleError("max_steps must be positive")
@@ -724,13 +717,10 @@ def run(
     cfg = {v: dict(cfg0[v]) for v in cfg0}
     caches = RunCaches(alg.actions)
 
-    def fresh_eval(c, v):
-        return Eval(c, v, adj[v], caches)
-
     # per process: (position, updates) of its first enabled action, or None
     cache: dict[int, Optional[tuple[int, dict]]] = {}
     for v in graph.vertices:
-        cache[v] = alg.first_enabled(fresh_eval(cfg, v))
+        cache[v] = alg.first_enabled(Eval(cfg, v, adj[v], caches))
     enabled = {v for v, hit in cache.items() if hit is not None}
 
     steps: list[StepRecord] = []
@@ -753,7 +743,7 @@ def run(
         order = sorted(selected)
         fired = {v: labels[cache[v][0]] for v in order}
         if observers:
-            event = StepEvent(i, cfg, fired, enabled, partial(fresh_eval, cfg))
+            event = StepEvent(i, cfg, fired, enabled)
             for obs in observers:
                 obs(event)
 
@@ -778,7 +768,7 @@ def run(
             hit = cache[v]
             if hit is not None and hit[0] < resume:
                 continue  # no change reaches its first enabled action
-            hit = cache[v] = alg.first_enabled(fresh_eval(new_cfg, v), resume)
+            hit = cache[v] = alg.first_enabled(Eval(new_cfg, v, adj[v], caches), resume)
             if hit is None:
                 new_enabled.discard(v)
             else:

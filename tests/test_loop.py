@@ -506,18 +506,34 @@ def test_when_and_body_equal_the_full_guards_in_every_owner_state(graph, k):
                          ids=["random", "synchronous", "central"])
 def test_when_and_body_equal_the_full_guards_along_runs(daemon):
     # Every configuration of a run, each step's asked through the run's own
-    # caches (StepEvent.evaluate) and the last one through plain Evals.
+    # caches and the last one through plain Evals.  The run's RunCaches are
+    # those of the first Eval its L1 is asked through.  Asking at a step's
+    # pre-step configuration, before the step is applied, only adds or
+    # patches entries valid there, which the step's changes then reach like
+    # those of the guard scans.
     g, k = grid_graph(3, 3), 2
     binding = kgrouping_binding(k)
     alg = compose(binding, g)
     reference = reference_guards(binding)
+    tree, run_caches = alg.actions[0], []
+
+    def capturing(ev):
+        if not run_caches:
+            run_caches.append(ev.caches)
+        return tree.evaluate(ev)
+
+    alg = dataclasses.replace(alg, actions=(
+        dataclasses.replace(tree, evaluate=capturing), *alg.actions[1:]))
 
     def observe(event):
-        assert_wave_matches_reference(alg, reference, event.pre_cfg, g, event.evaluate)
+        def evaluate(v):
+            return Eval(event.pre_cfg, v, g.neighbors_of(v), run_caches[0])
+
+        assert_wave_matches_reference(alg, reference, event.pre_cfg, g, evaluate)
 
     trace = run(g, alg, random_config(g, k, seed=1), daemon, max_steps=100_000,
                 observers=(observe,))
-    assert trace.terminated
+    assert trace.terminated and run_caches[0].actions == alg.actions
     assert_wave_matches_reference(alg, reference, trace.final, g)
 
 

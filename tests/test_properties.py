@@ -1,9 +1,10 @@
 """Cross-cutting property tests: row forms agree with the reference macros,
 fired labels respect priority under the cached engine, actions touch only
 their declared variables, the round recount matches the engine, pinned
-runs keep their summaries, boundaries record where each execution starts
-and qualify as an uncached check says, and the judge catches a tampered
-final state or an error left at a boundary."""
+runs keep their summaries, boundaries record where each execution starts,
+every post-shift cut is judged and is each process's input to the next
+execution, and the judge catches a tampered final state or an error left
+at a boundary."""
 
 import dataclasses
 import hashlib
@@ -45,7 +46,9 @@ from stabsim.kgrouping import (
     same_group_nbrs,
     share,
 )
-from stabsim.loop import COLOR, HANDOFF, SHIFT, compose, copy_shift, disabled_everywhere
+from stabsim.loop import (
+    COLOR, HANDOFF, SHIFT, compose, copy_shift, disabled_everywhere, error_nowhere,
+)
 from stabsim.kgrouping import kgrouping_binding
 from stabsim.runtime import (
     BOT, DaemonPolicy, Eval, enabled_actions, plain_evals, rounds, run, step,
@@ -146,14 +149,9 @@ def test_resumed_guard_scans_match_full_scans(instance, daemon):
     # none does.  At every step, the set the daemon selects from must equal
     # that of uncached full scans of the step's configuration, each fired
     # label must be the first enabled, and nothing is enabled at the end.
-    # E read through the run's caches (StepEvent.evaluate) must equal E on
-    # plain Evals at every process, including those whose L5 gate is closed
-    # (mode P, color 4), which no scan asks.
     make, k = INSTANCES[instance]
     g = make(0)
-    binding = kgrouping_binding(k)
-    alg = compose(binding, g)
-    error_check = binding.error_check
+    alg = compose(kgrouping_binding(k), g)
 
     def full_scan(cfg):
         return {v: enabled_actions(cfg, v, alg, g) for v in g.vertices}
@@ -167,9 +165,6 @@ def test_resumed_guard_scans_match_full_scans(instance, daemon):
                 event.index)
             for v, label in event.fired.items():
                 assert pre[v][:1] == [label], (event.index, v)
-            plain = [ev.cached(error_check) for ev in plain_evals(event.pre_cfg, g)]
-            assert [event.evaluate(v).cached(error_check) for v in g.vertices] == plain, (
-                event.index)
             steps.append(event.index)
 
         trace = run(g, alg, random_config(g, k, seed=seed), SCAN_DAEMONS[daemon],
@@ -357,149 +352,131 @@ def test_judge_flags_a_tampered_final_configuration():
 
 @pytest.mark.parametrize("daemon", sorted(DAEMONS))
 def test_boundaries_record_where_each_execution_starts(daemon):
-    # A shift boundary starts from the shifted configuration, so shifting
-    # again changes nothing; a qualifying hand-off starts where the
-    # initializer is disabled everywhere.
+    # The boundaries are the steps where the root fires L14 or L15, in
+    # order.  A shift boundary with a defined cut starts from a shifted
+    # configuration, so shifting again changes nothing; a hand-off starts
+    # where the root's first enabled action is L15.
     shifts = handoffs = 0
     for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
         make, k = INSTANCES[instance]
         for seed in range(3):
             g = make(seed)
+            root = min(g.vertices)
             result = run_grouping(g, k, DAEMONS[daemon], random_config(g, k, seed=seed))
+            assert [(b.step, b.kind) for b in result.boundaries] == [
+                (i, "shift" if rec.fired[root] == SHIFT else "handoff")
+                for i, rec in enumerate(result.trace.steps)
+                if rec.fired.get(root) in (SHIFT, HANDOFF)]
             for b in result.boundaries:
-                if b.kind == "shift":
+                if b.kind == "handoff":
+                    assert enabled_actions(b.start, root, result.trace.algorithm,
+                                           g)[:1] == [HANDOFF]
+                    handoffs += experiments.judged(result, b)
+                elif b.start is not None:
                     assert copy_shift(b.start, result.binding) == b.start
                     shifts += 1
-                elif b.qualifying:
-                    assert disabled_everywhere(plain_evals(b.start, g), result.binding.init)
-                    handoffs += 1
     assert shifts and handoffs  # neither check is vacuous
 
 
-# Both verdicts of both boundary kinds: no part of a check is vacuous.
-EVERY_VERDICT = {(kind, ok) for kind in ("shift", "handoff") for ok in (True, False)}
+def _after_last_handoff(checks):
+    """The shift checks after the last hand-off, or None without one."""
+    last = max((i for i, c in enumerate(checks) if c.kind == "handoff"), default=None)
+    return None if last is None else checks[last + 1:]
 
 
-def _record_root_starts(monkeypatch):
-    """Make run_grouping's run also record, at each step where the root
-    fires SHIFT or HANDOFF, (step, pre-step configuration), and the run's
-    layer cache; the list is cleared at each run."""
-    seen, caches = [], []
+def test_every_shift_with_a_defined_cut_is_judged():
+    # Criteria 5 and 6 and the potential judge every shift whose post-shift
+    # cut is defined, and after the last hand-off every process shifts as
+    # often as the root, so every cut there is defined.
+    judged_shifts = 0
+    for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
+        make, k = INSTANCES[instance]
+        for seed in range(4):
+            g = make(seed)
+            result = run_grouping(g, k, DAEMONS["random"], random_config(g, k, seed=seed))
+            checks = judge(result).checks
+            assert sum(c.kind == "shift" for c in checks) == result.iterations
+            late = _after_last_handoff(checks)
+            if late is None:
+                continue
+            assert all(c.qualifying and c.potential is not None for c in late), (
+                instance, seed)
+            judged_shifts += len(late)
+    assert judged_shifts >= 20
+
+
+def _record_shift_stores(monkeypatch):
+    """Make run_grouping's run also record each process's store at each of
+    its L14 steps since the root's last hand-off; cleared at each run."""
+    stores = {}
     real_run = experiments.run
 
-    def recording_run(graph, alg, cfg0, daemon, max_steps, observers=(), **kwargs):
+    def recording_run(graph, alg, cfg0, daemon, max_steps, observers=()):
         root = min(graph.vertices)
-        seen.clear()
-        caches.clear()
+        stores.clear()
+        stores.update({v: [] for v in graph.vertices})
 
         def observe(event):
-            if event.fired.get(root) in (SHIFT, HANDOFF):
-                seen.append((event.index, event.pre_cfg))
-            if not caches:
-                caches.append(event.evaluate(root).caches.results)
+            for v, label in event.fired.items():
+                if label == SHIFT:
+                    stores[v].append(event.pre_cfg[v])
+            if event.fired.get(root) == HANDOFF:
+                for recorded in stores.values():
+                    recorded.clear()
 
         return real_run(graph, alg, cfg0, daemon, max_steps,
-                        observers=(*observers, observe), **kwargs)
+                        observers=(*observers, observe))
 
     monkeypatch.setattr(experiments, "run", recording_run)
-    return seen, caches
-
-
-def _check_qualification(result, seen, caches):
-    # Differential: the qualification run_grouping took from the run's caches
-    # against an uncached reference on the pre-step configuration, which
-    # scans every action with enabled_actions and calls the error predicate
-    # itself.  L5 and the qualification share one E action, the binding's.
-    g, binding = result.graph, result.binding
-    assert [b.step for b in result.boundaries] == [i for i, _ in seen]
-    counts = Counter()
-    for b, (_, pre) in zip(result.boundaries, seen):
-        module = binding.base if b.kind == "shift" else binding.init
-        want = all(not enabled_actions(pre, v, module, g) for v in g.vertices)
-        if b.kind == "shift":
-            want = want and not any(
-                binding.error(Eval(pre, v, g.neighbors_of(v))) for v in g.vertices)
-        assert b.qualifying == want, (b.step, b.kind)
-        counts[b.kind, want] += 1
-    assert [a for a in caches[0] if a.label == "E"] == [binding.error_check]
-    return counts
-
-
-def test_boundary_qualification_matches_an_uncached_check(monkeypatch):
-    seen, caches = _record_root_starts(monkeypatch)
-    counts = Counter()
-    for daemon in DAEMONS.values():
-        for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
-            make, k = INSTANCES[instance]
-            # seeds 4 and 5 start some instances where a hand-off fails to
-            # qualify; shifts that fail to qualify are common
-            for seed in (0, 4, 5):
-                g = make(seed)
-                result = run_grouping(g, k, daemon, random_config(g, k, seed=seed))
-                counts += _check_qualification(result, seen, caches)
-    assert set(counts) == EVERY_VERDICT
-
-
-def test_boundary_qualification_at_step_0_matches_an_uncached_check(monkeypatch):
-    # Runs started where the root fires SHIFT or HANDOFF first: the boundary
-    # at step 0 is qualified from the caches of the run's initial guard scans.
-    seen, caches = _record_root_starts(monkeypatch)
-    starts = []
-    for instance, seed in (("cycle6-k1", 0), ("path6-k2", 5)):
-        make, k = INSTANCES[instance]
-        g = make(seed)
-        run_grouping(g, k, DAEMONS["random"], random_config(g, k, seed=seed))
-        starts += [(g, k, pre) for _, pre in seen]
-    counts = Counter()
-    for g, k, pre in starts:
-        result = run_grouping(g, k, DAEMONS["synchronous"], pre)
-        assert result.boundaries[0].step == 0
-        counts += _check_qualification(result, seen, caches)
-    assert set(counts) == EVERY_VERDICT
-
-
-def test_boundary_qualification_after_a_corruption_matches_an_uncached_check(monkeypatch):
-    seen, caches = _record_root_starts(monkeypatch)
-    g, k = grid_graph(3, 3), 2
-    desc = RunDescriptor(g, k, DaemonPolicy(kind="random", seed=2), None, "random",
-                         init_seed=9)
-    result = run_with_corruption(desc, ("color", "mode", "in_group", "stamp_on"),
-                                 5, 3, at_step=400)
-    counts = _check_qualification(result, seen, caches)
-    assert set(counts) == EVERY_VERDICT
+    return stores
 
 
 @pytest.mark.parametrize("daemon", sorted(DAEMONS))
-def test_each_boundary_is_qualified_once(daemon, monkeypatch):
-    # run_grouping asks `qualifies` at the steps where the root fires SHIFT
-    # or HANDOFF and at no other: one call per boundary, in step order.
-    calls = []
-    real_qualifies = experiments.qualifies
-
-    def counting(label, evals, binding):
-        calls.append(label)
-        return real_qualifies(label, evals, binding)
-
-    monkeypatch.setattr(experiments, "qualifies", counting)
-    total = 0
+def test_each_cut_is_every_process_input_to_the_next_execution(daemon, monkeypatch):
+    # After the last hand-off: (a) every process fires L14 as often as the
+    # root; (b) the copies of v in post-shift cut j are its copies at its
+    # next L14, or in the final configuration after the last; (c) every
+    # pre-shift cut qualifies on plain Evals: the merge table is disabled
+    # everywhere and the error predicate false everywhere.
+    stores = _record_shift_stores(monkeypatch)
+    cuts = 0
     for instance in ("path6-k2", "cycle6-k1", "grid3x3-k2", "gnp10-k3"):
         make, k = INSTANCES[instance]
         for seed in range(3):
             g = make(seed)
-            calls.clear()
+            root = min(g.vertices)
             result = run_grouping(g, k, DAEMONS[daemon], random_config(g, k, seed=seed))
-            assert calls == [SHIFT if b.kind == "shift" else HANDOFF
-                             for b in result.boundaries], (instance, seed)
-            total += len(calls)
-    assert total
+            binding = result.binding
+            copies = [c for _, c in binding.outputs]
+            handoff_steps = [b.step for b in result.boundaries if b.kind == "handoff"]
+            if not handoff_steps:
+                continue
+            fires = Counter(v for rec in result.trace.steps[handoff_steps[-1] + 1:]
+                            for v, label in rec.fired.items() if label == SHIFT)
+            assert all(fires[v] == fires[root] for v in g.vertices), (instance, seed)
+            late = [b for b in result.boundaries
+                    if b.kind == "shift" and b.step > handoff_steps[-1]]
+            assert len(late) == fires[root]
+            for j, b in enumerate(late):
+                for v in g.vertices:
+                    nxt = (stores[v][j + 1] if j + 1 < len(late)
+                           else result.trace.final[v])
+                    assert all(b.start[v][c] == nxt[c] for c in copies), (instance, seed, j, v)
+                evals = plain_evals({v: stores[v][j] for v in g.vertices}, g)
+                assert disabled_everywhere(evals, binding.base)
+                assert error_nowhere(evals, binding)
+                cuts += 1
+    assert cuts >= 20
 
 
 def test_judge_flags_an_error_left_at_a_handoff(monkeypatch):
-    # Criterion 5 is checked, not assumed, where the initializer hands off:
-    # an error predicate reporting an error everywhere must be flagged there.
+    # Criterion 5 is checked, not assumed, at post-shift cuts and where the
+    # initializer hands off: an error predicate reporting an error everywhere
+    # must be flagged at both.
     g, k = grid_graph(3, 3), 2
     monkeypatch.setattr(experiments, "error_nowhere", lambda evals, binding: False)
     result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
                           random_config(g, k, seed=11))
     flagged = [message for tag, message in judge(result).failures if tag == "5"]
-    assert flagged and all("handoff" in message for message in flagged)
+    assert any("after the handoff" in message for message in flagged)
+    assert any("after the shift" in message for message in flagged)
