@@ -42,10 +42,15 @@ from .kgrouping import (
     init_actions,
     kgrouping_binding,
     merge_actions,
+)
+from .oracle import (
+    GroupingReport,
+    check_Lk,
+    exhaustive_min_groups,
     mergeable,
     near,
+    potential,
 )
-from .oracle import GroupingReport, check_Lk, exhaustive_min_groups, potential
 from .experiments import (
     RunDescriptor,
     RunResult,

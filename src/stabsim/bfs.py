@@ -6,13 +6,14 @@ fuses root election, level computation, and fake-root flushing into one
 corrective action: each process computes the state it ought to have from
 its neighbors' claims and rewrites itself whenever it differs.  Claims of a
 root smaller than the process's own id are only adoptable up to level n-1,
-which starves fabricated root identifiers out of the network.
+which starves fabricated root identifiers out of the network.  The tree's
+legitimacy predicate is the oracle's (`oracle.check_tree`).
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, dist
-from .runtime import BOT, ID, NEIGHBOR, Action, AlgorithmSpec, Configuration, Eval, Var
+from .graphs import Graph
+from .runtime import BOT, ID, NEIGHBOR, Action, AlgorithmSpec, Eval, Var
 
 ROOT = "root"
 LEVEL = "level"
@@ -84,28 +85,3 @@ def _desired_state(ev: Eval, n: int):
     if best is not None and (best[0], best[1]) < (pid, 0):
         return best
     return (pid, 0, BOT)
-
-
-def check_tree(cfg: Configuration, graph: Graph) -> list[str]:
-    """Violations of the spanning-tree legitimacy predicate (empty if legal)."""
-    problems = []
-    r = min(graph.vertices)
-    for v in sorted(graph.vertices):
-        store = cfg[v]
-        if store.get(ROOT) != r:
-            problems.append(f"{v}: root claim {store.get(ROOT)} != {r}")
-        want_level = dist(graph, r, v)
-        if store.get(LEVEL) != want_level:
-            problems.append(f"{v}: level {store.get(LEVEL)} != {want_level}")
-        p = store.get(PARENT)
-        if v == r:
-            if p is not BOT:
-                problems.append(f"{v}: root has parent {p}")
-        else:
-            if p is BOT:
-                problems.append(f"{v}: missing parent")
-            elif p not in graph.neighbors_of(v):
-                problems.append(f"{v}: parent {p} is not a neighbor")
-            elif cfg[p].get(LEVEL) != want_level - 1:
-                problems.append(f"{v}: parent {p} not one level up")
-    return problems

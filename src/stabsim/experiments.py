@@ -35,7 +35,6 @@ from .graphs import (
     cycle_graph,
     diameter,
     grid_graph,
-    k_neighborhood,
     load_graph,
     path_graph,
     random_connected_graph,
@@ -51,7 +50,13 @@ from .loop import (
     disabled_everywhere,
     error_nowhere,
 )
-from .oracle import GroupingReport, check_Lk, potential, stamp_soundness_violations
+from .oracle import (
+    GroupingReport,
+    ball_violations,
+    check_Lk,
+    potential,
+    stamp_soundness_violations,
+)
 from .runtime import (
     Configuration,
     DaemonPolicy,
@@ -165,12 +170,12 @@ class BoundaryCheck:
     qualifying: bool  # judged (see `judged`)
     shift_error_free: Optional[bool] = None
     stamp_violations: list[str] = field(default_factory=list)
-    potential: Optional[tuple[int, int, int, int]] = None
+    potential: Optional[tuple[int, int, int, int]] = None  # judged shifts only
 
 
 def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
-    """Per-boundary verdicts: error-freedom across the shift, stamp
-    soundness, and the merge-progress potential, on judged boundaries."""
+    """Per-boundary verdicts on judged boundaries: error-freedom across the
+    shift, stamp soundness and, at shifts, the merge-progress potential."""
     out = []
     for b in result.boundaries:
         check = BoundaryCheck(b.step, b.kind, judged(result, b))
@@ -180,7 +185,8 @@ def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
             check.stamp_violations = stamp_soundness_violations(
                 b.start, result.graph, result.k
             )
-            check.potential = potential(b.start, result.graph, result.k)
+            if b.kind == "shift":
+                check.potential = potential(b.start, result.graph, result.k)
         out.append(check)
     return out
 
@@ -247,14 +253,15 @@ def judge(result: RunResult) -> Judgement:
     """Every per-run claim of the paper, checked on one run.
 
     Criteria: "1" silent convergence to a minimal diameter-k grouping; "1+"
-    each final domain is the process's (k+1)-ball (so no false identifier
-    survived) and holds at most 21 keys per domain entry (the domain plus
-    20 arrays keyed by it); "2" at most 2n/k+1 groups; "5" the error
-    predicate false at every post-shift cut and at every hand-off where the
-    initializer is disabled everywhere; "6" sound stamps there; "potential"
-    non-increasing at successive post-shift cuts and strictly lower after
-    two; "8" the final configuration is terminal and no action is enabled
-    in it.
+    each final domain is the process's (k+1)-ball (`oracle.ball_violations`,
+    so no false identifier survived) and a process stores at most
+    1 + len(binding.arrays) keys per domain entry (the domain plus one key
+    per declared array: 21 for the grouping payload); "2" at most 2n/k+1
+    groups; "5" the error predicate false at every post-shift cut and at
+    every hand-off where the initializer is disabled everywhere; "6" sound
+    stamps there; "potential" non-increasing at successive post-shift cuts
+    and strictly lower after two; "8" the final configuration is terminal
+    and no action is enabled in it.
     """
     graph, k, final = result.graph, result.k, result.trace.final
     checks = tuple(boundary_checks(result))
@@ -263,16 +270,13 @@ def judge(result: RunResult) -> Judgement:
         failures.append(("1", f"run ended with {result.verdict}"))
     elif not result.report.verdict:
         failures.append(("1", f"check_Lk: {result.report.violations[:2]}"))
+    failures += [("1+", message) for message in ball_violations(final, graph, k)]
+    bound = 1 + len(result.binding.arrays)
     keys = stored_keys(final)
     for v in sorted(graph.vertices):
-        domain = final[v][DOMAIN]
-        ball = k_neighborhood(graph, v, k + 1)
-        if domain != ball:
-            failures.append(("1+", f"process {v}: domain has extra "
-                             f"{sorted(domain - ball)}, misses {sorted(ball - domain)}"))
-        if keys[v] > 21 * len(domain):
-            failures.append(("1+", f"process {v} stores {keys[v]} keys "
-                             f"> 21*{len(domain)}"))
+        size = len(final[v][DOMAIN])
+        if keys[v] > bound * size:
+            failures.append(("1+", f"process {v} stores {keys[v]} keys > {bound}*{size}"))
     if result.report.group_count > 2 * graph.n / k + 1:
         failures.append(("2", f"{result.report.group_count} groups > 2n/k+1"))
     for c in checks:

@@ -15,6 +15,7 @@ keys that left the domain are dropped on write.  Each declares its row on
 its action (runtime.Keyed), computed one pass per array by row forms that
 agree with the per-key macros share/min_macro/distance_macro, which are kept
 as test oracles.  README's rule table lists every action's declarations.
+The ground-truth group relations (`near`, `mergeable`) are the oracle's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import wraps
 from types import MappingProxyType
 
 from .bfs import PARENT, children, parent
-from .graphs import MAX_ID, Graph, dist as graph_dist, induced_diameter
+from .graphs import MAX_ID, Graph
 from .loop import BaseAlgorithmBinding
 from .runtime import (
     BOT,
@@ -921,31 +922,3 @@ def kgrouping_binding(k: int) -> BaseAlgorithmBinding:
         outputs=COPY_PAIRS,
         variables=VARS,
     )
-
-
-# ---------------------------------------------------------------------------
-# ground-truth mirrors of the pairwise group relations
-
-def near(g1, g2, graph: Graph, k: int) -> bool:
-    """Adjacent groups whose members are pairwise within k hops in the full
-    network (necessary but not sufficient for a merge)."""
-    a, b = frozenset(g1), frozenset(g2)
-    _check_pair(a, b)
-    adjacent = any(v in graph.neighbors_of(u) for u in a for v in b)
-    if not adjacent:
-        return False
-    return all(graph_dist(graph, u, v) <= k for u in a for v in b)
-
-
-def mergeable(g1, g2, graph: Graph, k: int) -> bool:
-    """The union's induced subgraph stays within the diameter bound."""
-    a, b = frozenset(g1), frozenset(g2)
-    _check_pair(a, b)
-    return induced_diameter(graph, a | b) <= k
-
-
-def _check_pair(a, b) -> None:
-    if not a or not b:
-        raise ValueError("groups must be non-empty")
-    if a & b:
-        raise ValueError(f"groups overlap: {sorted(a & b)}")

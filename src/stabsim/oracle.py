@@ -1,8 +1,8 @@
-"""Ground-truth verdicts computed from exact graph metrics.
-
-The oracle reads only declared outputs of the algorithm (the `group`
-variable, plus shifted copies for the stamp and potential checks); it never
-looks at working variables, so a passing verdict is independent evidence.
+"""Every ground-truth predicate, computed from exact graph metrics: the
+tree, the domains, the pairwise group relations, the grouping, the
+potential and stamp soundness.  The oracle imports only variable names from
+the algorithm modules, which import no graph metric, so a passing verdict
+is independent evidence.
 """
 
 from __future__ import annotations
@@ -10,21 +10,72 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, dist, induced_diameter
-from .kgrouping import (
-    GROUP,
-    IN_GROUP,
-    IN_PRIOR,
-    IN_STAMP_ON,
-    _entry,
-    mergeable,
-    near,
-)
+from .bfs import LEVEL, PARENT, ROOT
+from .graphs import Graph, dist, induced_diameter, k_neighborhood
+from .kgrouping import DOMAIN, GROUP, IN_GROUP, IN_PRIOR, IN_STAMP_ON
 from .runtime import BOT, Configuration
 
 
 class OracleError(ValueError):
     pass
+
+
+def check_tree(cfg: Configuration, graph: Graph) -> list[str]:
+    """Violations of the spanning-tree legitimacy predicate (empty if legal)."""
+    problems = []
+    r = min(graph.vertices)
+    for v in sorted(graph.vertices):
+        store = cfg[v]
+        if store.get(ROOT) != r:
+            problems.append(f"{v}: root claim {store.get(ROOT)} != {r}")
+        want_level = dist(graph, r, v)
+        if store.get(LEVEL) != want_level:
+            problems.append(f"{v}: level {store.get(LEVEL)} != {want_level}")
+        p = store.get(PARENT)
+        if v == r:
+            if p is not BOT:
+                problems.append(f"{v}: root has parent {p}")
+        elif p is BOT:
+            problems.append(f"{v}: missing parent")
+        elif p not in graph.neighbors_of(v):
+            problems.append(f"{v}: parent {p} is not a neighbor")
+        elif cfg[p].get(LEVEL) != want_level - 1:
+            problems.append(f"{v}: parent {p} not one level up")
+    return problems
+
+
+def ball_violations(cfg: Configuration, graph: Graph, k: int) -> list[str]:
+    """Processes whose domain is not their (k+1)-ball (empty if none)."""
+    problems = []
+    for v in sorted(graph.vertices):
+        domain, ball = cfg[v][DOMAIN], k_neighborhood(graph, v, k + 1)
+        if domain != ball:
+            problems.append(f"process {v}: domain has extra "
+                            f"{sorted(domain - ball)}, misses {sorted(ball - domain)}")
+    return problems
+
+
+def near(g1, g2, graph: Graph, k: int) -> bool:
+    """Adjacent groups whose members are pairwise within k hops in the full
+    network (necessary but not sufficient for a merge)."""
+    a, b = frozenset(g1), frozenset(g2)
+    _check_pair(a, b)
+    return (any(v in graph.neighbors_of(u) for u in a for v in b)
+            and all(dist(graph, u, v) <= k for u in a for v in b))
+
+
+def mergeable(g1, g2, graph: Graph, k: int) -> bool:
+    """The union's induced subgraph stays within the diameter bound."""
+    a, b = frozenset(g1), frozenset(g2)
+    _check_pair(a, b)
+    return induced_diameter(graph, a | b) <= k
+
+
+def _check_pair(a, b) -> None:
+    if not a or not b:
+        raise ValueError("groups must be non-empty")
+    if a & b:
+        raise ValueError(f"groups overlap: {sorted(a & b)}")
 
 
 @dataclass
@@ -142,37 +193,30 @@ def exhaustive_min_groups(graph: Graph, k: int) -> int:
     return best
 
 
-def candidate_groups(cfg: Configuration, graph: Graph, k: int, gid: int, groups: dict):
-    """Near groups of g(gid) not masked by an active stamp at gid's process."""
-    result = set()
-    for other, members in groups.items():
-        if other == gid:
-            continue
-        if near(groups[gid], members, graph, k) and not _entry(
-            cfg[gid], IN_STAMP_ON, other
-        ):
-            result.add(other)
-    return result
+def _flag(store, name: str, u) -> bool:
+    """Entry u of the boolean array `name`, false outside the owner's domain."""
+    return u in (store.get(DOMAIN) or ()) and bool((store.get(name) or {}).get(u))
 
 
 def potential(cfg: Configuration, graph: Graph, k: int) -> tuple[int, int, int, int]:
     """(group count, prior count, black count, 2g + p + b) on the shifted view.
 
     A group is prior when its name-giving process flags itself; it is black
-    when neither it nor some candidate of it is prior.  Group ids that are not
-    live processes contribute to the group count only.
+    when neither it nor some candidate of it is prior.  A candidate of g is a
+    near group that no active stamp at g's process masks.  Group ids that are
+    not live processes contribute to the group count only.
     """
     groups = groups_from(cfg, IN_GROUP)
     n_groups = len(groups)
     live = {g: m for g, m in groups.items() if g is not BOT and g in graph.vertices}
-    prior_flags = {g: bool(_entry(cfg[g], IN_PRIOR, g)) for g in live}
+    prior_flags = {g: _flag(cfg[g], IN_PRIOR, g) for g in live}
     n_prior = sum(prior_flags.values())
     n_black = 0
-    for g in live:
-        if prior_flags[g]:
-            continue
-        cands = candidate_groups(cfg, graph, k, g, live)
-        if any(not prior_flags[c] for c in cands):
+    for g, members in live.items():
+        if not prior_flags[g] and any(
+                not prior_flags[c] and not _flag(cfg[g], IN_STAMP_ON, c)
+                and near(members, others, graph, k)
+                for c, others in live.items() if c != g):
             n_black += 1
     return n_groups, n_prior, n_black, 2 * n_groups + n_prior + n_black
 
@@ -186,12 +230,10 @@ def stamp_soundness_violations(cfg: Configuration, graph: Graph, k: int) -> list
         if not near(live[g1], live[g2], graph, k):
             continue
         stamped = any(
-            _entry(cfg[v], IN_STAMP_ON, other)
+            _flag(cfg[v], IN_STAMP_ON, other)
             for a, other in ((g1, g2), (g2, g1))
             for v in live[a]
         )
         if stamped and mergeable(live[g1], live[g2], graph, k):
-            problems.append(
-                f"near groups {g1},{g2} carry a stamp but are mergeable"
-            )
+            problems.append(f"near groups {g1},{g2} carry a stamp but are mergeable")
     return problems

@@ -35,6 +35,7 @@ from stabsim.graphs import (
     path_graph,
     random_connected_graph,
 )
+from stabsim.kgrouping import kgrouping_binding
 from stabsim.oracle import exhaustive_min_groups
 from stabsim.runtime import DaemonPolicy
 
@@ -135,9 +136,11 @@ def test_criterion_1_self_stabilization(batch300):
 def test_criterion_1_memory_and_false_ids(batch300):
     failures = _failed(batch300, "1+")
     assert not failures, failures[:10]
+    bound = 1 + len(kgrouping_binding(1).arrays)
     print(f"\n[criterion 1+] PASS: every final domain is the process's "
           f"(k+1)-ball, so no false identifier survived; stored keys within "
-          f"21*|domain| at every process of {len(batch300)} runs")
+          f"(1 + declared arrays)*|domain| = {bound}*|domain| at every process "
+          f"of {len(batch300)} runs")
 
 
 def test_criterion_2_group_count_bounds(batch300, sweep_results, atlas_runs):

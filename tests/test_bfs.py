@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsim.bfs import LEVEL, PARENT, ROOT, bfs_actions, check_tree, children, parent
+from stabsim.bfs import LEVEL, PARENT, ROOT, bfs_actions, children, parent
 from stabsim.graphs import dist, make_graph, random_connected_graph
+from stabsim.oracle import check_tree
 from stabsim.runtime import BOT, DaemonPolicy, Eval, run
 
 

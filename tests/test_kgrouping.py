@@ -35,9 +35,7 @@ from stabsim.kgrouping import (
     init_actions,
     kgrouping_binding,
     merge_actions,
-    mergeable,
     min_macro,
-    near,
     share,
 )
 from stabsim.loop import check_Cfin, compose
@@ -424,48 +422,6 @@ def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
         assert trace.terminated
     assert sum(kept_before) > len(g.vertices)  # E mostly finds the rows kept
     assert not full, full
-
-
-# ---------------------------------------------------------------------------
-# pairwise group relations (ground truth side)
-
-def test_near_and_mergeable_adjacent_singletons():
-    g = make_graph([1, 2], [(1, 2)])
-    assert near({1}, {2}, g, 1)
-    assert mergeable({1}, {2}, g, 1)
-
-
-def test_near_mergeable_p5_bands(p5):
-    assert mergeable({1}, {2, 3}, p5, 2)
-    assert not near({2, 3}, {4, 5}, p5, 2)
-    assert not mergeable({2, 3}, {4, 5}, p5, 2)
-
-
-def test_c6_antipodal_arcs(c6):
-    assert not near({1, 2, 3}, {4, 5, 6}, c6, 2)
-    assert not mergeable({1, 2, 3}, {4, 5, 6}, c6, 2)
-
-
-def test_mergeable_implies_near_random():
-    rng = random.Random(12)
-    from stabsim.graphs import random_connected_graph
-
-    for trial in range(40):
-        g = random_connected_graph(rng.randrange(4, 11), 0.3, trial)
-        k = rng.randrange(1, 4)
-        nodes = sorted(g.vertices)
-        rng.shuffle(nodes)
-        cut = rng.randrange(1, len(nodes))
-        g1, g2 = set(nodes[:cut]), set(nodes[cut:])
-        if mergeable(g1, g2, g, k):
-            assert near(g1, g2, g, k)
-
-
-def test_group_pair_validation(p3):
-    with pytest.raises(ValueError):
-        near({1}, {1, 2}, p3, 1)
-    with pytest.raises(ValueError):
-        mergeable(set(), {1}, p3, 1)
 
 
 def test_error_predicate_ignores_merge_working_variables(p5):

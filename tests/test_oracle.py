@@ -1,5 +1,10 @@
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
+from stabsim import oracle
 from stabsim.configs import zeroed_config
 from stabsim.graphs import make_graph, path_graph
 from stabsim.kgrouping import GROUP, IN_GROUP, IN_PRIOR, IN_STAMP_ON
@@ -8,10 +13,14 @@ from stabsim.oracle import (
     check_Lk,
     exhaustive_min_groups,
     groups_from,
+    mergeable,
+    near,
     potential,
     stamp_soundness_violations,
 )
 from stabsim.runtime import BOT
+
+PACKAGE = Path(oracle.__file__).parent
 
 
 def cfg_with_groups(graph, assignment):
@@ -121,3 +130,75 @@ def test_groups_from_reads_requested_variable(p5):
     cfg[3][IN_GROUP] = 4
     by_group = groups_from(cfg, IN_GROUP)
     assert by_group[4] == frozenset({3, 4, 5})
+
+
+# ---------------------------------------------------------------------------
+# pairwise group relations (ground truth side)
+
+def test_near_and_mergeable_adjacent_singletons():
+    g = make_graph([1, 2], [(1, 2)])
+    assert near({1}, {2}, g, 1)
+    assert mergeable({1}, {2}, g, 1)
+
+
+def test_near_mergeable_p5_bands(p5):
+    assert mergeable({1}, {2, 3}, p5, 2)
+    assert not near({2, 3}, {4, 5}, p5, 2)
+    assert not mergeable({2, 3}, {4, 5}, p5, 2)
+
+
+def test_c6_antipodal_arcs(c6):
+    assert not near({1, 2, 3}, {4, 5, 6}, c6, 2)
+    assert not mergeable({1, 2, 3}, {4, 5, 6}, c6, 2)
+
+
+def test_mergeable_implies_near_random():
+    rng = random.Random(12)
+    from stabsim.graphs import random_connected_graph
+
+    for trial in range(40):
+        g = random_connected_graph(rng.randrange(4, 11), 0.3, trial)
+        k = rng.randrange(1, 4)
+        nodes = sorted(g.vertices)
+        rng.shuffle(nodes)
+        cut = rng.randrange(1, len(nodes))
+        g1, g2 = set(nodes[:cut]), set(nodes[cut:])
+        if mergeable(g1, g2, g, k):
+            assert near(g1, g2, g, k)
+
+
+def test_group_pair_validation(p3):
+    with pytest.raises(ValueError):
+        near({1}, {1, 2}, p3, 1)
+    with pytest.raises(ValueError):
+        mergeable(set(), {1}, p3, 1)
+
+
+# ---------------------------------------------------------------------------
+# independence from the algorithm
+
+def _stabsim_imports(module: str) -> list[tuple[str, str]]:
+    """(source module, name) of every import `module` makes from stabsim;
+    a whole-module import such as `from . import graphs` gives ("graphs", "*")."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("stabsim")):
+            source = (node.module or "").removeprefix("stabsim").lstrip(".")
+            out += [(source, a.name) if source else (a.name, "*") for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(a.name.removeprefix("stabsim."), "*") for a in node.names
+                    if a.name.startswith("stabsim.")]
+    return out
+
+
+def test_oracle_and_algorithm_share_only_variable_names():
+    # The algorithm modules cannot reach a global graph metric, and the
+    # oracle takes nothing from the algorithm but the names of its variables.
+    for module in ("runtime", "bfs", "loop", "kgrouping"):
+        from_graphs = {name for source, name in _stabsim_imports(module) if source == "graphs"}
+        assert from_graphs <= {"Graph", "MAX_ID"}, (module, from_graphs)
+    from_algorithm = [name for source, name in _stabsim_imports("oracle")
+                      if source in ("bfs", "loop", "kgrouping")]
+    assert from_algorithm and all(name.isupper() for name in from_algorithm), from_algorithm

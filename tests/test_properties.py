@@ -3,11 +3,12 @@ fired labels respect priority under the cached engine, actions touch only
 their declared variables, the round recount matches the engine, pinned
 runs keep their summaries, boundaries record where each execution starts,
 every post-shift cut is judged and is each process's input to the next
-execution, and the judge catches a tampered final state or an error left
-at a boundary."""
+execution, and the judge catches a tampered final state or report, a
+potential that does not fall, or an error left at a boundary."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -331,23 +332,70 @@ def test_corruption_at_step_0_hits_the_initial_configuration():
         run_with_corruption(desc, variables, 4, 5, at_step=1))
 
 
-def test_judge_flags_a_tampered_final_configuration():
+def _grid_run():
     g, k = grid_graph(3, 3), 2
-    result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
-                          random_config(g, k, seed=11))
+    return run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
+                        random_config(g, k, seed=11))
+
+
+def _tampered(result, v, name, value):
+    """`result` with process v's final `name` set to `value`."""
+    final = {u: dict(store) for u, store in result.trace.final.items()}
+    final[v][name] = value
+    return dataclasses.replace(
+        result, trace=dataclasses.replace(result.trace, final=final))
+
+
+def test_judge_flags_a_tampered_final_configuration():
+    result = _grid_run()
     assert judge(result).failures == ()
-
-    def tampered(v, name, value):
-        final = {u: dict(store) for u, store in result.trace.final.items()}
-        final[v][name] = value
-        return dataclasses.replace(
-            result, trace=dataclasses.replace(result.trace, final=final))
-
-    fake = false_ids(g, 1)[0]
-    with_fake = tampered(5, DOMAIN, result.trace.final[5][DOMAIN] | {fake})
+    fake = false_ids(result.graph, 1)[0]
+    with_fake = _tampered(result, 5, DOMAIN, result.trace.final[5][DOMAIN] | {fake})
     assert "1+" in {tag for tag, _ in judge(with_fake).failures}
-    recolored = tampered(5, COLOR, 0)
+    recolored = _tampered(result, 5, COLOR, 0)
     assert "8" in {tag for tag, _ in judge(recolored).failures}
+
+
+def test_judge_flags_a_failed_grouping_report():
+    result = _grid_run()
+    report = dataclasses.replace(result.report, verdict=False, violations=["tampered"])
+    assert judge(dataclasses.replace(result, report=report)).failures == (
+        ("1", "check_Lk: ['tampered']"),)
+
+
+def test_judge_flags_more_keys_than_the_declared_arrays_allow():
+    # Keys outside the domain are stale, so only the key bound sees them:
+    # one key per domain entry for the domain and for each declared array.
+    result = _grid_run()
+    bound = 1 + len(result.binding.arrays)
+    size = len(result.trace.final[5][DOMAIN])
+    stale = dict.fromkeys(range(10**6, 10**6 + bound * size + 1), 0)
+    crowded = _tampered(result, 5, IN_GROUP_DIST,
+                        {**result.trace.final[5][IN_GROUP_DIST], **stale})
+    [(tag, message)] = judge(crowded).failures
+    assert tag == "1+" and message.endswith(f" keys > {bound}*{size}"), message
+
+
+def test_judge_flags_too_many_groups():
+    result = _grid_run()
+    too_many = 2 * result.graph.n // result.k + 2  # 11 > 2n/k+1 = 10
+    report = dataclasses.replace(result.report, group_count=too_many)
+    assert judge(dataclasses.replace(result, report=report)).failures == (
+        ("2", f"{too_many} groups > 2n/k+1"),)
+
+
+@pytest.mark.parametrize("values, flagged", [
+    (lambda: itertools.chain([2, 3], itertools.count(1, -1)), "increased: "),
+    (lambda: itertools.repeat(7), "no strict decrease over two iterations: "),
+], ids=["rise", "flat"])
+def test_judge_flags_a_potential_that_does_not_fall(monkeypatch, values, flagged):
+    result, values = _grid_run(), values()
+    monkeypatch.setattr(experiments, "potential",
+                        lambda cfg, graph, k: (0, 0, 0, next(values)))
+    judgement = judge(result)
+    assert max(map(len, experiments.potential_sequences(judgement.checks))) >= 3
+    messages = [message for tag, message in judgement.failures if tag == "potential"]
+    assert messages and all(m.startswith(flagged) for m in messages), messages
 
 
 @pytest.mark.parametrize("daemon", sorted(DAEMONS))
@@ -401,6 +449,7 @@ def test_every_shift_with_a_defined_cut_is_judged():
                 continue
             assert all(c.qualifying and c.potential is not None for c in late), (
                 instance, seed)
+            assert all(c.potential is None for c in checks if c.kind == "handoff")
             judged_shifts += len(late)
     assert judged_shifts >= 20
 
