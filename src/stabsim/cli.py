@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 
-from .configs import ConfigError
 from .experiments import (
     FAMILIES,
     DescriptorError,
@@ -31,8 +30,6 @@ from .experiments import (
     trace_jsonl,
     write_sweep_csv,
 )
-from .graphs import GraphError
-from .runtime import ScheduleError
 
 log = logging.getLogger("stabsim")
 
@@ -200,10 +197,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         logging.basicConfig(level=_log_level(os.environ.get("STABSIM_LOG", "WARNING")))
         return args.func(args)
-    except (DescriptorError, GraphError, ConfigError, ScheduleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # each input error class is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -154,34 +154,33 @@ def run_grouping(
     return RunResult(graph, k, binding, trace, report, boundaries)
 
 
-def judged(result: RunResult, b: Boundary) -> bool:
-    """Whether the execution `b` starts is judged: a shift whose cut is
-    defined, or a hand-off where the initializer is disabled everywhere at
-    the configuration before the root's step, evaluated from scratch."""
-    if b.kind == "shift":
-        return b.start is not None
-    return disabled_everywhere(plain_evals(b.start, result.graph), result.binding.init)
-
-
 @dataclass
 class BoundaryCheck:
     step: int
     kind: str
-    qualifying: bool  # judged (see `judged`)
+    qualifying: bool  # judged (decided by `boundary_checks` alone)
     shift_error_free: Optional[bool] = None
     stamp_violations: list[str] = field(default_factory=list)
     potential: Optional[tuple[int, int, int, int]] = None  # judged shifts only
 
 
 def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
-    """Per-boundary verdicts on judged boundaries: error-freedom across the
-    shift, stamp soundness and, at shifts, the merge-progress potential."""
+    """Per-boundary verdicts, and the one place that decides which
+    boundaries are judged: a shift whose cut is defined, and a hand-off
+    where the initializer is disabled everywhere at its start.  A judged
+    boundary gets error-freedom across the shift, stamp soundness and, at
+    shifts, the merge-progress potential.  Each start is evaluated from
+    scratch on one set of plain Evals, so at a hand-off the error
+    predicate's asks of the initializer hit what judging it evaluated."""
     out = []
     for b in result.boundaries:
-        check = BoundaryCheck(b.step, b.kind, judged(result, b))
+        check = BoundaryCheck(b.step, b.kind, False)
+        if b.start is not None:
+            evals = plain_evals(b.start, result.graph)
+            check.qualifying = (b.kind == "shift"
+                                or disabled_everywhere(evals, result.binding.init))
         if check.qualifying:
-            check.shift_error_free = error_nowhere(plain_evals(b.start, result.graph),
-                                                   result.binding)
+            check.shift_error_free = error_nowhere(evals, result.binding)
             check.stamp_violations = stamp_soundness_violations(
                 b.start, result.graph, result.k
             )
@@ -194,18 +193,20 @@ def boundary_checks(result: RunResult) -> list[BoundaryCheck]:
 SEGMENT_MAX_STEPS = 200_000  # per isolated merge execution
 
 
-def merge_segment_rounds(result: RunResult) -> list[int]:
+def merge_segment_rounds(result: RunResult,
+                         checks: tuple[BoundaryCheck, ...]) -> list[int]:
     """Rounds of each base execution, replayed in isolation.
 
-    Every judged boundary starts a maximal pure merge execution; re-running
-    it standalone from the boundary's start with the run's own merge table
-    under the synchronous daemon measures that execution's round count
-    directly.
+    Every boundary whose check in `checks` (`boundary_checks(result)`, as
+    `judge` returns them) is qualifying starts a maximal pure merge
+    execution; re-running it standalone from the boundary's start with the
+    run's own merge table under the synchronous daemon measures that
+    execution's round count directly.
     """
     sync = DaemonPolicy(kind="synchronous")
     out = []
-    for b in result.boundaries:
-        if not judged(result, b):
+    for b, check in zip(result.boundaries, checks, strict=True):
+        if not check.qualifying:
             continue
         trace = run(result.graph, result.binding.base, b.start, sync, SEGMENT_MAX_STEPS)
         if not trace.terminated:
@@ -433,14 +434,15 @@ def run_with_corruption(
     """Run to `at_step`, corrupt, then continue to silence and re-verify.
 
     Both parts are run_grouping runs, the second on the next daemon seed.
-    With zero corruptions this is exactly the plain run; at step 0 the
-    corruption hits the initial configuration itself.
+    With zero corruptions this is exactly the plain run, though unknown
+    variable names are still refused; at step 0 the corruption hits the
+    initial configuration itself.
     """
     cfg, daemon = desc.initial_configuration(), desc.daemon
+    if count > 0 and at_step > 0:
+        cfg = run_grouping(desc.graph, desc.k, daemon, cfg, at_step).trace.final
+    cfg = corrupt_config(cfg, desc.graph, desc.k, variables, count, seed, desc.n_false)
     if count > 0:
-        if at_step > 0:
-            cfg = run_grouping(desc.graph, desc.k, daemon, cfg, at_step).trace.final
-        cfg = corrupt_config(cfg, desc.graph, desc.k, variables, count, seed, desc.n_false)
         daemon = replace(daemon, seed=daemon.seed + 1)
     return run_grouping(desc.graph, desc.k, daemon, cfg, desc.max_steps)
 

@@ -100,9 +100,11 @@ def sweep_results():
                     cfg0 = random_config(g, k, seed=seed * 31 + n)
                     daemon = DaemonPolicy(kind="random", p=0.5, seed=seed)
                     res = run_grouping(g, k, daemon, cfg0)
+                    judgement = judge(res)
                     # criterion 4 replays the merge executions of a subset
-                    segments = merge_segment_rounds(res) if n <= 24 and seed <= 1 else []
-                    out.append(SweepRun(n, d, k, judge(res).failures, res.rounds,
+                    segments = (merge_segment_rounds(res, judgement.checks)
+                                if n <= 24 and seed <= 1 else [])
+                    out.append(SweepRun(n, d, k, judgement.failures, res.rounds,
                                         res.iterations, segments))
     return out
 

@@ -180,6 +180,8 @@ def test_cmd_inject_zero_corruptions_matches_run(tmp_path, capsys):
     pytest.param({"variables": [["color"]]}, "variables", id="variables-nested"),
     pytest.param({"variables": "color"}, "variables", id="variables-str"),
     pytest.param({"variables": []}, "variables", id="variables-empty"),
+    pytest.param({"variables": ["bogus"], "count": 0}, "variables",
+                 id="variables-unknown-count-0"),
     pytest.param({"count": True}, "count", id="count-bool"),
     pytest.param({"count": "2"}, "count", id="count-str"),
     pytest.param({"count": -1}, "count", id="count-negative"),

@@ -85,3 +85,22 @@ def test_readme_rule_table_is_generated():
 @pytest.mark.parametrize("graph", [path_graph(3), grid_graph(3, 3)], ids=["path3", "grid3x3"])
 def test_rule_table_holds_for_every_k_and_graph(graph, k):
     assert rule_table(graph, k) == rule_table(path_graph(3), 2)
+
+
+def _library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.find("```python\n", text.find("## Library entry points"))
+    end = text.find("```\n", start + 1)
+    assert 0 <= start < end, "README lacks the library entry points block"
+    return text[start + len("```python\n"):end]
+
+
+def test_readme_library_block_prints_what_its_comments_say(capsys):
+    # Each print line of the block ends in a comment giving its output,
+    # optionally followed by " -- " and a remark.
+    block = _library_block()
+    expected = [line.split("#", 1)[1].split(" -- ")[0].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 2
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

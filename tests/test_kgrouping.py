@@ -379,6 +379,34 @@ def test_closure_check_evaluates_the_error_predicate_once_per_process(monkeypatc
         assert sorted(calls) == sorted(g.vertices)
 
 
+def test_judged_handoff_evaluates_the_initializer_once_per_process(monkeypatch):
+    # boundary_checks judges a hand-off on the same plain Evals that its
+    # error check then asks, so the error predicate's asks of I2 are cache
+    # hits: one full I2 row per process per judged hand-off.
+    from stabsim.configs import random_config
+    from stabsim.experiments import boundary_checks, run_grouping
+    from stabsim.graphs import grid_graph
+
+    g, k = grid_graph(3, 3), 2
+    result = run_grouping(g, k, DaemonPolicy(kind="random", seed=1),
+                          random_config(g, k, seed=11))
+    judged = [b for b, c in zip(result.boundaries, boundary_checks(result), strict=True)
+              if c.kind == "handoff" and c.qualifying]
+    assert judged
+    calls = []
+    real = kgrouping._dist_row
+
+    def counted(ev, k, keys=None):
+        if keys is None:
+            calls.append(ev.pid)
+        return real(ev, k, keys)
+
+    monkeypatch.setattr(kgrouping, "_dist_row", counted)
+    checks = boundary_checks(dataclasses.replace(result, boundaries=judged))
+    assert all(c.qualifying and c.shift_error_free for c in checks)
+    assert sorted(calls) == sorted(list(g.vertices) * len(judged))
+
+
 def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
     # Inside run(), E asks I2 and I6 through the run's kept rows, which the
     # initializer's scans create first and the copy shift no longer drops,

@@ -19,6 +19,7 @@ from stabsim import experiments
 from stabsim.configs import corrupt_config, false_ids, random_config, zeroed_config
 from stabsim.experiments import (
     RunDescriptor,
+    boundary_checks,
     judge,
     run_grouping,
     run_with_corruption,
@@ -415,11 +416,11 @@ def test_boundaries_record_where_each_execution_starts(daemon):
                 (i, "shift" if rec.fired[root] == SHIFT else "handoff")
                 for i, rec in enumerate(result.trace.steps)
                 if rec.fired.get(root) in (SHIFT, HANDOFF)]
-            for b in result.boundaries:
+            for b, check in zip(result.boundaries, boundary_checks(result), strict=True):
                 if b.kind == "handoff":
                     assert enabled_actions(b.start, root, result.trace.algorithm,
                                            g)[:1] == [HANDOFF]
-                    handoffs += experiments.judged(result, b)
+                    handoffs += check.qualifying
                 elif b.start is not None:
                     assert copy_shift(b.start, result.binding) == b.start
                     shifts += 1
