@@ -374,6 +374,9 @@ def _field(obj: dict, key: str, default, ok, what: str):
     return value
 
 
+MAX_N_FALSE = 10_000  # a random start draws every domain over n + n_false ids
+
+
 def parse_descriptor(payload: dict) -> RunDescriptor:
     if not _is_object(payload):
         raise DescriptorError("a run descriptor must be a JSON object")
@@ -393,7 +396,6 @@ def parse_descriptor(payload: dict) -> RunDescriptor:
             fairness_aging=_field(d, "fairness_aging", True,
                                   lambda x: isinstance(x, bool), "true or false"),
         )
-        daemon.validate()
         desc = RunDescriptor(
             graph=graph,
             k=k,
@@ -405,8 +407,9 @@ def parse_descriptor(payload: dict) -> RunDescriptor:
                              lambda x: x in ("zeroed", "random", "adversarial-file"),
                              "zeroed, random or adversarial-file"),
             init_seed=_field(init, "seed", 0, _is_int, "an integer"),
-            n_false=_field(init, "n_false", 3, lambda x: _is_int(x) and x >= 0,
-                           "an integer >= 0"),
+            n_false=_field(init, "n_false", 3,
+                           lambda x: _is_int(x) and 0 <= x <= MAX_N_FALSE,
+                           f"an integer in 0..{MAX_N_FALSE}"),
             init_path=_field(init, "path", None,
                              lambda x: x is None or isinstance(x, str), "a file path"),
         )

@@ -29,7 +29,7 @@ class Graph:
 
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]  # normalized (u, v) with u < v
-    adj: dict[int, tuple[int, ...]] = field(compare=False, repr=False, default=None)
+    adj: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
     # hop distances from each source `dist` was asked about, one BFS each
     _rows: dict[int, dict[int, int]] = field(
         init=False, compare=False, repr=False, default_factory=dict)

@@ -883,11 +883,10 @@ def _prior_agreement(ev: Eval) -> bool:
 
 
 def error_predicate(ev: Eval, k: int, init: AlgorithmSpec) -> bool:
-    """E(v): true when any local consistency condition fails.  E holds
-    where I1-I4 or I6 of `init`, the table init_actions(k) built, is enabled
-    (asked through ev.cached: a run answers from its caches), or where I7's
-    kept row differs from the stored array, or reads k+1, at a group member.
-    It does not ask I5, I8 or I9, which rewrite copies a merge shift changes."""
+    """E(v): true when any local consistency condition fails: where I1-I4 or
+    I6 of `init`, a table init_actions(k) built, is enabled, or where I7's
+    row differs from the stored array, or reads k+1, at a group member, each
+    asked through ev.cached; not I5, I8 or I9, which rewrite shifted copies."""
     i1, i2, i3, i4, _, i6, i7, *_ = init.actions
     if any(ev.cached(action) is not None for action in (i1, i2, i3, i4)):
         return True
@@ -896,9 +895,10 @@ def error_predicate(ev: Eval, k: int, init: AlgorithmSpec) -> bool:
         return True
     if not _grp_ok(ev) or ev.cached(i6) is not None:
         return True
-    group_dist = kept_row(ev, i7).row
     stored = ev.store.get(IN_GROUP_DIST) or _EMPTY
-    if any(stored.get(u, BOT) != group_dist[u] or group_dist[u] == k + 1
+    updates = ev.cached(i7)  # None where the row equals the stored array
+    row = stored if updates is None else updates[IN_GROUP_DIST]
+    if any(stored.get(u, BOT) != row.get(u, BOT) or row.get(u, BOT) == k + 1
            for u in members_of(ev, lv)):
         return True
     stamped = ev.store.get(IN_STAMP_ON) or _EMPTY
@@ -914,11 +914,10 @@ def eval_E(cfg: Configuration, graph: Graph, v: int, k: int) -> bool:
 
 def kgrouping_binding(k: int) -> BaseAlgorithmBinding:
     check_k(k)
-    init = init_actions(k)
     return BaseAlgorithmBinding(
         base=merge_actions(k),
-        init=init,
-        error=lambda ev: error_predicate(ev, k, init),
+        init=init_actions(k),
+        error=lambda ev, init: error_predicate(ev, k, init),
         outputs=COPY_PAIRS,
         variables=VARS,
     )

@@ -61,16 +61,15 @@ class BaseAlgorithmBinding:
     as arrays are copied and compared key-wise over the process's current
     domain, the one variable declared as a set.  The write sets of the base
     and the initializer are those their actions declare.  The error predicate
-    must read only input-side copies and initializer inputs and outputs of
-    the 1-neighborhood (`error_check.reads`).  Within them it may ask the
-    initializer's actions through Eval.cached, as the grouping payload's
-    does; a copy of the binding with another `init` keeps asking the
-    actions its `error` was built with.
+    `error(ev, init)`, handed the binding's own `init`, reads only input-side
+    copies and initializer inputs and outputs of the 1-neighborhood
+    (`error_check.reads`), and asks the actions of `init` only through
+    Eval.cached, as the grouping payload's does.
     """
 
     base: AlgorithmSpec
     init: AlgorithmSpec
-    error: Callable[[Eval], bool]
+    error: Callable[[Eval, AlgorithmSpec], bool]
     outputs: tuple[tuple[str, str], ...]  # (output, copy) pairs
     variables: tuple[Var, ...] = ()
 
@@ -90,10 +89,11 @@ class BaseAlgorithmBinding:
         verdict (label E): L5 asks it through the run's caches, and the
         verdicts (loop.error_nowhere) through plain Evals.  It reads the
         copies and the initializer's inputs and outputs."""
+        error, init = self.error, self.init
         copies = frozenset(c for _, c in self.outputs)
-        return Action("E", self.error, self.init.reads | copies | self.init.writes)
+        return Action("E", lambda ev: error(ev, init), init.reads | copies | init.writes)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         outs = [x for x, _ in self.outputs]
         copies = [c for _, c in self.outputs]
         if len(set(outs)) != len(outs) or len(set(copies)) != len(copies):
@@ -160,7 +160,6 @@ def copy_shift(cfg: Configuration, binding: BaseAlgorithmBinding) -> Configurati
 
 def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
     """Emit the full composed action table (tree layer + wave + base/init)."""
-    binding.validate()
     base, init, error_check = binding.base, binding.init, binding.error_check
 
     def wave_ok(ev: Eval, parent_color, child_color) -> bool:

@@ -558,7 +558,7 @@ def step(
 # ---------------------------------------------------------------------------
 # daemons
 
-@dataclass
+@dataclass(frozen=True)
 class DaemonPolicy:
     """Scheduler: synchronous | central | random(p, seed) | scripted.
 
@@ -573,7 +573,7 @@ class DaemonPolicy:
     script: Optional[list] = None
     fairness_aging: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("synchronous", "central", "random", "scripted"):
             raise ScheduleError(f"unknown daemon kind {self.kind!r}")
         if self.kind == "random" and not (0.0 < self.p <= 1.0):
@@ -584,7 +584,6 @@ class DaemonPolicy:
 
 class _Scheduler:
     def __init__(self, policy: DaemonPolicy, n: int):
-        policy.validate()
         self.policy = policy
         self.rng = random.Random(policy.seed)
         self.window = n

@@ -117,6 +117,8 @@ def test_cmd_run_malformed_config_file_is_input_error(tmp_path, capsys, name, va
                  id="n_false-str"),
     pytest.param({"init": {"mode": "random", "n_false": -1}}, "n_false",
                  id="n_false-negative"),
+    pytest.param({"init": {"mode": "random", "n_false": 10_001}}, "n_false",
+                 id="n_false-above-bound"),
     pytest.param({"init": {"mode": "random", "seed": "x"}}, "seed", id="init_seed-str"),
     pytest.param({"init": {"mode": "adversarial-file", "path": 5}}, "path",
                  id="path-int"),
@@ -421,7 +423,8 @@ DELETE = object()  # the field is removed; at the root, the file is empty
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4)
-    | st.integers(-4, 40) | st.sampled_from([2**32, 2**63, 2**64, -2**63]),
+    | st.integers(-4, 40)
+    | st.sampled_from([10**4 + 1, 10**6, 2**32, 2**63, 2**64, -2**63]),
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
     max_leaves=4)

@@ -418,11 +418,11 @@ def test_error_predicate_computes_full_rows_only_for_new_kept_rows(monkeypatch):
     i2, i6 = binding.init.actions[1], binding.init.actions[5]
     inside, full, kept_before = [], [], []
 
-    def error(ev):
+    def error(ev, init):
         kept_before.append(ev.pid in ev.caches.kept.get(i2, {}))
         inside.append(ev)
         try:
-            return binding.error(ev)
+            return binding.error(ev, init)
         finally:
             inside.pop()
 
@@ -558,10 +558,18 @@ def test_every_kept_row_matches_a_full_recompute(monkeypatch):
 def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
     # A copy of an Action (dataclasses.replace, as a tracer makes) reaches
     # the original's kept row through _keyed's closure, and the row's
-    # `current` flag lives on the row, not on the Action that asks: a run of
-    # copies computes as many full rows, patched rows and marks as a run of
-    # the originals.
+    # `current` flag lives on the row, not on the Action that asks.  The
+    # error predicate asks the initializer its binding hands it, only through
+    # Eval.cached, so a copied binding (every action copied, `error`
+    # wrapped) is the same program: a run of it computes as many full rows,
+    # patched rows, marks and initializer values as a run of the original.
     counts = Counter()
+    for name in ("_domain_value", "_height_value", "_init_group_value", "_distance_row"):
+        def counted(*args, real=getattr(kgrouping, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(kgrouping, name, counted)
 
     def counting_keyed(array, row, fixed, marks=None):
         def counted_row(ev, keys):
@@ -583,16 +591,21 @@ def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
         return dataclasses.replace(
             spec, actions=tuple(dataclasses.replace(a) for a in spec.actions))
 
+    def wrapped(fn):
+        return lambda *args: fn(*args)
+
     totals = []
     for b in (binding, dataclasses.replace(binding, base=copied(binding.base),
-                                           init=copied(binding.init))):
+                                           init=copied(binding.init),
+                                           error=wrapped(binding.error))):
         counts.clear()
         trace = run(g, compose(b, g), random_config(g, k, seed=3),
                     DaemonPolicy(kind="random", seed=1), max_steps=200_000)
         assert trace.terminated
         totals.append(dict(counts))
     assert totals[0] == totals[1]
-    assert set(totals[0]) == {"full", "patched", "marks"}
+    assert set(totals[0]) == {"full", "patched", "marks", "_domain_value",
+                              "_height_value", "_init_group_value", "_distance_row"}
 
 
 def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5):

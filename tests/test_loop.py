@@ -64,7 +64,7 @@ def toy_binding():
     return BaseAlgorithmBinding(
         base=min_flood_base(),
         init=empty_init(),
-        error=lambda ev: False,
+        error=lambda ev, init: False,
         outputs=(("m", "in_m"),),
     )
 
@@ -98,29 +98,29 @@ def test_binding_validation():
     # Write sets come from the actions: the base writes m (see F1).
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
-            base=min_flood_base(), init=empty_init(), error=lambda ev: False,
+            base=min_flood_base(), init=empty_init(), error=lambda ev, init: False,
             outputs=(("m", "m"),),
-        ).validate()
+        )
     init_writing_m = AlgorithmSpec((Action("P1", lambda ev: None, writes=frozenset(("m",))),))
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
-            base=min_flood_base(), init=init_writing_m, error=lambda ev: False,
+            base=min_flood_base(), init=init_writing_m, error=lambda ev, init: False,
             outputs=(("m", "in_m"),),
-        ).validate()
+        )
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
-            base=min_flood_base(), init=empty_init(), error=lambda ev: False,
+            base=min_flood_base(), init=empty_init(), error=lambda ev, init: False,
             outputs=(("q", "in_q"),),
-        ).validate()
+        )
 
 
 def test_binding_output_and_copy_kinds_must_agree():
     scalar, array = Var("m", "scalar", ID), Var("in_m", "array", ID)
     with pytest.raises(CompositionError):
         BaseAlgorithmBinding(
-            base=min_flood_base(), init=empty_init(), error=lambda ev: False,
+            base=min_flood_base(), init=empty_init(), error=lambda ev, init: False,
             outputs=(("m", "in_m"),), variables=(scalar, array),
-        ).validate()
+        )
 
 
 def test_binding_domain_is_the_one_set_variable():
@@ -128,13 +128,12 @@ def test_binding_domain_is_the_one_set_variable():
 
     assert kgrouping_binding(2).domain_var == DOMAIN
     assert toy_binding().domain_var is None
-    two_sets = BaseAlgorithmBinding(
-        base=min_flood_base(), init=empty_init(), error=lambda ev: False,
-        outputs=(("m", "in_m"),),
-        variables=(Var("d1", "set", ID), Var("d2", "set", ID)),
-    )
     with pytest.raises(CompositionError):
-        two_sets.validate()
+        BaseAlgorithmBinding(
+            base=min_flood_base(), init=empty_init(), error=lambda ev, init: False,
+            outputs=(("m", "in_m"),),
+            variables=(Var("d1", "set", ID), Var("d2", "set", ID)),
+        )
 
 
 def test_root_down_move_with_vacuous_parent(p3):

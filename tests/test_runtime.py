@@ -241,11 +241,11 @@ def test_scripted_validation(p3):
 
 def test_policy_validation():
     with pytest.raises(ScheduleError):
-        DaemonPolicy(kind="nope").validate()
+        DaemonPolicy(kind="nope")
     with pytest.raises(ScheduleError):
-        DaemonPolicy(kind="random", p=0.0).validate()
+        DaemonPolicy(kind="random", p=0.0)
     with pytest.raises(ScheduleError):
-        DaemonPolicy(kind="scripted").validate()
+        DaemonPolicy(kind="scripted")
 
 
 def test_domain_write_prunes_all_arrays():
