@@ -37,8 +37,6 @@ from .runtime import (
     Var,
     bot_inc,
     bot_min,
-    kept_row,
-    keyed_updates,
 )
 
 DOMAIN = "domain"
@@ -431,7 +429,6 @@ def _init_group_value(ev: Eval, k: int):
 # ---------------------------------------------------------------------------
 # merge value functions
 
-@_per_eval
 def _eligible(ev: Eval) -> frozenset:
     """Other groups bordering ours that are not too far to merge with.
 
@@ -455,7 +452,6 @@ def _eligible(ev: Eval) -> frozenset:
     )
 
 
-@_per_eval
 def _cand(ev: Eval) -> frozenset:
     stamped = ev.store.get(IN_STAMP_ON) or _EMPTY
     return frozenset(u for u in _eligible(ev) if not stamped.get(u, False))
@@ -561,9 +557,9 @@ def _toward(ev: Eval) -> dict:
 
 def _stamp_dist_row(ev: Eval, k: int, stamp1, keys=None) -> dict:
     """The stamp_dist row at the domain keys `keys` (all of them for None),
-    given the stamp1 row: 0 where it names us, else one more than the
-    least distance our group's neighbors claim for the key or the key's
-    group claims toward ours."""
+    given the owner's stored stamp1: 0 where it names us, else one more
+    than the least distance our group's neighbors claim for the key or the
+    key's group claims toward ours."""
     pid = ev.pid
     own_sources = [
         (ws.get(DOMAIN) or frozenset(), ws.get(STAMP_DIST) or _EMPTY)
@@ -635,19 +631,12 @@ def _scalar_sub(label, name, value_fn, reads, nbr_reads):
 
 def _keyed(label, name, row_of, reads, nbr_reads, fixed=None, marks=None):
     """The substitution of the array `name` by the row row_of(ev, None),
-    declared on the action (runtime.Keyed) so that a run keeps the row
-    across steps; row_of(ev, keys) gives the row at the domain keys `keys`.
-    `fixed` is by default every read but `name`."""
+    declared on the action (runtime.Keyed), which the engine evaluates from
+    the row it keeps across steps; row_of(ev, keys) gives the row at the
+    domain keys `keys`.  `fixed` is by default every read but `name`."""
     fixed = frozenset(reads) - {name} if fixed is None else frozenset(fixed)
-
-    def evaluate(ev: Eval):
-        if not ev.store.get(DOMAIN):
-            return None
-        return keyed_updates(ev, action)
-
-    action = Action(label, evaluate, frozenset(reads), frozenset((name,)), frozenset(nbr_reads),
-                    keyed=Keyed(name, row_of, fixed, marks))
-    return action
+    return Action(label, reads=frozenset(reads), writes=frozenset((name,)),
+                  nbr_reads=frozenset(nbr_reads), keyed=Keyed(name, row_of, fixed, marks))
 
 
 def _share_sub(label, name, own, own_reads):
@@ -716,14 +705,11 @@ def merge_actions(k: int) -> AlgorithmSpec:
         }
         return _min_row(ev, FAR, q_keys, keys)
 
-    # The stamp rows read one another as kept rows, so each is computed once
-    # for all its readers: M6 reads M5's row and M7 reads M6's, and each
-    # reads what the row it reads does.
     def stamp1(ev):
-        return kept_row(ev, m5).row
+        return ev.store.get(STAMP1) or _EMPTY
 
     def stamp_dist(ev):
-        return kept_row(ev, m6).row
+        return ev.store.get(STAMP_DIST) or _EMPTY
 
     def stamp1_marks(ev):
         """Witnessed groups, the elected target, keys targeting us, kept stamps.
@@ -746,9 +732,9 @@ def merge_actions(k: int) -> AlgorithmSpec:
         return marks
 
     def stamp_dist_marks(ev):
-        """Keys where the stamp1 row names us; each group's claim toward us.
+        """Keys where the stored stamp1 names us; each group's claim toward us.
 
-        -1 where M5's row names the owner (this row is 0 there), else the
+        -1 where the owner's stamp1 names it (this row is 0 there), else the
         least stamp distance the key's group claims toward ours, so a
         neighbor's `stamp_dist` write at our group id reaches the key of its
         group; no distance is negative."""
@@ -756,12 +742,12 @@ def merge_actions(k: int) -> AlgorithmSpec:
         return {**_toward(ev), **{u: -1 for u, s1 in stamp1(ev).items() if s1 == pid}}
 
     def stamp2_marks(ev):
-        """The keys where the stamp_dist row reads k+1."""
+        """The keys where the stored stamp_dist reads k+1."""
         return dict.fromkeys(u for u, d in stamp_dist(ev).items() if d == k + 1)
 
     def stamp2_row(ev, keys):
         sd = stamp_dist(ev)
-        q_keys = {u for u in _domain_keys(ev, keys) if sd[u] == k + 1}
+        q_keys = {u for u in _domain_keys(ev, keys) if sd.get(u, BOT) == k + 1}
         return _min_row(ev, STAMP2, q_keys, keys)
 
     def group_dist_row(ev, keys):
@@ -792,15 +778,6 @@ def merge_actions(k: int) -> AlgorithmSpec:
     target_reads = TARGET_VIEW.reads
     merging_reads = target_reads | {TARGET, STAMP_DIST}
 
-    m5 = _keyed(
-        "M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys),
-        target_reads | {IN_GROUP_DIST, TARGET, MERGE_DIST, STAMP1, IN_STAMP1},
-        _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR, marks=stamp1_marks)
-    m6 = _keyed(
-        "M6", STAMP_DIST, lambda ev, keys: _stamp_dist_row(ev, k, stamp1(ev), keys),
-        m5.reads | {STAMP_DIST}, m5.nbr_reads | {STAMP_DIST},
-        fixed=frozenset((DOMAIN, IN_GROUP)), marks=stamp_dist_marks)
-
     actions = (
         _keyed("M1", BORDER, border_row, _GROUP_NBR | {BORDER}, _GROUP_NBR | {BORDER}),
         _keyed("M2", FAR, far_row, _GROUP_NBR | {DIST, IN_GROUP_OF, FAR},
@@ -808,10 +785,14 @@ def merge_actions(k: int) -> AlgorithmSpec:
         _share_sub("M3", TARGET, _target, target_reads),
         _keyed("M4", MERGE_DIST, lambda ev, keys: _merge_dist_row(ev, k, keys),
                target_reads | {MERGE_DIST}, (DOMAIN, IN_GROUP, MERGE_DIST)),
-        m5,
-        m6,
-        _keyed("M7", STAMP2, stamp2_row, m6.reads | {STAMP2}, m6.nbr_reads | {STAMP2},
-               fixed=_GROUP_NBR, marks=stamp2_marks),
+        _keyed("M5", STAMP1, lambda ev, keys: _stamp1_row(ev, k, keys),
+               target_reads | {IN_GROUP_DIST, TARGET, MERGE_DIST, STAMP1, IN_STAMP1},
+               _GROUP_NBR | {STAMP1}, fixed=_GROUP_NBR, marks=stamp1_marks),
+        _keyed("M6", STAMP_DIST, lambda ev, keys: _stamp_dist_row(ev, k, stamp1(ev), keys),
+               (DOMAIN, IN_GROUP, STAMP1, STAMP_DIST), (DOMAIN, IN_GROUP, STAMP_DIST),
+               fixed=(DOMAIN, IN_GROUP), marks=stamp_dist_marks),
+        _keyed("M7", STAMP2, stamp2_row, _GROUP_NBR | {STAMP_DIST, STAMP2},
+               _GROUP_NBR | {STAMP2}, fixed=_GROUP_NBR, marks=stamp2_marks),
         _scalar_sub("M8", GROUP, _group_value, merging_reads | {GROUP}, ()),
         _share_sub("M9", GROUP_OF, lambda ev: ev.store.get(GROUP, BOT), {GROUP}),
         _keyed("M10", GROUP_DIST, group_dist_row, (DOMAIN, GROUP, GROUP_DIST),

@@ -64,7 +64,8 @@ class BaseAlgorithmBinding:
     `error(ev, init)`, handed the binding's own `init`, reads only input-side
     copies and initializer inputs and outputs of the 1-neighborhood
     (`error_check.reads`), and asks the actions of `init` only through
-    Eval.cached, as the grouping payload's does.
+    Eval.cached, as the grouping payload's does.  The actions of `base` and
+    `init` declare no `when`: L7 and L8 ask them without it.
     """
 
     base: AlgorithmSpec
@@ -113,6 +114,10 @@ class BaseAlgorithmBinding:
             raise CompositionError("an output and its copy differ in kind")
         if list(kinds.values()).count("set") > 1:
             raise CompositionError("more than one set variable to key the arrays")
+        # L7/L8 walk a module table without asking `admits`.
+        guarded = [a.label for a in (*self.base.actions, *self.init.actions) if a.when]
+        if guarded:
+            raise CompositionError(f"module actions declare a `when`: {guarded}")
 
 
 def _copies_match(binding: BaseAlgorithmBinding, store: dict) -> bool:

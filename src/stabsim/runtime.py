@@ -126,7 +126,8 @@ class Action:
     `{color: (0, 2), reset: (0,)}`); without one it always holds.  Where it
     fails, the action is disabled, and no path that asks a table calls
     `evaluate` (AlgorithmSpec.first_enabled and loop.disabled_everywhere ask
-    `admits` first), so the body need not restate it.  Where it holds,
+    `admits` first, and a loop binding refuses module actions that declare
+    a `when`), so the body need not restate it.  Where it holds,
     `evaluate` returns the update map if the action is enabled at the
     process, otherwise None.  Substitution-style actions (guard "current !=
     computed") fall out naturally: compute, compare, return None on
@@ -145,15 +146,17 @@ class Action:
     Actions hash by identity, so a cache lookup never hashes their fields.
 
     `keyed`, for an array substitution, declares its row (see Keyed); the
-    row is kept across steps (RunCaches.kept) and `evaluate` patches it
-    (keyed_updates).  Its array is in `reads` as well as `writes`, since
-    the guard compares the row with the stored array.  `when` names only
-    variables of `reads`, so a change that can turn it also resumes the
-    scan at or before the action.
+    row is kept across steps (RunCaches.kept), and `evaluate` defaults to
+    keyed_updates of the action, which patches it.  A copy made with
+    dataclasses.replace keeps that `evaluate`, so it reaches the same row.
+    The array is in `reads` as well as `writes`, since the guard compares
+    the row with the stored array.  `when` names only variables of
+    `reads`, so a change that can turn it also resumes the scan at or
+    before the action.
     """
 
     label: str
-    evaluate: Callable[[Eval], Optional[dict]]
+    evaluate: Optional[Callable[[Eval], Optional[dict]]] = None
     reads: frozenset = frozenset()
     writes: frozenset = frozenset()
     nbr_reads: Optional[frozenset] = None
@@ -187,6 +190,17 @@ class Action:
             empty = [x for x, values in self.when.items() if not values]
             if empty:
                 raise ValueError(f"{self.label}: when allows no value of {empty}")
+        if keyed is not None and keyed.marks is None:
+            # Without marks, no change of such a read would reach the row.
+            unreached = self.reads - keyed.fixed - {keyed.array}
+            if unreached:
+                raise ValueError(
+                    f"{self.label}: keyed row without marks reads {sorted(unreached)}"
+                    " outside fixed")
+        if self.evaluate is None:
+            if keyed is None:
+                raise ValueError(f"{self.label}: no evaluate and no keyed row")
+            object.__setattr__(self, "evaluate", lambda ev: keyed_updates(ev, self))
 
     def admits(self, store: Store) -> bool:
         """Whether the owner's `store` meets `when`."""
@@ -212,7 +226,8 @@ class Keyed:
     through `marks(ev)`, a dict from keys to the derived values the row
     reads at those keys (a predicate that holds there, a value read at one
     key, or one value every key reads), whose difference from the last
-    marks names the keys to recompute.
+    marks names the keys to recompute; a row without marks declares every
+    read but `array` fixed (Action checks this).
     """
 
     array: str
@@ -225,22 +240,21 @@ class Kept:
     """The last row of a keyed action at one process (see kept_row).
 
     `diff` holds the keys where `row` disagrees with the stored array,
-    `waiting` the keys whose inputs changed since the row was last patched,
-    and `marks` the row's derived per-key inputs as they were then (None
-    on caches that drive no table, whose rows no change reaches).
-    `current` holds while no read of the action has changed since.  Once
-    the row is handed out as updates (`handed`) it may be stored in a
-    configuration, so it is copied before it is patched again.
+    `waiting` the keys whose array entries changed since the row was last
+    patched, and `marks` the row's derived per-key inputs as they were then
+    (None without marks, and on caches that drive no table, whose rows no
+    change reaches).  Once the row is handed out as updates (`handed`) it
+    may be stored in a configuration, so it is copied before it is patched
+    again.
     """
 
-    __slots__ = ("row", "diff", "waiting", "marks", "current", "handed")
+    __slots__ = ("row", "diff", "waiting", "marks", "handed")
 
     def __init__(self, row: dict, diff: set, marks):
         self.row = row
         self.diff = diff
         self.waiting = set()
         self.marks = marks
-        self.current = True
         self.handed = False
 
 
@@ -265,8 +279,8 @@ class RunCaches:
         # What `names` reach at the processes that read them through
         # `reads`: the first action of the table whose reads meet them, the
         # per-process dicts to drop (results, and kept rows whose fixed
-        # reads they meet), and the kept rows to patch, each with its array
-        # and whether `names` include that array.
+        # reads they meet), and the kept rows whose array they write, each
+        # with that array.
         actions = self.actions
         drop = [rows for a, rows in self.results.items() if not names.isdisjoint(reads(a))]
         patch = []
@@ -274,8 +288,8 @@ class RunCaches:
             met = names & reads(a)
             if not met.isdisjoint(a.keyed.fixed):
                 drop.append(rows)
-            elif met:
-                patch.append((rows, a.keyed.array, a.keyed.array in met))
+            elif a.keyed.array in met:
+                patch.append((rows, a.keyed.array))
         return (
             next((i for i, a in enumerate(actions) if not names.isdisjoint(reads(a))),
                  len(actions)),
@@ -293,9 +307,9 @@ class RunCaches:
         The change reaches v's entries of the actions whose `reads` meet
         `names` and the neighbors' entries of those whose `nbr_reads` do:
         it drops the results and the kept rows whose `fixed` reads it
-        meets.  Every other kept row it reaches is patched: it is no longer
-        current, and a write of its array queues the keys that changed
-        (see Keyed)."""
+        meets, and a write of a kept row's array queues the keys that
+        changed (see Keyed).  A kept row is asked only by its action's
+        `evaluate`, which asks the marks again (kept_row)."""
         size = len(self.results) + len(self.kept)
         reach = self._reach.get(names)
         if reach is None or reach[0] != size:
@@ -311,32 +325,28 @@ class RunCaches:
             return own, nbr
 
         written = {}  # array -> the keys v's write changed, computed once
-        for rows, array, writes in own_patch:
+        for rows, array in own_patch:
             state = rows.get(v)
-            if state is not None:
-                state.current = False
-                if not writes:
-                    continue
-                if new[array] is state.row:
-                    # v stored the row: the keys it changed are where the
-                    # row disagreed (keys outside v's domain, which no row
-                    # reads from v, are not counted)
-                    written[array], state.diff = state.diff, set()
-                else:
-                    state.waiting |= _written(written, array, old, new)
-        for rows, array, writes in nbr_patch:
-            keys = _written(written, array, old, new) if writes else _NO_KEYS
+            if state is None:
+                continue
+            if new[array] is state.row:
+                # v stored the row: the keys it changed are where the row
+                # disagreed (keys outside v's domain, which no row reads
+                # from v, are not counted)
+                written[array], state.diff = state.diff, set()
+            else:
+                state.waiting |= _written(written, array, old, new)
+        for rows, array in nbr_patch:
+            keys = _written(written, array, old, new)
             for w in nbrs:
                 state = rows.get(w)
                 if state is not None:
-                    state.current = False
                     state.waiting |= keys
         return own, nbr
 
 
 _reads = operator.attrgetter("reads")
 _nbr_reads = operator.attrgetter("nbr_reads")
-_NO_KEYS = frozenset()
 
 
 def _written(written: dict, array: str, old: Store, new: Store) -> set:
@@ -354,8 +364,8 @@ def kept_row(ev: Eval, action: Action) -> Kept:
     domain, and its marks where the caches drive a table; later ones
     recompute the waiting keys and the keys whose marks differ from the
     last ones (added, removed or changed), and update the disagreement set
-    at those keys only.  A row still current met no change since it was
-    last patched, and is returned as it is.
+    at those keys only.  Only the action's own `evaluate` (keyed_updates)
+    asks for its row: no rule reads another action's row.
     """
     keyed = action.keyed
     kept = ev.caches.kept
@@ -369,9 +379,9 @@ def kept_row(ev: Eval, action: Action) -> Kept:
         state = rows[ev.pid] = Kept(
             row, {u for u, x in row.items() if stored.get(u, BOT) != x},
             keyed.marks(ev) if keyed.marks and ev.caches.actions else None)
-    elif not state.current:
+    else:
         todo = state.waiting
-        if keyed.marks is not None:
+        if state.marks is not None:
             new_marks = keyed.marks(ev)
             if new_marks != state.marks:
                 todo.update(u for u, _ in new_marks.items() ^ state.marks.items())
@@ -392,7 +402,6 @@ def kept_row(ev: Eval, action: Action) -> Kept:
                     diff.add(u)
                 else:
                     diff.discard(u)
-        state.current = True
     return state
 
 

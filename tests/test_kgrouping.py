@@ -7,6 +7,7 @@ import pytest
 from stabsim import kgrouping, runtime
 from stabsim.bfs import LEVEL, PARENT, ROOT, children
 from stabsim.configs import random_config, zeroed_config
+from stabsim.experiments import boundary_checks, merge_segment_rounds, run_grouping
 from stabsim.graphs import (
     cycle_graph,
     dist,
@@ -503,16 +504,18 @@ DAEMONS = {"random": DaemonPolicy(kind="random", p=0.5, seed=4),
 
 
 def _check_kept_rows(monkeypatch, daemon):
-    """Run three instances under `daemon`, checking every kept row handed
-    out, whether patched or current, against the full row of a fresh Eval
-    and its disagreement set against that Eval's and against the stored
-    array; return the checks counted by (label, "current" | "patched")."""
+    """Run three instances under `daemon`, then the bare merge table under
+    the synchronous daemon from each judged boundary's start, as criterion
+    4 replays it (experiments.merge_segment_rounds), checking every kept
+    row patched and handed out against the full row of a fresh Eval and
+    its disagreement set against that Eval's and against the stored array;
+    return the checks counted by (label, "composed" | "bare")."""
     real = runtime.kept_row
     checks = Counter()
+    phase = []
 
     def checked(ev, action):
         kept = ev.caches.kept.get(action, {}).get(ev.pid)
-        current = kept is not None and kept.current
         state = real(ev, action)
         if kept is not None:
             full = real(Eval(ev.cfg, ev.pid, ev.nbr_ids), action)
@@ -520,17 +523,20 @@ def _check_kept_rows(monkeypatch, daemon):
             stored = ev.store.get(action.keyed.array) or {}
             assert state.diff == {u for u in ev.store[DOMAIN]
                                   if stored.get(u, BOT) != state.row[u]}, action.label
-            checks[action.label, "current" if current else "patched"] += 1
+            checks[action.label, phase[-1]] += 1
         return state
 
     monkeypatch.setattr(runtime, "kept_row", checked)
-    monkeypatch.setattr(kgrouping, "kept_row", checked)
     for graph, k in ((grid_graph(3, 3), 2), (random_connected_graph(10, 0.3, 0), 3),
                      (path_graph(7), 1)):
-        binding = kgrouping_binding(k)
-        trace = run(graph, compose(binding, graph), random_config(graph, k, seed=3, n_false=2),
-                    daemon, max_steps=200_000)
-        assert trace.terminated and check_Cfin(plain_evals(trace.final, graph), binding)
+        phase.append("composed")
+        result = run_grouping(graph, k, daemon, random_config(graph, k, seed=3, n_false=2),
+                              max_steps=200_000)
+        assert result.trace.terminated
+        assert check_Cfin(plain_evals(result.trace.final, graph), result.binding)
+        judged = boundary_checks(result)
+        phase.append("bare")
+        assert merge_segment_rounds(result, judged)
     return checks
 
 
@@ -546,23 +552,24 @@ def test_kept_rows_match_full_recomputes(monkeypatch, daemon):
 
 
 def test_every_kept_row_matches_a_full_recompute(monkeypatch):
-    # The rows a run hands out without patching them (current: no read of
-    # their action changed since they were last patched) and the rows read
-    # by another row (M6 reads M5's, M7 M6's) are among those checked, and
-    # equal a full recompute like the patched ones.
+    # The stamp rows, whose marks read the stored stamps, are patched and
+    # equal a full recompute in a composed run, where the layer cache asks
+    # a row only once a change reaches its action, and in a bare scan of
+    # the merge table, which asks every row it walks past.
     checks = _check_kept_rows(monkeypatch, DAEMONS["random"])
-    assert all(checks[label, kind] for label in ("M5", "M6") for kind in ("current", "patched"))
-    assert checks["M7", "patched"]
+    assert all(checks[label, phase] for label in ("M5", "M6", "M7")
+               for phase in ("composed", "bare"))
 
 
 def test_copied_actions_take_the_same_kept_row_paths(monkeypatch):
-    # A copy of an Action (dataclasses.replace, as a tracer makes) reaches
-    # the original's kept row through _keyed's closure, and the row's
-    # `current` flag lives on the row, not on the Action that asks.  The
-    # error predicate asks the initializer its binding hands it, only through
-    # Eval.cached, so a copied binding (every action copied, `error`
-    # wrapped) is the same program: a run of it computes as many full rows,
-    # patched rows, marks and initializer values as a run of the original.
+    # A copy of an Action (dataclasses.replace, as a tracer makes) keeps
+    # the original's `evaluate`, which the engine made for a keyed action,
+    # so it reaches the original's kept row; no rule reads another action's
+    # row.  The error predicate asks the initializer its binding hands it,
+    # only through Eval.cached, so a copied binding (every action copied,
+    # `error` wrapped) is the same program: a run of it computes as many
+    # full rows, patched rows, marks and initializer values as a run of the
+    # original.
     counts = Counter()
     for name in ("_domain_value", "_height_value", "_init_group_value", "_distance_row"):
         def counted(*args, real=getattr(kgrouping, name), name=name):

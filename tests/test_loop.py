@@ -136,6 +136,21 @@ def test_binding_domain_is_the_one_set_variable():
         )
 
 
+def test_binding_refuses_module_actions_with_when():
+    # L7 and L8 walk the base and initializer tables without asking `when`,
+    # so a module action that declares one would be read one way there and
+    # another way by the verdicts (disabled_everywhere asks it).
+    (flood,) = min_flood_base().actions
+    guarded_base = AlgorithmSpec((dataclasses.replace(flood, when={"in_m": (0,)}),))
+    guarded_init = AlgorithmSpec((Action("P1", lambda ev: None, frozenset("p"),
+                                         frozenset("p"), when={"p": (0,)}),))
+    for base, init, label in ((guarded_base, empty_init(), "F1"),
+                              (min_flood_base(), guarded_init, "P1")):
+        with pytest.raises(CompositionError, match=f"declare a `when`: \\['{label}'\\]"):
+            BaseAlgorithmBinding(base=base, init=init, error=lambda ev, init: False,
+                                 outputs=(("m", "in_m"),))
+
+
 def test_root_down_move_with_vacuous_parent(p3):
     # A parentless root with all children at its own color starts the wave.
     alg = compose(toy_binding(), p3)

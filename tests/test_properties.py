@@ -53,7 +53,7 @@ from stabsim.loop import (
 )
 from stabsim.kgrouping import kgrouping_binding
 from stabsim.runtime import (
-    BOT, DaemonPolicy, Eval, enabled_actions, plain_evals, rounds, run, step,
+    BOT, DaemonPolicy, Eval, RunCaches, enabled_actions, plain_evals, rounds, run, step,
 )
 
 
@@ -200,13 +200,14 @@ def _audit(action, ev):
     """Evaluate `action` afresh on a recording copy of ev's snapshot.
 
     The copy holds the closed neighborhood only, and the new Eval has an
-    empty memo, so values memoized by an earlier action hide no reads.
-    Reads are recorded per store: the owner's must lie in `reads`, each
-    neighbor's in `nbr_reads`.
+    empty memo, so values memoized by an earlier action hide no reads.  Its
+    caches drive a table of the action, so a keyed row's marks are read
+    too.  Reads are recorded per store: the owner's must lie in `reads`,
+    each neighbor's in `nbr_reads`.
     """
     seen = {u: set() for u in (ev.pid, *ev.nbr_ids)}
     view = {u: _RecordingStore(ev.cfg[u], names) for u, names in seen.items()}
-    updates = action.evaluate(Eval(view, ev.pid, ev.nbr_ids))
+    updates = action.evaluate(Eval(view, ev.pid, ev.nbr_ids, RunCaches((action,))))
     own = seen.pop(ev.pid)
     assert own <= action.reads, (action.label, sorted(own - action.reads))
     for u, names in seen.items():
@@ -224,9 +225,8 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # execution of a run starts from.  The check that compose caches
     # privately (the error predicate) and the cached views (the children,
     # the dist gradient, the target) are reached by auditing every cache miss
-    # of the runs.  M6 and
-    # M7 read the stamp1 and stamp_dist rows as M5's and M6's rows, so their
-    # audits include those reads.
+    # of the runs.  M6 and M7 read the owner's stored stamp1 and stamp_dist,
+    # never another action's kept row.
     make, k = INSTANCES[instance]
     real_cached = Eval.cached
     audited = set()

@@ -429,7 +429,8 @@ def keyed_copy(script, calls, seen, handed=None, marks=None):
     """Process 2 keeps the row u -> process 1's a[u] + its own t[u], plus 1
     at its own m (action K, keyed on `a`; the whole row depends on `domain`
     and `b`, and `t` and `m` reach it through `marks` where a test declares
-    them); W applies script[pid], one write per step.  `calls`
+    them, and are fixed where it does not); W applies script[pid], one
+    write per step.  `calls`
     records the keys of every row computation (None for a full row),
     `seen` the waiting keys of the kept row at the start of each evaluation
     at 2 (None when no row is kept), `handed` each row handed out as
@@ -456,9 +457,9 @@ def keyed_copy(script, calls, seen, handed=None, marks=None):
         i = ev.store["i"]
         return dict(todo[i], i=i + 1) if i < len(todo) else None
 
+    fixed = frozenset({"domain", "b"} if marks else {"domain", "b", "t", "m"})
     keyed = Action("K", evaluate_k, frozenset({"domain", "a", "b", "t", "m"}),
-                   frozenset({"a"}),
-                   keyed=Keyed("a", row_of, frozenset({"domain", "b"}), marks))
+                   frozenset({"a"}), keyed=Keyed("a", row_of, fixed, marks))
     write = Action("W", evaluate_w, frozenset({"i"}),
                    frozenset({"domain", "a", "b", "c", "t", "m", "i"}), frozenset())
     return AlgorithmSpec((keyed, write), domain_var="domain")
@@ -488,9 +489,12 @@ def test_keyed_row_declaration_is_checked():
     def row(ev, keys):
         return {}
 
-    def keyed_action(writes, fixed):
+    def marks(ev):
+        return {}
+
+    def keyed_action(writes, fixed, marks=None):
         return Action("K", lambda ev: None, frozenset({"domain", "a", "b"}),
-                      frozenset(writes), keyed=Keyed("a", row, frozenset(fixed)))
+                      frozenset(writes), keyed=Keyed("a", row, frozenset(fixed), marks))
 
     with pytest.raises(ValueError, match="keyed array 'a' is not written"):
         keyed_action("b", {"domain"})
@@ -506,10 +510,19 @@ def test_keyed_row_declaration_is_checked():
     assert AlgorithmSpec((local,), domain_var="domain").actions == (local,)
     # A row's keys are the domain, so a row not dropped by a domain write
     # is refused when the algorithm is declared.
-    undomained = keyed_action("a", {"b"})
+    undomained = keyed_action("a", {"b"}, marks)
     assert AlgorithmSpec((undomained,)).actions == (undomained,)
     with pytest.raises(ValueError, match="fixed on 'domain'"):
         AlgorithmSpec((undomained,), domain_var="domain")
+    # Without marks, no change of a read outside `fixed` (but the array)
+    # would reach the row.
+    with pytest.raises(ValueError, match=r"without marks reads \['b'\] outside fixed"):
+        keyed_action("a", {"domain"})
+    assert keyed_action("a", {"domain"}, marks).keyed.marks is marks
+    # The engine evaluates a keyed action from its row; an action with
+    # neither is refused.
+    with pytest.raises(ValueError, match="no evaluate and no keyed row"):
+        Action("K", reads=frozenset("a"))
 
 
 def test_kept_row_patches_the_changed_keys_only():
