@@ -181,13 +181,23 @@ def config_to_json(cfg: Configuration) -> dict:
     return payload
 
 
+def _id_key(key, where: str) -> int:
+    """The identifier a JSON object key names.  Only its decimal text, as
+    config_to_json writes it, is accepted, so no two keys of one object
+    ("1" and "01") name the same identifier."""
+    try:
+        u = int(key)
+    except (TypeError, ValueError):
+        u = None
+    if u is None or not isinstance(key, str) or str(u) != key:
+        raise ConfigError(f"{where}: key {key!r} is not a decimal identifier")
+    return u
+
+
 def config_from_json(payload: dict, graph: Graph, k: int) -> Configuration:
     if not isinstance(payload, dict):
         raise ConfigError("configuration must be a JSON object")
-    try:
-        items = {int(v): store for v, store in payload.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad process id in configuration: {exc}") from exc
+    items = {_id_key(v, "configuration"): store for v, store in payload.items()}
     if set(items) != set(graph.vertices):
         raise ConfigError("configuration does not cover the vertex set")
     cfg = {}
@@ -206,8 +216,8 @@ def config_from_json(payload: dict, graph: Graph, k: int) -> Configuration:
                 if var.kind == "set":
                     value = frozenset(value)
                 elif var.kind == "array":
-                    value = {int(u): x for u, x in value.items()}
-            except (TypeError, ValueError) as exc:
+                    value = {_id_key(u, f"{v}.{var.name}"): x for u, x in value.items()}
+            except TypeError as exc:
                 raise ConfigError(f"{v}.{var.name}: {exc}") from exc
             store[var.name] = value
         cfg[v] = store

@@ -64,8 +64,8 @@ class BaseAlgorithmBinding:
     `error(ev, init)`, handed the binding's own `init`, reads only input-side
     copies and initializer inputs and outputs of the 1-neighborhood
     (`error_check.reads`), and asks the actions of `init` only through
-    Eval.cached, as the grouping payload's does.  The actions of `base` and
-    `init` declare no `when`: L7 and L8 ask them without it.
+    Eval.cached, and only where their `when` admits the owner, as the
+    grouping payload's does (its initializer actions declare none).
     """
 
     base: AlgorithmSpec
@@ -114,10 +114,6 @@ class BaseAlgorithmBinding:
             raise CompositionError("an output and its copy differ in kind")
         if list(kinds.values()).count("set") > 1:
             raise CompositionError("more than one set variable to key the arrays")
-        # L7/L8 walk a module table without asking `admits`.
-        guarded = [a.label for a in (*self.base.actions, *self.init.actions) if a.when]
-        if guarded:
-            raise CompositionError(f"module actions declare a `when`: {guarded}")
 
 
 def _copies_match(binding: BaseAlgorithmBinding, store: dict) -> bool:
@@ -210,11 +206,10 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
                 s = cfg[u]
                 if s[MODE] != mode or s[COLOR] == 4:
                     return None
-            for action in alg.actions:
-                updates = ev.cached(action)
-                if updates is not None:
-                    return {**updates, RESET: 1}
-            return None
+            hit = alg.first_enabled(ev)
+            if hit is None:
+                return None
+            return {**hit[1], RESET: 1}
 
         return evaluate
 
@@ -321,15 +316,13 @@ def compose(binding: BaseAlgorithmBinding, graph: Graph) -> AlgorithmSpec:
 # configuration-level predicates
 
 # Each predicate reads a configuration through `evals`, one Eval per
-# process, and asks every action through Eval.cached, so evals that share
-# one set of caches (runtime.plain_evals) evaluate each action once per
-# process, from scratch.
+# process, and asks every action through the Evals' layer cache, so evals
+# that share one set of caches (runtime.plain_evals) evaluate each action
+# once per process, from scratch.
 
 def disabled_everywhere(evals: Sequence[Eval], alg: AlgorithmSpec) -> bool:
-    """No action of `alg` is enabled at any process: at each, every action
-    whose `when` admits the owner returns None."""
-    return all(all(ev.cached(a) is None for a in alg.actions if a.admits(ev.store))
-               for ev in evals)
+    """No action of `alg` is enabled at any process."""
+    return all(alg.first_enabled(ev) is None for ev in evals)
 
 
 def error_nowhere(evals: Sequence[Eval], binding: BaseAlgorithmBinding) -> bool:

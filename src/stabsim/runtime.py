@@ -124,26 +124,22 @@ class Action:
     The guard is `when` and the body, `evaluate`, both holding.  `when`
     maps some of the owner's scalars to the values they may hold (L12's is
     `{color: (0, 2), reset: (0,)}`); without one it always holds.  Where it
-    fails, the action is disabled, and no path that asks a table calls
-    `evaluate` (AlgorithmSpec.first_enabled and loop.disabled_everywhere ask
-    `admits` first, and a loop binding refuses module actions that declare
-    a `when`), so the body need not restate it.  Where it holds,
-    `evaluate` returns the update map if the action is enabled at the
-    process, otherwise None.  Substitution-style actions (guard "current !=
-    computed") fall out naturally: compute, compare, return None on
-    equality.
+    fails, the action is disabled, and no scan calls `evaluate`
+    (AlgorithmSpec.first_enabled asks `admits` first), so the body need not
+    restate it.  Where it holds, `evaluate` returns the update map if the
+    action is enabled at the process, otherwise None.  Substitution-style
+    actions (guard "current != computed") fall out naturally: compute,
+    compare, return None on equality.
 
     `reads` declares every variable of the 1-neighborhood that `evaluate` may
     depend on, and `nbr_reads` (a subset, `reads` by default) those it may
     read from a neighbor's store.  A change is a change of value: a write
-    of an equal value changes nothing.  `Eval.cached` keeps a result until
-    the process changes one of `reads` or a neighbor one of `nbr_reads`.
-    The same two sets decide where `run` resumes a guard scan: after a
-    step, a process re-evaluates its table only from the first action whose
-    `reads` (for its own changes) or `nbr_reads` (for a neighbor's) meet a
-    changed name, and keeps its first enabled action while no change
-    reaches it.  `writes` declares the variables the statement may assign.
-    Actions hash by identity, so a cache lookup never hashes their fields.
+    of an equal value changes nothing.  One rule decides what is evaluated
+    again: a result (Eval.cached) lasts until the process changes one of
+    `reads` or a neighbor one of `nbr_reads`, and every scan of a table
+    asks its actions through it.  `writes` declares the variables the
+    statement may assign.  Actions hash by identity, so a cache lookup
+    never hashes their fields.
 
     `keyed`, for an array substitution, declares its row (see Keyed); the
     row is kept across steps (RunCaches.kept), and `evaluate` defaults to
@@ -151,8 +147,7 @@ class Action:
     dataclasses.replace keeps that `evaluate`, so it reaches the same row.
     The array is in `reads` as well as `writes`, since the guard compares
     the row with the stored array.  `when` names only variables of
-    `reads`, so a change that can turn it also resumes the scan at or
-    before the action.
+    `reads`, so a change that can turn it also drops the result.
     """
 
     label: str
@@ -242,10 +237,9 @@ class Kept:
     `diff` holds the keys where `row` disagrees with the stored array,
     `waiting` the keys whose array entries changed since the row was last
     patched, and `marks` the row's derived per-key inputs as they were then
-    (None without marks, and on caches that drive no table, whose rows no
-    change reaches).  Once the row is handed out as updates (`handed`) it
-    may be stored in a configuration, so it is copied before it is patched
-    again.
+    (None without marks).  Once the row is handed out as updates
+    (`handed`) it may be stored in a configuration, so it is copied before
+    it is patched again.
     """
 
     __slots__ = ("row", "diff", "waiting", "marks", "handed")
@@ -263,25 +257,21 @@ class RunCaches:
 
     `results` is the layer cache (Eval.cached) and `kept` the kept rows of
     keyed actions (kept_row), each per Action, per process.  `changed`
-    applies one process's step to both and says where the guard scans of
-    `actions`, the table `run` drives, resume.
+    applies one process's step to both.
     """
 
-    __slots__ = ("actions", "results", "kept", "_reach")
+    __slots__ = ("results", "kept", "_reach")
 
-    def __init__(self, actions: tuple = ()):
-        self.actions = actions
+    def __init__(self):
         self.results: dict[Action, dict[int, object]] = {}
         self.kept: dict[Action, dict[int, Kept]] = {}
         self._reach: dict[frozenset, tuple] = {}  # changed names -> what they reach
 
     def _reach_of(self, names: frozenset, reads: Callable[[Action], frozenset]) -> tuple:
         # What `names` reach at the processes that read them through
-        # `reads`: the first action of the table whose reads meet them, the
-        # per-process dicts to drop (results, and kept rows whose fixed
-        # reads they meet), and the kept rows whose array they write, each
-        # with that array.
-        actions = self.actions
+        # `reads`: the per-process dicts to drop (results, and kept rows
+        # whose fixed reads they meet), and the kept rows whose array they
+        # write, each with that array.
         drop = [rows for a, rows in self.results.items() if not names.isdisjoint(reads(a))]
         patch = []
         for a, rows in self.kept.items():
@@ -290,19 +280,12 @@ class RunCaches:
                 drop.append(rows)
             elif a.keyed.array in met:
                 patch.append((rows, a.keyed.array))
-        return (
-            next((i for i, a in enumerate(actions) if not names.isdisjoint(reads(a))),
-                 len(actions)),
-            tuple(drop),
-            tuple(patch),
-        )
+        return tuple(drop), tuple(patch)
 
     def changed(self, v: int, names: frozenset, old: Store, new: Store,
-                nbrs: tuple[int, ...]) -> tuple[int, int]:
+                nbrs: tuple[int, ...]) -> None:
         """Process v's store went from old to new, changing `names`; v's
-        neighbors are `nbrs`.  Returns the positions of `actions` from
-        which v's and its neighbors' guard scans resume: the first action
-        whose `reads` meet `names`, and the first whose `nbr_reads` do.
+        neighbors are `nbrs`.
 
         The change reaches v's entries of the actions whose `reads` meet
         `names` and the neighbors' entries of those whose `nbr_reads` do:
@@ -315,14 +298,14 @@ class RunCaches:
         if reach is None or reach[0] != size:
             reach = self._reach[names] = (
                 size, *self._reach_of(names, _reads), *self._reach_of(names, _nbr_reads))
-        _, own, own_drop, own_patch, nbr, nbr_drop, nbr_patch = reach
+        _, own_drop, own_patch, nbr_drop, nbr_patch = reach
         for rows in own_drop:
             rows.pop(v, None)
         for rows in nbr_drop:
             for w in nbrs:
                 rows.pop(w, None)
         if not own_patch and not nbr_patch:
-            return own, nbr
+            return
 
         written = {}  # array -> the keys v's write changed, computed once
         for rows, array in own_patch:
@@ -342,7 +325,6 @@ class RunCaches:
                 state = rows.get(w)
                 if state is not None:
                     state.waiting |= keys
-        return own, nbr
 
 
 _reads = operator.attrgetter("reads")
@@ -361,11 +343,11 @@ def kept_row(ev: Eval, action: Action) -> Kept:
     Kept with its disagreement set, kept in ev's caches.
 
     The first evaluation computes the full row, whose keys are the owner's
-    domain, and its marks where the caches drive a table; later ones
-    recompute the waiting keys and the keys whose marks differ from the
-    last ones (added, removed or changed), and update the disagreement set
-    at those keys only.  Only the action's own `evaluate` (keyed_updates)
-    asks for its row: no rule reads another action's row.
+    domain, and its marks; later ones recompute the waiting keys and the
+    keys whose marks differ from the last ones (added, removed or changed),
+    and update the disagreement set at those keys only.  Only the action's
+    own `evaluate` (keyed_updates) asks for its row: no rule reads another
+    action's row.
     """
     keyed = action.keyed
     kept = ev.caches.kept
@@ -378,7 +360,7 @@ def kept_row(ev: Eval, action: Action) -> Kept:
         row = keyed.row(ev, None)
         state = rows[ev.pid] = Kept(
             row, {u for u, x in row.items() if stored.get(u, BOT) != x},
-            keyed.marks(ev) if keyed.marks and ev.caches.actions else None)
+            keyed.marks(ev) if keyed.marks else None)
     else:
         todo = state.waiting
         if state.marks is not None:
@@ -452,36 +434,43 @@ class AlgorithmSpec:
     @cached_property
     def _dispatch(self) -> tuple:
         # (key, scans): `key(store)` reads the owner's values of the names
-        # some `when` declares, and scans[key(store)][start] holds the
-        # (position, evaluate) pairs at or after `start` whose `when` admits
-        # such an owner.  Built per instance, so a copy made with
-        # dataclasses.replace dispatches to its own actions; an owner state
-        # gets its entry when first met.
+        # some `when` declares, and scans[key(store)] holds the (position,
+        # action) pairs whose `when` admits such an owner.  Built per
+        # instance, so a copy made with dataclasses.replace dispatches to
+        # its own actions; an owner state gets its entry when first met.
         names = sorted({x for a in self.actions if a.when is not None for x in a.when})
         key = operator.itemgetter(*names) if names else _no_names
         return key, {}
 
     def _scans(self, store: Store) -> tuple:
         key, scans = self._dispatch
-        admitted = [(i, a.evaluate) for i, a in enumerate(self.actions) if a.admits(store)]
         entry = scans[key(store)] = tuple(
-            tuple(p for p in admitted if p[0] >= start)
-            for start in range(len(self.actions) + 1))
+            (i, a) for i, a in enumerate(self.actions) if a.admits(store))
         return entry
 
-    def first_enabled(self, ev: Eval, start: int = 0) -> Optional[tuple[int, dict]]:
-        """(position, updates) of the first enabled action at or after
-        position `start` of the table, or None.  An action is enabled where
-        its `when` admits the owner and its `evaluate` returns updates; the
-        scan asks only the actions whose `when` admits the owner's state."""
+    def first_enabled(self, ev: Eval) -> Optional[tuple[int, dict]]:
+        """(position, updates) of the first enabled action of the table, or
+        None.  An action is enabled where its `when` admits the owner and
+        its `evaluate` returns updates; the scan asks only the actions whose
+        `when` admits the owner's state, each through ev's layer cache."""
         key, scans = self._dispatch
         entry = scans.get(key(ev.store))
         if entry is None:
             entry = self._scans(ev.store)
-        for i, evaluate in entry[start]:
-            updates = evaluate(ev)
-            if updates is not None:
-                return i, updates
+        results, pid = ev.caches.results, ev.pid
+        for i, a in entry:
+            # Eval.cached, inlined: a call per action costs about 6% of a
+            # run's steps per second.
+            rows = results.get(a)
+            if rows is None:
+                rows = results[a] = {}
+                value = _ABSENT
+            else:
+                value = rows.get(pid, _ABSENT)
+            if value is _ABSENT:
+                value = rows[pid] = a.evaluate(ev)
+            if value is not None:
+                return i, value
         return None
 
 
@@ -498,15 +487,11 @@ def plain_evals(cfg: Configuration, graph: Graph) -> list[Eval]:
 
 def enabled_actions(cfg: Configuration, v: int, alg: AlgorithmSpec, graph: Graph) -> list[str]:
     """Labels of all actions whose guard (`when` and the body) holds at v,
-    in label order: the uncached reference that the differential tests
-    compare the guard scans `run` resumes and keeps against."""
+    in label order, evaluated from scratch: the reference that the
+    differential tests compare `run`'s guard scans against."""
     ev = Eval(cfg, v, graph.neighbors_of(v))
-    labels = []
-    hit = alg.first_enabled(ev)
-    while hit is not None:
-        labels.append(alg.actions[hit[0]].label)
-        hit = alg.first_enabled(ev, hit[0] + 1)
-    return labels
+    return [a.label for a in alg.actions
+            if a.admits(ev.store) and ev.cached(a) is not None]
 
 
 def apply_updates(store: Store, updates: dict,
@@ -702,11 +687,11 @@ def run(
     The trace records every step.  It is reproducible from (cfg0, alg,
     daemon kind + seed) alone; all tie-breaking is over sorted process ids.
 
-    Each process's first enabled action, found by one guard scan, is kept
-    across steps while no change reaches it.  Every Eval of the run shares
-    one RunCaches, and each fired process that changed something makes one
-    call of its `changed` as its updates are applied, which says where the
-    reached processes resume their scans (see Action).
+    Every Eval of the run shares one RunCaches, and each fired process
+    that changed something makes one call of its `changed` as its updates
+    are applied.  After the step, every process in the closed neighborhood
+    of a changed one scans its table again, through the layer cache, so it
+    evaluates only the actions a change reached (see Action).
 
     Observers see each step before it is applied (see StepEvent): its
     pre-step configuration and what each selected process fires.
@@ -719,11 +704,10 @@ def run(
     adj = {v: graph.neighbors_of(v) for v in graph.vertices}
     sched = _Scheduler(daemon, graph.n)
     labels = [a.label for a in alg.actions]
-    end = len(labels)
     domain_var = alg.domain_var
 
     cfg = {v: dict(cfg0[v]) for v in cfg0}
-    caches = RunCaches(alg.actions)
+    caches = RunCaches()
 
     # per process: (position, updates) of its first enabled action, or None
     cache: dict[int, Optional[tuple[int, dict]]] = {}
@@ -756,27 +740,18 @@ def run(
                 obs(event)
 
         new_cfg = dict(cfg)
-        start: dict[int, int] = {}  # where each reached process resumes its scan
+        reached = set()  # the closed neighborhoods of the changed processes
         for v in order:
             old = cfg[v]
             new, names = apply_updates(old, cache[v][1], domain_var)
             new_cfg[v] = new
-            if not names:
-                continue
-            nbrs = adj[v]
-            own, nbr = caches.changed(v, names, old, new, nbrs)
-            if own < start.get(v, end):
-                start[v] = own
-            if nbr < end:
-                for w in nbrs:
-                    if nbr < start.get(w, end):
-                        start[w] = nbr
+            if names:
+                caches.changed(v, names, old, new, adj[v])
+                reached.add(v)
+                reached.update(adj[v])
         new_enabled = set(enabled)
-        for v, resume in start.items():
-            hit = cache[v]
-            if hit is not None and hit[0] < resume:
-                continue  # no change reaches its first enabled action
-            hit = cache[v] = alg.first_enabled(Eval(new_cfg, v, adj[v], caches), resume)
+        for v in reached:
+            hit = cache[v] = alg.first_enabled(Eval(new_cfg, v, adj[v], caches))
             if hit is None:
                 new_enabled.discard(v)
             else:

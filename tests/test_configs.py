@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -99,6 +100,18 @@ def test_config_from_json_rejects_bad_input(p5):
             config_from_json(payload, p5, 2)
     for payload in ([], {"1": 5}):
         with pytest.raises(ConfigError):
+            config_from_json(payload, p5, 2)
+    # keys are decimal identifiers, as config_to_json writes them: no two
+    # keys may name one identifier
+    for key in ("01", " 1", "+1", "1_0"):
+        payload = config_to_json(cfg)
+        payload[key] = payload["1"]
+        with pytest.raises(ConfigError, match=re.escape(f"key {key!r}")):
+            config_from_json(payload, p5, 2)
+        payload = config_to_json(cfg)
+        dist = payload["1"][DIST]
+        dist[key] = dist[next(iter(dist))]
+        with pytest.raises(ConfigError, match=re.escape(f"1.{DIST}: key {key!r}")):
             config_from_json(payload, p5, 2)
 
 

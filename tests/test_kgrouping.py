@@ -623,7 +623,7 @@ def test_target_and_toward_writes_patch_only_the_keys_they_reach(monkeypatch, p5
     k = 2
     cfg = init_silent_cfg(p5, k)
     m5, m6 = merge_actions(k).actions[4:6]
-    caches, computed = RunCaches((m5, m6)), []  # a table's caches keep marks
+    caches, computed = RunCaches(), []
     for name in ("_stamp1_row", "_stamp_dist_row"):
         def counted(ev, *args, real=getattr(kgrouping, name), name=name):
             if ev.caches is caches:  # not the fresh full recompute

@@ -23,6 +23,7 @@ from stabsim.loop import (
     check_Cgoal,
     compose,
     copy_shift,
+    disabled_everywhere,
 )
 from stabsim.runtime import (
     BOT,
@@ -136,19 +137,35 @@ def test_binding_domain_is_the_one_set_variable():
         )
 
 
-def test_binding_refuses_module_actions_with_when():
-    # L7 and L8 walk the base and initializer tables without asking `when`,
-    # so a module action that declares one would be read one way there and
-    # another way by the verdicts (disabled_everywhere asks it).
+def test_l7_honours_a_module_action_when():
+    # The flood fires only where the payload scalar `gate` is 1.  L7 scans
+    # the base table through `admits`, so process 3 (gate 0) keeps its m
+    # although the flood's body would lower it, and the verdicts, which
+    # scan the same way, find the base disabled everywhere at the end.
+    g = path_graph(5)
     (flood,) = min_flood_base().actions
-    guarded_base = AlgorithmSpec((dataclasses.replace(flood, when={"in_m": (0,)}),))
-    guarded_init = AlgorithmSpec((Action("P1", lambda ev: None, frozenset("p"),
-                                         frozenset("p"), when={"p": (0,)}),))
-    for base, init, label in ((guarded_base, empty_init(), "F1"),
-                              (min_flood_base(), guarded_init, "P1")):
-        with pytest.raises(CompositionError, match=f"declare a `when`: \\['{label}'\\]"):
-            BaseAlgorithmBinding(base=base, init=init, error=lambda ev, init: False,
-                                 outputs=(("m", "in_m"),))
+    gated = dataclasses.replace(flood, reads=flood.reads | {"gate"}, when={"gate": (1,)})
+    binding = BaseAlgorithmBinding(base=AlgorithmSpec((gated,)), init=empty_init(),
+                                   error=lambda ev, init: False, outputs=(("m", "in_m"),))
+    cfg = toy_cfg(g, {1: 9, 2: 4, 3: 8, 4: 3, 5: 7})
+    for v in g.vertices:
+        cfg[v]["gate"] = 0 if v == 3 else 1
+    fired = []
+
+    def observe(event):
+        fired.extend(event.pre_cfg[v]["gate"] for v, label in event.fired.items()
+                     if label == "L7")
+
+    trace = run(g, compose(binding, g), cfg, DaemonPolicy(kind="random", p=0.5, seed=2),
+                max_steps=200_000, observers=(observe,))
+    assert trace.terminated and fired and set(fired) == {1}
+    final = trace.final
+    assert {v: final[v]["m"] for v in g.vertices} == {1: 4, 2: 4, 3: 8, 4: 3, 5: 3}
+    assert flood.evaluate(Eval(final, 3, g.neighbors_of(3))) == {"m": 3}
+    assert disabled_everywhere(plain_evals(final, g), binding.base)
+    assert check_Cfin(plain_evals(final, g), binding)
+    final[3]["gate"] = 1
+    assert not disabled_everywhere(plain_evals(final, g), binding.base)
 
 
 def test_root_down_move_with_vacuous_parent(p3):
@@ -547,7 +564,7 @@ def test_when_and_body_equal_the_full_guards_along_runs(daemon):
 
     trace = run(g, alg, random_config(g, k, seed=1), daemon, max_steps=100_000,
                 observers=(observe,))
-    assert trace.terminated and run_caches[0].actions == alg.actions
+    assert trace.terminated and alg.actions[0] in run_caches[0].results
     assert_wave_matches_reference(alg, reference, trace.final, g)
 
 

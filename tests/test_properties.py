@@ -53,7 +53,7 @@ from stabsim.loop import (
 )
 from stabsim.kgrouping import kgrouping_binding
 from stabsim.runtime import (
-    BOT, DaemonPolicy, Eval, RunCaches, enabled_actions, plain_evals, rounds, run, step,
+    BOT, DaemonPolicy, Eval, enabled_actions, plain_evals, rounds, run, step,
 )
 
 
@@ -146,11 +146,12 @@ SCAN_DAEMONS = {
 @pytest.mark.parametrize("daemon", sorted(SCAN_DAEMONS))
 @pytest.mark.parametrize("instance", ["grid3x3-k2", "gnp10-k3", "path7-k1"])
 def test_resumed_guard_scans_match_full_scans(instance, daemon):
-    # Differential: run() re-evaluates a process only from the first action
-    # a step's changes can reach and keeps its first enabled action while
-    # none does.  At every step, the set the daemon selects from must equal
-    # that of uncached full scans of the step's configuration, each fired
-    # label must be the first enabled, and nothing is enabled at the end.
+    # Differential: run() scans a process's table again only where a step
+    # changed its closed neighborhood, and evaluates only the actions whose
+    # cached results a change dropped.  At every step, the set the daemon
+    # selects from must equal that of uncached full scans of the step's
+    # configuration, each fired label must be the first enabled, and
+    # nothing is enabled at the end.
     make, k = INSTANCES[instance]
     g = make(0)
     alg = compose(kgrouping_binding(k), g)
@@ -200,14 +201,13 @@ def _audit(action, ev):
     """Evaluate `action` afresh on a recording copy of ev's snapshot.
 
     The copy holds the closed neighborhood only, and the new Eval has an
-    empty memo, so values memoized by an earlier action hide no reads.  Its
-    caches drive a table of the action, so a keyed row's marks are read
-    too.  Reads are recorded per store: the owner's must lie in `reads`,
-    each neighbor's in `nbr_reads`.
+    empty memo, so values memoized by an earlier action hide no reads.
+    Reads are recorded per store: the owner's must lie in `reads`, each
+    neighbor's in `nbr_reads`.
     """
     seen = {u: set() for u in (ev.pid, *ev.nbr_ids)}
     view = {u: _RecordingStore(ev.cfg[u], names) for u, names in seen.items()}
-    updates = action.evaluate(Eval(view, ev.pid, ev.nbr_ids, RunCaches((action,))))
+    updates = action.evaluate(Eval(view, ev.pid, ev.nbr_ids))
     own = seen.pop(ev.pid)
     assert own <= action.reads, (action.label, sorted(own - action.reads))
     for u, names in seen.items():
@@ -222,20 +222,50 @@ def _audit(action, ev):
 def test_actions_touch_only_declared_variables(instance, monkeypatch):
     # Read and write audit of every action of the composed, merge and init
     # tables, on random configurations and on the configurations each
-    # execution of a run starts from.  The check that compose caches
-    # privately (the error predicate) and the cached views (the children,
-    # the dist gradient, the target) are reached by auditing every cache miss
-    # of the runs.  M6 and M7 read the owner's stored stamp1 and stamp_dist,
+    # execution of a run starts from, and of every cache miss of the runs.
+    # The guard scans call an action's evaluate on a miss, so the runs go
+    # through copies of the tables whose evaluates audit (as perfbench's
+    # tracer copies them); the check that compose caches privately (the
+    # error predicate) and the cached views (the children, the dist
+    # gradient, the target) are asked through Eval.cached, which audits its
+    # misses.  M6 and M7 read the owner's stored stamp1 and stamp_dist,
     # never another action's kept row.
     make, k = INSTANCES[instance]
-    real_cached = Eval.cached
-    audited = set()
+    real_cached, real_compose = Eval.cached, experiments.compose
+    real_binding = experiments.kgrouping_binding
+    audited, copies = set(), set()
+    live = [False]  # audit the runs' misses, not those inside an audit
+
+    def audit(action, ev):
+        if live[0]:
+            live[0] = False
+            try:
+                _audit(action, ev)
+            finally:
+                live[0] = True
+            audited.add(action.label)
+
+    def auditing(spec):
+        def copy(action):
+            def evaluate(ev):
+                audit(action, ev)
+                return action.evaluate(ev)
+
+            audited_copy = dataclasses.replace(action, evaluate=evaluate)
+            copies.add(audited_copy)
+            return audited_copy
+
+        return dataclasses.replace(spec, actions=tuple(map(copy, spec.actions)))
 
     def audited_cached(ev, action):
-        if ev.pid not in ev.caches.results.get(action, ()):
-            _audit(action, ev)
-            audited.add(action.label)
+        if action not in copies and ev.pid not in ev.caches.results.get(action, ()):
+            audit(action, ev)
         return real_cached(ev, action)
+
+    def audited_binding(k):
+        binding = real_binding(k)
+        return dataclasses.replace(binding, base=auditing(binding.base),
+                                   init=auditing(binding.init))
 
     for seed in range(6):
         g = make(seed)
@@ -244,7 +274,12 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
         cfg0 = random_config(g, k, seed=seed)
         with monkeypatch.context() as patch:
             patch.setattr(Eval, "cached", audited_cached)
+            patch.setattr(experiments, "compose",
+                          lambda binding, graph: auditing(real_compose(binding, graph)))
+            patch.setattr(experiments, "kgrouping_binding", audited_binding)
+            live[0] = True
             result = run_grouping(g, k, DaemonPolicy(kind="random", p=0.5, seed=seed), cfg0)
+            live[0] = False
         assert not judge(result).failures
         for cfg in (cfg0, *(b.start for b in result.boundaries), result.trace.final):
             for v in g.vertices:
@@ -252,7 +287,8 @@ def test_actions_touch_only_declared_variables(instance, monkeypatch):
                 for table in tables:
                     for action in table.actions:
                         _audit(action, ev)
-    assert {"E", "children", "gradient", "target", "M1", "M5", "M6", "M7", "I1"} <= audited
+    assert {"E", "children", "gradient", "target", "M1", "M5", "M6", "M7", "I1",
+            *(f"L{i}" for i in range(2, 17))} <= audited
 
 
 def test_round_recount_matches_engine():

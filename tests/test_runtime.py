@@ -387,13 +387,16 @@ def test_cache_drops_entries_by_owner_and_neighbor_reads():
 
 
 
-def test_guard_scan_resumes_at_the_first_action_a_change_reaches():
-    # G1 reads only y, G2 x, todo and y, both from the owner's store alone.
-    # A fire of G2 changes x and todo and rewrites y with its own value, no
-    # change: nothing reaches G1, which is never evaluated again, nor the
-    # neighbor, which keeps its first enabled action.
+def test_guard_scan_re_evaluates_only_the_actions_a_change_reaches():
+    # G1 reads only y, G2 x, todo and y, and a neighbor's x, G3 only z,
+    # which no step writes.  A fire of G2 changes x and todo and rewrites y
+    # with its own value, no change: nothing reaches G1, which is never
+    # evaluated again, nor G3, which is asked where G2 is disabled, once
+    # per process, although the scans after a neighbor's change of x pass
+    # it again.
     g = make_graph([1, 2], [(1, 2)])
     evals = {1: 0, 2: 0}
+    g3_evals = {1: 0, 2: 0}
 
     def guard_y(ev):
         evals[ev.pid] += 1
@@ -401,18 +404,27 @@ def test_guard_scan_resumes_at_the_first_action_a_change_reaches():
 
     def bump(ev):
         s = ev.store
-        return {"x": s["x"] + 1, "todo": s["todo"] - 1, "y": s["y"]} if s["todo"] else None
+        if not s["todo"]:
+            return None
+        top = max(ev.cfg[u]["x"] for u in (ev.pid, *ev.nbr_ids))
+        return {"x": top + 1, "todo": s["todo"] - 1, "y": s["y"]}
+
+    def guard_z(ev):
+        g3_evals[ev.pid] += 1
+        return {"z": 0} if ev.store["z"] else None
 
     names = frozenset(("x", "todo", "y"))
     alg = AlgorithmSpec((
         Action("G1", guard_y, frozenset("y"), frozenset("y"), frozenset()),
-        Action("G2", bump, names, names, frozenset()),
+        Action("G2", bump, names, names, frozenset("x")),
+        Action("G3", guard_z, frozenset("z"), frozenset("z"), frozenset()),
     ))
-    cfg0 = {v: {"x": 0, "todo": 2, "y": 0} for v in (1, 2)}
+    cfg0 = {v: {"x": 0, "todo": 2, "y": 0, "z": 0} for v in (1, 2)}
     trace = run(g, alg, cfg0, DaemonPolicy(kind="scripted", script=[{2}, {1}, {2}, {1}]),
                 10)
     assert trace.terminated and trace.num_steps == 4
     assert evals == {1: 1, 2: 1}
+    assert g3_evals == {1: 1, 2: 1}
     replay = cfg0
     for rec in trace.steps:
         replay = step(replay, set(rec.selected), alg, g)
